@@ -18,7 +18,7 @@ from .weights import (BumpSearchResult, ConstantReport, TripleSearchConfig,
                       ap_general_constant, ap_minus_constant, ap_plus_constant,
                       dilate, dual_weight, factor_weight, gamma_fourpoint_constant,
                       power_bump_search, reflect, rh_infty_constant,
-                      rh_plus_constant, weight_power)
+                      rh_plus_constant, weight_power, weight_product)
 from .experiments import (DecayFit, NormRatioReport, OperatorSpec,
                           TestFunctionFamily, coefficient_sweep, dyadic_decay,
                           generate_family, norm_ratio)

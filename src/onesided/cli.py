@@ -26,6 +26,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, GridMismatchError
 from .experiments import (STANDARD_SEED, OperatorSpec, TestFunctionFamily,
                           campaign_row, coefficient_sweep, config_digest,
-                          dyadic_decay, generate_family, norm_ratio,
+                          decay_rows, dyadic_decay, generate_family,
                           write_campaign_csv)
 from .grid import SampledFunction, grid_nodes
 from .interpolate import InterpolationEndpoints, verify_on_multiplier
@@ -308,12 +309,7 @@ def _cmd_decay_fit(cfg: dict, args) -> int:
     window, n = _grid_from(_need(cfg, "grid", ""), args)
     pv = _pv_from(cfg.get("pv", {}))
     fit = dyadic_decay(kernel, phase, p, w, fam, j_max, window, n, pv)
-    rows = [{"campaign": "decay", "operator": f"dyadic_piece|j={j}",
-             "weight": "1" if w is None else w.label(), "p": repr(p),
-             "param": repr(j), "best_ratio": repr(2.0 ** lg),
-             "argmax_index": -1, "window": f"{window[0]},{window[1]}",
-             "n": n, "seed": fam.seed}
-            for j, lg in zip(fit.j_values, fit.log2_ratios)]
+    rows = decay_rows(fit, "1" if w is None else w.label(), p, window, n, fam.seed)
     prefix = _out_prefix(args)
     write_campaign_csv(prefix.with_suffix(".csv"), rows,
                        prefix.with_suffix(".json"),
@@ -327,8 +323,11 @@ def _cmd_suite_run(cfg: dict, args) -> int:
     from .suite import run_all
     seed = args.seed if args.seed is not None else int(cfg.get("seed", STANDARD_SEED))
     out = args.out or cfg.get("out", "suite_out")
-    results = run_all(out, seed=seed, echo=True)
-    return 0 if all(r.passed for r in results) else 1
+    t0 = time.time()
+    ok = all(r.passed for r in run_all(out, seed=seed, echo=True))
+    print(f"{'ALL PASS' if ok else 'FAILURES PRESENT'} "
+          f"({time.time() - t0:.0f}s, artifacts in {out}/)")
+    return 0 if ok else 1
 
 
 _COMMANDS = {

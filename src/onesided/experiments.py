@@ -325,6 +325,16 @@ def campaign_row(campaign: str, op: OperatorSpec, w: Optional[WeightSpec],
             "seed": report.family.seed}
 
 
+def decay_rows(fit: DecayFit, weight_label: str, p: float, window: tuple,
+               n: int, seed: int) -> list:
+    """One campaign row per dyadic piece of a decay fit."""
+    return [{"campaign": "decay", "operator": f"dyadic_piece|j={j}",
+             "weight": weight_label, "p": repr(p), "param": repr(j),
+             "best_ratio": repr(2.0 ** lg), "argmax_index": -1,
+             "window": f"{window[0]},{window[1]}", "n": n, "seed": seed}
+            for j, lg in zip(fit.j_values, fit.log2_ratios)]
+
+
 def write_campaign_csv(path, rows, sidecar_path=None, configs=None):
     """Campaign CSV plus a JSON sidecar holding the full config digests.
     Output is byte-deterministic: no timestamps, repr-formatted floats."""

@@ -48,6 +48,19 @@ def grid_nodes(x_lo: float, x_hi: float, n: int) -> np.ndarray:
     return ((m - i) * x_lo + i * x_hi) / m
 
 
+def trapezoid_cells(values: np.ndarray, spacing: float) -> np.ndarray:
+    """Trapezoid areas of the cells between neighbouring samples (last axis)."""
+    return spacing * (values[..., :-1] + values[..., 1:]) / 2.0
+
+
+def cumulative_trapezoid(values: np.ndarray, spacing: float) -> np.ndarray:
+    """Running cell sums with a leading zero: entry i integrates from node
+    0 to node i, so any interval integral is a difference of two entries."""
+    cells = trapezoid_cells(values, spacing)
+    zero = np.zeros(cells.shape[:-1] + (1,), dtype=cells.dtype)
+    return np.concatenate([zero, np.cumsum(cells, axis=-1)], axis=-1)
+
+
 def _cfsum(values: np.ndarray) -> complex:
     """Correctly rounded sum of a complex array (fsum per component)."""
     if np.iscomplexobj(values):
@@ -119,8 +132,7 @@ class SampledFunction:
 
     def cell_areas(self) -> np.ndarray:
         """Trapezoid areas of the n-1 grid cells."""
-        v = self.values
-        return self.spacing * (v[:-1] + v[1:]) / 2.0
+        return trapezoid_cells(self.values, self.spacing)
 
 
 @dataclass(frozen=True)
@@ -164,8 +176,7 @@ def lp_weighted_norm(f: SampledFunction, w: SampledFunction, p: float) -> float:
     if not w.is_real or np.any(w.values.real < 0):
         raise DomainError("weight must be real and nonnegative")
     integrand = np.abs(f.values) ** p * w.values.real
-    d = f.spacing
-    total = math.fsum(d * (integrand[:-1] + integrand[1:]) / 2.0)
+    total = math.fsum(trapezoid_cells(integrand, f.spacing))
     return float(total ** (1.0 / p))
 
 

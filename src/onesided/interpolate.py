@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .grid import SampledFunction
-from .weights import WeightSpec, weight_power
+from .weights import WeightSpec, weight_power, weight_product
 
 __all__ = [
     "InterpolationEndpoints",
@@ -68,26 +68,10 @@ def interpolate_weights(e: InterpolationEndpoints):
     p = 1.0 / (e.theta / e.p0 + (1.0 - e.theta) / e.p1)
     e0 = p * e.theta / e.p0
     e1 = p * (1.0 - e.theta) / e.p1
-    u = _product(weight_power(e.u0, e0), weight_power(e.u1, e1))
-    v = _product(weight_power(e.v0, e0), weight_power(e.v1, e1))
+    u = weight_product(weight_power(e.u0, e0), weight_power(e.u1, e1))
+    v = weight_product(weight_power(e.v0, e0), weight_power(e.v1, e1))
     c_bound = e.c0 ** e.theta * e.c1 ** (1.0 - e.theta)
     return p, u, v, c_bound
-
-
-def _product(w1: WeightSpec, w2: WeightSpec) -> WeightSpec:
-    if w1.form != "sampled" and w2.form != "sampled":
-        s1, a1, c1 = w1.canonical()
-        s2, a2, c2 = w2.canonical()
-        return WeightSpec.product(s1 * s2, a1 + a2, c1 + c2)
-    if w1.form == "sampled" and w2.form == "sampled":
-        if not w1.samples.same_grid(w2.samples):
-            raise ConfigError("sampled weights live on different grids")
-        return WeightSpec.sampled(
-            w1.samples.with_values(w1.samples.values.real * w2.samples.values.real))
-    sf = w1.samples if w1.form == "sampled" else w2.samples
-    other = w2 if w1.form == "sampled" else w1
-    vals = other.realize(sf.x_lo, sf.x_hi, sf.n)
-    return WeightSpec.sampled(sf.with_values(sf.values.real * vals))
 
 
 @dataclass(frozen=True)

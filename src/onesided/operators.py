@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grid import SampledFunction, grid_nodes, resample
+from .grid import SampledFunction, cumulative_trapezoid, grid_nodes, resample
 
 __all__ = [
     "KernelSpec",
@@ -369,9 +369,8 @@ def forward_extremal_averages(values: np.ndarray, spacing: float,
     a = np.abs(np.asarray(values))
     if a.ndim == 1:
         return forward_extremal_averages(a[None, :], spacing, minimum)[0]
-    m, n = a.shape
-    cells = spacing * (a[:, :-1] + a[:, 1:]) / 2.0
-    cum = np.concatenate([np.zeros((m, 1)), np.cumsum(cells, axis=1)], axis=1)
+    n = a.shape[1]
+    cum = cumulative_trapezoid(a, spacing)
     out = a.astype(np.float64).copy()
     pick = np.minimum if minimum else np.maximum
     for k in range(1, n):

@@ -23,7 +23,8 @@ import numpy as np
 from .experiments import (STANDARD_N, STANDARD_P, STANDARD_SEED,
                           STANDARD_WINDOW, OperatorSpec, TestFunctionFamily,
                           campaign_row, coefficient_sweep, config_digest,
-                          dyadic_decay, norm_ratio, write_campaign_csv)
+                          decay_rows, dyadic_decay, norm_ratio,
+                          write_campaign_csv)
 from .grid import SampledFunction, grid_nodes
 from .interpolate import InterpolationEndpoints, verify_on_multiplier
 from .operators import (PolynomialPhase, PVConfig, dyadic_band_cells,
@@ -387,13 +388,7 @@ def run_all(out_dir: Optional[str] = None, seed: int = STANDARD_SEED,
             decay_runs = (("unweighted", fit, (-258.0, 2.0), 2 ** 14),
                           ("e^x", fitw, (-34.0, 2.0), 2 ** 13))
             for tag, f, window, n in decay_runs:
-                for j, lg in zip(f.j_values, f.log2_ratios):
-                    campaign_rows.append({
-                        "campaign": "decay", "operator": f"dyadic_piece|j={j}",
-                        "weight": tag, "p": repr(STANDARD_P), "param": repr(j),
-                        "best_ratio": repr(2.0 ** lg), "argmax_index": -1,
-                        "window": f"{window[0]},{window[1]}", "n": n,
-                        "seed": seed})
+                campaign_rows += decay_rows(f, tag, STANDARD_P, window, n, seed)
                 campaign_cfgs.append({"campaign": "decay", "weight": tag,
                                       "slope": f.slope, "intercept": f.intercept})
         if cid == 14 and extra:

@@ -10,11 +10,16 @@ power bumps ``w -> w^{1+eps}``.
 Estimators compute discrete suprema over lattices of anchored intervals
 (anchors spread over grid indices, interval lengths log-spaced and
 snapped to whole cells), so every reported constant is a lower bound of
-the true supremum.  Comparisons across estimators reuse identical
-interval lattices, which turns the analytic identities (duality power
-law, dilation invariance, reflection symmetry) into near-bit-level test
-assertions.  Interval integrals go through ``math.fsum`` where mirror
-exactness matters; large-grid searches use cumulative trapezoid sums.
+the true supremum.  All interval estimators share one lattice evaluator
+(anchors x per-column integer cell offsets), and comparisons across
+estimators reuse identical lattices, which turns the analytic identities
+(duality power law, dilation invariance, reflection symmetry) into
+near-bit-level test assertions.  Interval integrals are prefix
+differences of running trapezoid sums, except in ``ap_general_constant``
+and ``gamma_fourpoint_constant``: they sum each interval's cells with
+``math.fsum``, whose correctly rounded result does not depend on where
+the interval sits, so the duality law (acceptance criterion 2) and the
+exact reflection tests hold to the last bit.
 
 A search never raises on divergence: values above the configured
 ceiling (or overflow to non-finite) are reported with
@@ -33,7 +38,8 @@ import numpy as np
 
 from . import operators as _ops
 from .errors import ConfigError, DomainError, GridMismatchError
-from .grid import ExponentPair, SampledFunction, grid_nodes, resample
+from .grid import (ExponentPair, SampledFunction, cumulative_trapezoid,
+                   grid_nodes, resample, trapezoid_cells)
 
 __all__ = [
     "WeightSpec",
@@ -49,6 +55,7 @@ __all__ = [
     "rh_infty_constant",
     "dual_weight",
     "factor_weight",
+    "weight_product",
     "dilate",
     "reflect",
     "weight_power",
@@ -206,23 +213,28 @@ def dual_weight(w: WeightSpec, p: float) -> WeightSpec:
     return weight_power(w, 1.0 - pair.p_conj)
 
 
+def weight_product(w1: WeightSpec, w2: WeightSpec) -> WeightSpec:
+    """The pointwise product w1 * w2, catalog-closed for closed forms; a
+    sampled factor carries its grid, on which the other is realized."""
+    if w1.form != "sampled" and w2.form != "sampled":
+        s1, a1, c1 = w1.canonical()
+        s2, a2, c2 = w2.canonical()
+        return WeightSpec.product(s1 * s2, a1 + a2, c1 + c2)
+    if w1.form == "sampled" and w2.form == "sampled":
+        if not w1.samples.same_grid(w2.samples):
+            raise GridMismatchError("sampled factors live on different grids")
+        return WeightSpec.sampled(
+            w1.samples.with_values(w1.samples.values.real * w2.samples.values.real))
+    sf = w1.samples if w1.form == "sampled" else w2.samples
+    other = w2 if w1.form == "sampled" else w1
+    vals = other.realize(sf.x_lo, sf.x_hi, sf.n)
+    return WeightSpec.sampled(sf.with_values(sf.values.real * vals))
+
+
 def factor_weight(w1: WeightSpec, w2: WeightSpec, p: float) -> WeightSpec:
     """The product w1 * w2^{1-p} from the A_1-factorization of A_p^+."""
     ExponentPair(p)
-    w2p = weight_power(w2, 1.0 - p)
-    if w1.form != "sampled" and w2p.form != "sampled":
-        s1, a1, c1 = w1.canonical()
-        s2, a2, c2 = w2p.canonical()
-        return WeightSpec.product(s1 * s2, a1 + a2, c1 + c2)
-    if w1.form == "sampled" and w2p.form == "sampled":
-        if not w1.samples.same_grid(w2p.samples):
-            raise GridMismatchError("sampled factors live on different grids")
-        return WeightSpec.sampled(
-            w1.samples.with_values(w1.samples.values.real * w2p.samples.values.real))
-    sf = w1.samples if w1.form == "sampled" else w2p.samples
-    other = w2p if w1.form == "sampled" else w1
-    vals = other.realize(sf.x_lo, sf.x_hi, sf.n)
-    return WeightSpec.sampled(sf.with_values(sf.values.real * vals))
+    return weight_product(w1, weight_power(w2, 1.0 - p))
 
 
 def dilate(w: WeightSpec, lam: float) -> WeightSpec:
@@ -348,16 +360,8 @@ class BumpSearchResult:
 
 
 # ---------------------------------------------------------------------------
-# lattice helpers
+# the interval lattice
 # ---------------------------------------------------------------------------
-
-def _anchor_indices(cfg: TripleSearchConfig) -> np.ndarray:
-    """Anchor node indices, uniform in index space (window-independent,
-    hence exactly mirror-symmetric)."""
-    j = np.arange(cfg.n_anchor, dtype=np.float64)
-    idx = np.rint(j * (cfg.n_grid - 1) / (cfg.n_anchor - 1)).astype(np.int64)
-    return np.unique(idx)
-
 
 def _length_cells(cfg: TripleSearchConfig) -> np.ndarray:
     """Interval lengths snapped to whole cells, ascending, deduplicated."""
@@ -365,52 +369,104 @@ def _length_cells(cfg: TripleSearchConfig) -> np.ndarray:
     if cfg.h_min < d:
         raise ConfigError(f"h_min={cfg.h_min} below grid spacing {d}")
     hs = np.geomspace(cfg.h_min, cfg.h_max, cfg.n_h)
-    ks = np.unique(np.clip(np.rint(hs / d).astype(np.int64), 1, cfg.n_grid - 1))
-    return ks
+    return np.unique(np.clip(np.rint(hs / d).astype(np.int64), 1, cfg.n_grid - 1))
 
 
 def _realize_pair(w: WeightSpec, p: float, cfg: TripleSearchConfig):
-    """Node values of w and of its dual power w^{1-p'}, plus cell areas."""
+    """Node values of w and of its dual power w^{1-p'}, plus the spacing."""
     lo, hi = cfg.window
     pair = ExponentPair(p)
     wv = w.realize(lo, hi, cfg.n_grid)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         sv = wv ** (1.0 - pair.p_conj)
-    d = cfg.spacing
-    return wv, sv, d
+    return wv, sv, cfg.spacing
 
 
-def _cells(vals: np.ndarray, d: float) -> np.ndarray:
-    return d * (vals[:-1] + vals[1:]) / 2.0
+class _Lattice:
+    """Anchors x columns of anchored intervals.
+
+    Anchors are node indices spread uniformly in index space
+    (window-independent, hence exactly mirror-symmetric).  ``offsets``
+    maps each named point to its integer cell offset from the anchor, one
+    per column; ``ok`` marks the entries whose points all lie in the
+    window and whose column is ``valid``.  Entries are enumerated by
+    anchor, then by column.
+    """
+
+    def __init__(self, cfg: TripleSearchConfig, offsets: dict, valid=True):
+        j = np.arange(cfg.n_anchor, dtype=np.float64)
+        idx = np.rint(j * (cfg.n_grid - 1) / (cfg.n_anchor - 1)).astype(np.int64)
+        self.anchors = np.unique(idx)
+        self.offsets = {k: np.asarray(v, dtype=np.int64) for k, v in offsets.items()}
+        self.ok = np.asarray(valid, dtype=bool)
+        for name in self.offsets:
+            pt = self.at(name)
+            self.ok = self.ok & (pt >= 0) & (pt <= cfg.n_grid - 1)
+
+    def at(self, name: str) -> np.ndarray:
+        """Node index of the named point at every entry."""
+        return self.anchors[:, None] + self.offsets[name][None, :]
 
 
-def _cumcells(vals: np.ndarray, d: float) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.concatenate([[0.0], np.cumsum(_cells(vals, d))])
+def _integrals(vals: np.ndarray, d: float, lat: _Lattice, lo: str, hi: str,
+               exact: bool = False) -> np.ndarray:
+    """Trapezoid integral of ``vals`` from point ``lo`` to point ``hi`` at
+    every entry; NaN where the entry is not ok.
 
-
-def _fsum_left(cells_list, anchors, ks) -> np.ndarray:
-    """S[i, m] = fsum of cells over (anchor_i - k_m, anchor_i); NaN if it
-    leaves the window."""
-    out = np.full((len(anchors), len(ks)), np.nan)
-    for i, a in enumerate(anchors):
-        for m, k in enumerate(ks):
-            if a - k >= 0:
-                out[i, m] = math.fsum(cells_list[a - k:a])
+    The default takes prefix differences of the running cell sums.  With
+    ``exact`` the cells of each distinct interval are summed once by
+    ``math.fsum``, which is correctly rounded and hence independent of
+    where the interval sits.
+    """
+    i, j = lat.at(lo)[lat.ok], lat.at(hi)[lat.ok]
+    out = np.full(lat.ok.shape, np.nan)
+    if exact:
+        n = len(vals)
+        keys, inv = np.unique(i * n + j, return_inverse=True)
+        cells = trapezoid_cells(vals, d).tolist()
+        sums = [math.fsum(cells[k // n:k % n]) for k in keys.tolist()]
+        out[lat.ok] = np.asarray(sums, dtype=float)[inv]
+    else:
+        cum = cumulative_trapezoid(vals, d)
+        out[lat.ok] = cum[j] - cum[i]
     return out
 
 
-def _fsum_right(cells_list, anchors, ks, n_top) -> np.ndarray:
-    out = np.full((len(anchors), len(ks)), np.nan)
-    for i, a in enumerate(anchors):
-        for m, k in enumerate(ks):
-            if a + k <= n_top:
-                out[i, m] = math.fsum(cells_list[a:a + k])
-    return out
+def _averages(vals: np.ndarray, d: float, lat: _Lattice, lo: str, hi: str) -> np.ndarray:
+    return _integrals(vals, d, lat, lo, hi) / ((lat.offsets[hi] - lat.offsets[lo]) * d)
+
+
+def _witness(lat: _Lattice, cfg: TripleSearchConfig, fields: Optional[dict] = None):
+    """Flat entry index -> witness dict.  ``fields`` maps each name to a
+    pair (point, shift): the node at the point plus the shift's offset
+    times the spacing, starting from 0 without a point and adding nothing
+    without a shift.  By default every point is reported as its node."""
+    fields = fields or {name: (name, None) for name in lat.offsets}
+    nodes = grid_nodes(*cfg.window, cfg.n_grid)
+
+    def build(arg):
+        i, c = divmod(arg, lat.ok.shape[1])
+        out = {}
+        for name, (point, shift) in fields.items():
+            v = float(nodes[lat.anchors[i] + lat.offsets[point][c]]) if point else 0.0
+            out[name] = v + float(lat.offsets[shift][c] * cfg.spacing) if shift else v
+        return out
+
+    return build
+
+
+def _gamma_lattice(cfg: TripleSearchConfig, strict: bool) -> _Lattice:
+    """Points (0, m, M-m, M) of a < b <= c < d (b < c if ``strict``), with
+    M the snapped lengths and m = round(gamma M) >= 1, so that
+    b-a = d-c = gamma (d-a) up to snapping."""
+    ks = _length_cells(cfg)
+    m = np.rint(cfg.gamma * ks).astype(np.int64)
+    apart = m < ks - m if strict else m <= ks - m
+    return _Lattice(cfg, {"a": 0 * ks, "b": m, "c": ks - m, "d": ks}, (m >= 1) & apart)
 
 
 def _report(values: np.ndarray, witnesses, cfg: TripleSearchConfig,
-            admissible: Optional[np.ndarray] = None,
+            admissible=True,
             at_least_one: str = "search lattice admits no interval") -> ConstantReport:
     """Deterministic argmax report: first maximum in enumeration order
     wins (enumeration is ordered by anchor, then by lengths).
@@ -420,8 +476,7 @@ def _report(values: np.ndarray, witnesses, cfg: TripleSearchConfig,
     clears finite_flag instead of raising.
     """
     flat = np.asarray(values, dtype=float).ravel()
-    adm = np.ones(flat.shape, dtype=bool) if admissible is None \
-        else np.asarray(admissible, dtype=bool).ravel()
+    adm = np.broadcast_to(admissible, np.shape(values)).ravel()
     if not np.any(adm):
         raise ConfigError(at_least_one)
     usable = adm & np.isfinite(flat)
@@ -436,8 +491,29 @@ def _report(values: np.ndarray, witnesses, cfg: TripleSearchConfig,
 
 
 # ---------------------------------------------------------------------------
-# Sawyer-form estimators (pair lattice, cumulative-sum fast path)
+# A_p-type estimators: Sawyer pairs (prefix sums), three- and four-point
+# forms (fsum sums)
 # ---------------------------------------------------------------------------
+
+def _sawyer_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig,
+                     w_start: int) -> ConstantReport:
+    """sup over anchors a and lengths h of (avg of w over the h-interval
+    starting w_start * h from a) (avg of w^{1-p'} over (a, a+h))^{p-1}.
+
+    Column 0 is the h -> 0+ limit w(a) w(a)^{(1-p')(p-1)} = 1, so the
+    estimate is >= 1 (up to rounding), matching the class lower bound.
+    """
+    wv, sv, d = _realize_pair(w, p, cfg)
+    ks = np.concatenate([[0], _length_cells(cfg)])
+    lat = _Lattice(cfg, {"w0": w_start * ks, "w1": (w_start + 1) * ks,
+                         "a": 0 * ks, "h": ks})
+    with np.errstate(all="ignore"):
+        avg_w = np.where(ks > 0, _averages(wv, d, lat, "w0", "w1"), wv[lat.anchors, None])
+        avg_s = np.where(ks > 0, _averages(sv, d, lat, "a", "h"), sv[lat.anchors, None])
+        vals = avg_w * avg_s ** (p - 1.0)
+    witness = _witness(lat, cfg, {"a": ("a", None), "h": (None, "h")})
+    return _report(vals, witness, cfg, lat.ok)
+
 
 def ap_plus_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig) -> ConstantReport:
     """Sawyer A_p^+ constant estimate:
@@ -448,30 +524,7 @@ def ap_plus_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig) -> Consta
     h -> 0+ limit value w(a) w(a)^{-1} = 1 at every anchor.  Including
     that limit keeps the estimate >= 1, matching the class lower bound.
     """
-    wv, sv, d = _realize_pair(w, p, cfg)
-    anchors = _anchor_indices(cfg)
-    ks = _length_cells(cfg)
-    n_top = cfg.n_grid - 1
-    cw, cs = _cumcells(wv, d), _cumcells(sv, d)
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        point = wv[anchors] * sv[anchors] ** (p - 1.0)          # h -> 0+ column
-        ia = anchors[:, None]
-        kk = ks[None, :]
-        ok = (ia - kk >= 0) & (ia + kk <= n_top)
-        left = np.where(ok, (cw[np.minimum(ia, n_top)] - cw[np.maximum(ia - kk, 0)]), np.nan)
-        right = np.where(ok, (cs[np.minimum(ia + kk, n_top)] - cs[ia]), np.nan)
-        vals = (left / (kk * d)) * (right / (kk * d)) ** (p - 1.0)
-    table = np.column_stack([point, vals])
-    adm = np.column_stack([np.ones(len(anchors), dtype=bool), ok])
-    nodes = grid_nodes(*cfg.window, cfg.n_grid)
-
-    def witness(arg):
-        i, m = divmod(arg, table.shape[1])
-        h = 0.0 if m == 0 else float(ks[m - 1] * d)
-        return {"a": float(nodes[anchors[i]]), "h": h}
-
-    return _report(table, witness, cfg, adm)
+    return _sawyer_constant(w, p, cfg, -1)
 
 
 def ap_minus_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig) -> ConstantReport:
@@ -487,35 +540,8 @@ def ap_minus_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig) -> Const
 def ap_both_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig) -> ConstantReport:
     """Both-sided Muckenhoupt A_p estimate over the same kind of lattice:
     intervals I = (a, a+h), value (avg_I w)(avg_I w^{1-p'})^{p-1}."""
-    wv, sv, d = _realize_pair(w, p, cfg)
-    anchors = _anchor_indices(cfg)
-    ks = _length_cells(cfg)
-    n_top = cfg.n_grid - 1
-    cw, cs = _cumcells(wv, d), _cumcells(sv, d)
-    with np.errstate(invalid="ignore", over="ignore"):
-        point = wv[anchors] * sv[anchors] ** (p - 1.0)
-        ia = anchors[:, None]
-        kk = ks[None, :]
-        ok = ia + kk <= n_top
-        hi = np.minimum(ia + kk, n_top)
-        left = np.where(ok, cw[hi] - cw[ia], np.nan)
-        right = np.where(ok, cs[hi] - cs[ia], np.nan)
-        vals = (left / (kk * d)) * (right / (kk * d)) ** (p - 1.0)
-    table = np.column_stack([point, vals])
-    adm = np.column_stack([np.ones(len(anchors), dtype=bool), ok])
-    nodes = grid_nodes(*cfg.window, cfg.n_grid)
+    return _sawyer_constant(w, p, cfg, 0)
 
-    def witness(arg):
-        i, m = divmod(arg, table.shape[1])
-        h = 0.0 if m == 0 else float(ks[m - 1] * d)
-        return {"a": float(nodes[anchors[i]]), "h": h}
-
-    return _report(table, witness, cfg, adm)
-
-
-# ---------------------------------------------------------------------------
-# general three-point form (Remark with a < b < c), fsum path
-# ---------------------------------------------------------------------------
 
 def ap_general_constant(w: WeightSpec, p: float, side: str,
                         cfg: TripleSearchConfig) -> ConstantReport:
@@ -531,35 +557,16 @@ def ap_general_constant(w: WeightSpec, p: float, side: str,
     if side not in ("plus", "minus"):
         raise ConfigError(f"side must be plus or minus, got {side!r}")
     wv, sv, d = _realize_pair(w, p, cfg)
-    anchors = _anchor_indices(cfg)
     ks = _length_cells(cfg)
-    n_top = cfg.n_grid - 1
-    cw_list = _cells(wv, d).tolist()
-    cs_list = _cells(sv, d).tolist()
-
-    wL = _fsum_left(cw_list, anchors, ks)          # int over (b-k1, b) of w
-    wR = _fsum_right(cw_list, anchors, ks, n_top)  # int over (b, b+k2) of w
-    sL = _fsum_left(cs_list, anchors, ks)
-    sR = _fsum_right(cs_list, anchors, ks, n_top)
-
-    span = (ks[:, None] + ks[None, :]) * d          # (k1, k2) -> c - a
-    okL = anchors[:, None] - ks[None, :] >= 0
-    okR = anchors[:, None] + ks[None, :] <= n_top
-    adm = okL[:, :, None] & okR[:, None, :]
-    with np.errstate(invalid="ignore", over="ignore"):
-        if side == "plus":
-            vals = wL[:, :, None] * sR[:, None, :] ** (p - 1.0) / span[None, :, :] ** p
-        else:
-            vals = wR[:, None, :] * sL[:, :, None] ** (p - 1.0) / span[None, :, :] ** p
-    nodes = grid_nodes(*cfg.window, cfg.n_grid)
-
-    def witness(arg):
-        i, rest = divmod(arg, len(ks) * len(ks))
-        m1, m2 = divmod(rest, len(ks))
-        b = float(nodes[anchors[i]])
-        return {"a": b - float(ks[m1] * d), "b": b, "c": b + float(ks[m2] * d)}
-
-    return _report(vals, witness, cfg, adm)
+    k1, k2 = np.repeat(ks, len(ks)), np.tile(ks, len(ks))
+    lat = _Lattice(cfg, {"a": -k1, "b": 0 * k1, "c": k2})
+    w_at, s_at = (("a", "b"), ("b", "c")) if side == "plus" else (("b", "c"), ("a", "b"))
+    with np.errstate(all="ignore"):
+        vals = (_integrals(wv, d, lat, *w_at, exact=True)
+                * _integrals(sv, d, lat, *s_at, exact=True) ** (p - 1.0)
+                / ((k1 + k2) * d) ** p)
+    witness = _witness(lat, cfg, {"a": ("b", "a"), "b": ("b", None), "c": ("b", "c")})
+    return _report(vals, witness, cfg, lat.ok)
 
 
 def gamma_fourpoint_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig) -> ConstantReport:
@@ -571,33 +578,12 @@ def gamma_fourpoint_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig) -
     if not 0.0 < cfg.gamma < 0.5:
         raise ConfigError("this form needs gamma in (0, 1/2)")
     wv, sv, d = _realize_pair(w, p, cfg)
-    anchors = _anchor_indices(cfg)
-    ks = _length_cells(cfg)
-    n_top = cfg.n_grid - 1
-    cw_list = _cells(wv, d).tolist()
-    cs_list = _cells(sv, d).tolist()
-    nodes = grid_nodes(*cfg.window, cfg.n_grid)
-
-    vals, tuples, adm = [], [], []
-    for a in anchors:
-        for M in ks:
-            m = int(round(cfg.gamma * M))
-            if m < 1 or m >= M - m or a + M > n_top:
-                vals.append(np.nan); tuples.append(None); adm.append(False)
-                continue
-            sw = math.fsum(cw_list[a:a + m])
-            ss = math.fsum(cs_list[a + M - m:a + M])
-            with np.errstate(over="ignore"):
-                vals.append(sw * ss ** (p - 1.0) / (m * d) ** p)
-            tuples.append((a, a + m, a + M - m, a + M))
-            adm.append(True)
-
-    def witness(arg):
-        t = tuples[arg]
-        return {"a": float(nodes[t[0]]), "b": float(nodes[t[1]]),
-                "c": float(nodes[t[2]]), "d": float(nodes[t[3]])}
-
-    return _report(np.asarray(vals), witness, cfg, np.asarray(adm),
+    lat = _gamma_lattice(cfg, strict=True)
+    with np.errstate(all="ignore"):
+        vals = (_integrals(wv, d, lat, "a", "b", exact=True)
+                * _integrals(sv, d, lat, "c", "d", exact=True) ** (p - 1.0)
+                / (lat.offsets["b"] * d) ** p)
+    return _report(vals, _witness(lat, cfg), cfg, lat.ok,
                    "gamma lattice admits no 4-point configuration")
 
 
@@ -613,13 +599,8 @@ def a1_constant(w: WeightSpec, side: str, cfg: TripleSearchConfig) -> ConstantRe
     lo, hi = cfg.window
     wf = w.as_sampled(lo, hi, cfg.n_grid)
     m = _ops.m_minus(wf) if side == "plus" else _ops.m_plus(wf)
-    ratio = m.values.real / wf.values.real
-    nodes = wf.nodes()
-
-    def witness(arg):
-        return {"x": float(nodes[arg])}
-
-    return _report(ratio, witness, cfg)
+    return _report(m.values.real / wf.values.real,
+                   lambda arg: {"x": float(wf.nodes()[arg])}, cfg)
 
 
 def rh_infty_constant(w: WeightSpec, cfg: TripleSearchConfig) -> ConstantReport:
@@ -630,16 +611,23 @@ def rh_infty_constant(w: WeightSpec, cfg: TripleSearchConfig) -> ConstantReport:
     m = _ops.m_plus_min(wf).values.real
     if np.any(m == 0.0):
         raise DomainError("m^+ w vanishes at a node")
-    ratio = wf.values.real / m
-    nodes = wf.nodes()
-
-    def witness(arg):
-        return {"x": float(nodes[arg])}
-
-    return _report(ratio, witness, cfg)
+    return _report(wf.values.real / m, lambda arg: {"x": float(wf.nodes()[arg])}, cfg)
 
 
-_RH_VARIANT_CELLS = {2: (2, 3), 3: (2, 3, 4), 4: (1, 2)}
+# variant -> cell offsets of the points a, b, c[, d] in units of the length
+_RH_VARIANT_CELLS = {1: (0, 1), 2: (0, 2, 3), 3: (0, 2, 3, 4), 4: (0, 1, 2)}
+
+
+def _local_maximal(vals: np.ndarray, d: float, lat: _Lattice) -> np.ndarray:
+    """M^-(w chi_(a,b))(b) at every ok entry: the largest average of
+    ``vals`` over (b - j, b) for j = 1 .. b - a cells."""
+    cum = cumulative_trapezoid(vals, d)
+    b, k = lat.at("b"), lat.offsets["b"]
+    out = np.full(lat.ok.shape, np.nan)
+    for i, c in zip(*np.nonzero(lat.ok)):
+        j = np.arange(1, k[c] + 1)
+        out[i, c] = np.max((cum[b[i, c]] - cum[b[i, c] - j]) / (j * d))
+    return out
 
 
 def rh_plus_constant(w: WeightSpec, r: float, variant: int,
@@ -663,77 +651,22 @@ def rh_plus_constant(w: WeightSpec, r: float, variant: int,
         raise ConfigError(f"variant must be 1..5, got {variant}")
     lo, hi = cfg.window
     wv = w.realize(lo, hi, cfg.n_grid)
-    with np.errstate(over="ignore"):
-        wr = wv ** r
     d = cfg.spacing
-    anchors = _anchor_indices(cfg)
-    ks = _length_cells(cfg)
-    n_top = cfg.n_grid - 1
-    cum_w = _cumcells(wv, d)
-    cum_wr = _cumcells(wr, d)
-    nodes = grid_nodes(lo, hi, cfg.n_grid)
-
-    vals, tuples, adm = [], [], []
-
-    if variant == 1:
-        for a in anchors:
-            for k in ks:
-                b = a + k
-                if b > n_top:
-                    vals.append(np.nan); tuples.append(None); adm.append(False)
-                    continue
-                kk = np.arange(1, k + 1)
-                mloc = np.max((cum_w[b] - cum_w[b - kk]) / (kk * d))
-                num = cum_wr[b] - cum_wr[a]
-                den = mloc ** (r - 1.0) * (cum_w[b] - cum_w[a])
-                vals.append(num / den)
-                tuples.append({"a": float(nodes[a]), "b": float(nodes[b])})
-                adm.append(True)
-    elif variant == 5:
-        for a in anchors:
-            for M in ks:
-                m = int(round(cfg.gamma * M))
-                if m < 1 or m > M - m or a + M > n_top:
-                    vals.append(np.nan); tuples.append(None); adm.append(False)
-                    continue
-                lhs = (cum_wr[a + m] - cum_wr[a]) / (m * d)
-                rhs = (cum_w[a + M] - cum_w[a + M - m]) / (m * d)
-                vals.append(lhs / rhs ** r)
-                tuples.append({"a": float(nodes[a]), "b": float(nodes[a + m]),
-                               "c": float(nodes[a + M - m]), "d": float(nodes[a + M])})
-                adm.append(True)
+    if variant == 5:
+        lat = _gamma_lattice(cfg, strict=False)
     else:
-        pat = _RH_VARIANT_CELLS[variant]
-        for a in anchors:
-            for k in ks:
-                pts = [a + c * k for c in pat]
-                if pts[-1] > n_top:
-                    vals.append(np.nan); tuples.append(None); adm.append(False)
-                    continue
-                if variant == 2:       # (a, b=a+2k, c=a+3k): lhs on 2k cells
-                    lhs = (cum_wr[a + 2 * k] - cum_wr[a]) / (2 * k * d)
-                    rhs = (cum_w[a + 3 * k] - cum_w[a + 2 * k]) / (k * d)
-                    tup = {"a": float(nodes[a]), "b": float(nodes[a + 2 * k]),
-                           "c": float(nodes[a + 3 * k])}
-                elif variant == 3:     # (a, a+2k, a+3k, a+4k)
-                    lhs = (cum_wr[a + 2 * k] - cum_wr[a]) / (2 * k * d)
-                    rhs = (cum_w[a + 4 * k] - cum_w[a + 3 * k]) / (k * d)
-                    tup = {"a": float(nodes[a]), "b": float(nodes[a + 2 * k]),
-                           "c": float(nodes[a + 3 * k]), "d": float(nodes[a + 4 * k])}
-                else:                  # variant 4: (a, a+k, a+2k)
-                    lhs = (cum_wr[a + k] - cum_wr[a]) / (k * d)
-                    rhs = (cum_w[a + 2 * k] - cum_w[a + k]) / (k * d)
-                    tup = {"a": float(nodes[a]), "b": float(nodes[a + k]),
-                           "c": float(nodes[a + 2 * k])}
-                with np.errstate(over="ignore"):
-                    vals.append(lhs / rhs ** r)
-                tuples.append(tup)
-                adm.append(True)
-
-    def witness(arg):
-        return tuples[arg]
-
-    return _report(np.asarray(vals), witness, cfg, np.asarray(adm),
+        ks = _length_cells(cfg)
+        lat = _Lattice(cfg, {name: c * ks for name, c in
+                             zip("abcd", _RH_VARIANT_CELLS[variant])})
+    rhs_at = list(lat.offsets)[-2:]       # (b, c) or (c, d)
+    with np.errstate(all="ignore"):
+        wr = wv ** r
+        if variant == 1:
+            vals = _integrals(wr, d, lat, "a", "b") / (
+                _local_maximal(wv, d, lat) ** (r - 1.0) * _integrals(wv, d, lat, "a", "b"))
+        else:
+            vals = _averages(wr, d, lat, "a", "b") / _averages(wv, d, lat, *rhs_at) ** r
+    return _report(vals, _witness(lat, cfg), cfg, lat.ok,
                    "variant lattice admits no configuration")
 
 

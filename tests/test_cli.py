@@ -33,13 +33,18 @@ class TestWeightsCommands:
         assert payload["report"]["finite_flag"] is True
 
     def test_estimate_divergent_exit_3(self, tmp_path):
-        cfg = write_cfg(tmp_path, "c.json", {
-            "estimator": "ap_both", "p": 2.0,
-            "weight": {"form": "exponential", "params": [1.0]},
-            "search": dict(SEARCH, h_max=15.9, ceiling=1e3)})
-        out = tmp_path / "res"
-        assert main(["weights", "estimate", "--config", cfg, "--out", str(out)]) == 3
-        assert (tmp_path / "res.csv").exists()   # results still written
+        # e^x fails both-sided A_2; |x|^-350 overflows the fsum lattice
+        for i, cfg in enumerate([
+                {"estimator": "ap_both", "p": 2.0,
+                 "weight": {"form": "exponential", "params": [1.0]},
+                 "search": dict(SEARCH, h_max=15.9, ceiling=1e3)},
+                {"estimator": "gamma_fourpoint", "p": 3.0,
+                 "weight": {"form": "power", "params": [-350.0]},
+                 "search": SEARCH}]):
+            path = write_cfg(tmp_path, f"c{i}.json", cfg)
+            out = tmp_path / f"res{i}"
+            assert main(["weights", "estimate", "--config", path, "--out", str(out)]) == 3
+            assert (tmp_path / f"res{i}.csv").exists()   # results still written
 
     def test_bump(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from onesided.errors import ConfigError, DomainError
+from onesided.errors import ConfigError, DomainError, GridMismatchError
 from onesided.grid import SampledFunction
 from onesided.interpolate import (InterpolationEndpoints, interpolate_weights,
                                   multiplier_norm, verify_on_multiplier,
@@ -49,6 +49,12 @@ class TestInterpolateWeights:
             e1 = endpoints(c0=2.0 * s, c1=5.0, theta=0.3)
             _, _, _, c_scaled = interpolate_weights(e1)
             assert c_scaled == pytest.approx(s ** 0.3 * c_base, rel=1e-12)
+
+    def test_sampled_weights_on_different_grids(self):
+        a = WeightSpec.sampled(SampledFunction(0.0, 1.0, 11, np.ones(11) + 0j))
+        b = WeightSpec.sampled(SampledFunction(0.0, 1.0, 12, np.ones(12) + 0j))
+        with pytest.raises(GridMismatchError):
+            interpolate_weights(endpoints(u0=a, u1=b))
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,22 @@ class TestSawyer:
         w = WeightSpec.power(-350.0)
         rep = ap_plus_constant(w, 2.0, cfg(window=(0.5, 8.0), h_min=0.1))
         assert not rep.finite_flag
+
+    def test_every_lattice_estimator_flags_overflow_silently(self):
+        # |x|^{-350} overflows near 0 on the battery lattice: each lattice
+        # estimator flags it, without raising (fsum path, p = 3) or warning
+        w, c = WeightSpec.power(-350.0), cfg(n_grid=4096)
+        runs = [lambda: ap_plus_constant(w, 3.0, c),
+                lambda: ap_minus_constant(w, 3.0, c),
+                lambda: ap_both_constant(w, 3.0, c),
+                lambda: ap_general_constant(w, 3.0, "plus", c),
+                lambda: ap_general_constant(w, 3.0, "minus", c),
+                lambda: gamma_fourpoint_constant(w, 3.0, c)]
+        runs += [lambda v=v: rh_plus_constant(w, 3.0, v, c) for v in range(1, 6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in runs:
+                assert not run().finite_flag
 
 
 # ---------------------------------------------------------------------------
