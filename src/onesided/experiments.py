@@ -27,8 +27,8 @@ import numpy as np
 from .errors import ConfigError
 from .grid import grid_nodes
 from .operators import (KernelSpec, PolynomialPhase, PVConfig,
-                        dyadic_band_cells, forward_extremal_averages,
-                        oscillatory_apply_batch)
+                        backward_extremal_averages, dyadic_apply_batch,
+                        forward_extremal_averages, oscillatory_apply_batch)
 from .weights import WeightSpec
 
 __all__ = [
@@ -171,18 +171,14 @@ class OperatorSpec:
         if self.kind == "m_plus":
             return forward_extremal_averages(F, d).astype(np.complex128)
         if self.kind == "m_minus":
-            rev = forward_extremal_averages(F[:, ::-1], d)
-            return rev[:, ::-1].astype(np.complex128)
+            return backward_extremal_averages(F, d).astype(np.complex128)
         phase = self.phase if self.phase is not None else PolynomialPhase.zero()
         if self.kind == "singular":
             phase = PolynomialPhase.zero()
-        band = None
         if self.kind == "dyadic_piece":
-            band = dyadic_band_cells(d, self.j, self.pv.eps_cells)
-            if band[0] >= F.shape[1] - 1:
-                return np.zeros_like(F)
-        return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase,
-                                       self.pv, band)
+            out = dyadic_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.j, self.pv)
+            return np.zeros_like(F) if out is None else out
+        return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.pv)
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "pv": {"eps_cells": self.pv.eps_cells,

@@ -2,6 +2,11 @@
 Calderon-Zygmund singular integrals, oscillatory integrals with real
 polynomial phase, and their dyadic decomposition.
 
+The one-sided maximal and minimal functions follow F. Riesz's rising-sun
+lemma: the best forward average from a node is the steepest chord to
+the running sums right of it, which ends on their upper (lower) convex
+hull, so one monotone-stack pass costs O(n) per row.
+
 Principal values are realized by epsilon-truncation at a whole number of
 grid cells; the honest discrete analogue of the epsilon -> 0+ limit is
 the Cauchy behaviour of those truncations, so operators optionally
@@ -49,11 +54,13 @@ __all__ = [
     "oscillatory_ranged",
     "oscillatory_apply_batch",
     "dyadic_piece",
+    "dyadic_apply_batch",
     "dyadic_band_cells",
     "kernel_cancellation_sup",
     "normalize_phase",
     "scaling_identity_check",
     "forward_extremal_averages",
+    "backward_extremal_averages",
 ]
 
 _PHASE_RESOLUTION = math.pi / 8.0   # max phase increment per quadrature cell
@@ -272,9 +279,6 @@ class PolynomialPhase:
     def leading_coefficient(self) -> float:
         return self.coeffs.get((self.k, self.l), 0.0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def y_degree_at_most_one(self) -> bool:
         return self.l <= 1
 
@@ -358,25 +362,67 @@ class OperatorResult:
 # maximal / minimal operators
 # ---------------------------------------------------------------------------
 
+def _steepest_chords(c: list, d: float) -> list:
+    """For every node i < n - 1 the node j > i with the steepest chord
+    (c[j] - c[i]) / ((j - i) d): the tangent point from (i, c[i]) to the
+    upper convex hull of the points right of it, which a right-to-left
+    monotone stack holds.  Slopes are compared as quotients, so the
+    comparison cannot overflow where the quotients are finite."""
+    tangent, stack = [0] * (len(c) - 1), [len(c) - 1]
+    for i in range(len(c) - 2, -1, -1):
+        ci, top = c[i], stack[-1]
+        q = (c[top] - ci) / ((top - i) * d)
+        while len(stack) > 1:
+            below = stack[-2]
+            q_below = (c[below] - ci) / ((below - i) * d)
+            if not q <= q_below:
+                break
+            stack.pop()
+            top, q = below, q_below
+        tangent[i] = top
+        stack.append(i)
+    return tangent
+
+
 def forward_extremal_averages(values: np.ndarray, spacing: float,
                               minimum: bool = False) -> np.ndarray:
     """Row-wise sup (or inf) over h of forward averages of |values|.
 
     h runs over whole numbers of cells up to the window edge, together
     with the h -> 0+ limit, which on the grid is the point value
-    itself.  Shape (m, n) in, shape (m, n) out.
+    itself.  Shape (n,) or (m, n) in, the same shape out.
+
+    Rising sun: the best h ends on the convex hull of the running sums
+    (upper for the sup, lower for the inf), found by one O(n) stack pass
+    per row; its average is then rounded as a scan over every h would.
     """
     a = np.abs(np.asarray(values))
-    if a.ndim == 1:
-        return forward_extremal_averages(a[None, :], spacing, minimum)[0]
-    n = a.shape[1]
-    cum = cumulative_trapezoid(a, spacing)
-    out = a.astype(np.float64).copy()
-    pick = np.minimum if minimum else np.maximum
-    for k in range(1, n):
-        avg = (cum[:, k:] - cum[:, :-k]) / (k * spacing)
-        out[:, :n - k] = pick(out[:, :n - k], avg)
-    return out
+    if a.ndim not in (1, 2):
+        raise DomainError(f"values must be 1-D or 2-D, got {a.ndim}-D")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("values must be finite")
+    rows = np.atleast_2d(a)
+    (m, n), d = rows.shape, float(spacing)
+    cum = cumulative_trapezoid(rows, spacing)
+    out = rows.astype(np.float64, copy=False)   # np.abs made a fresh array
+    if n > 1:
+        # one row of Python floats at a time and in-place arithmetic keep
+        # the peak memory at a few (m, n) arrays
+        j = np.empty((m, n - 1), dtype=np.int64)
+        for r, c in enumerate(-cum if minimum else cum):
+            j[r] = _steepest_chords(c.tolist(), d)
+        avg = np.take_along_axis(cum, j, axis=1)
+        avg -= cum[:, :-1]
+        j -= np.arange(n - 1)
+        avg /= j * d
+        (np.minimum if minimum else np.maximum)(out[:, :-1], avg, out=out[:, :-1])
+    return out.reshape(a.shape)
+
+
+def backward_extremal_averages(values: np.ndarray, spacing: float) -> np.ndarray:
+    """Row-wise sup over h of backward averages of |values|: the mirror
+    image of forward_extremal_averages, bit for bit."""
+    return forward_extremal_averages(values[..., ::-1], spacing)[..., ::-1]
 
 
 def m_plus(f: SampledFunction) -> SampledFunction:
@@ -387,8 +433,8 @@ def m_plus(f: SampledFunction) -> SampledFunction:
 
 def m_minus(f: SampledFunction) -> SampledFunction:
     """Mirror image of m_plus (backward averages)."""
-    rev = m_plus(f.with_values(f.values[::-1].copy()))
-    return f.with_values(rev.values[::-1].copy())
+    vals = backward_extremal_averages(f.values, f.spacing)
+    return f.with_values(vals.astype(np.complex128))
 
 
 def m_plus_min(f: SampledFunction) -> SampledFunction:
@@ -588,17 +634,25 @@ def dyadic_band_cells(spacing: float, j: int, eps_cells: int) -> tuple:
     return (k0 * 2 ** (j - 1), k0 * 2 ** j)
 
 
+def dyadic_apply_batch(F: np.ndarray, x_lo: float, x_hi: float,
+                       kernel: KernelSpec, phase: PolynomialPhase, j: int,
+                       pv: PVConfig) -> Optional[np.ndarray]:
+    """The piece T_j applied to the rows of F; None when its band starts
+    at or past the last node, where the piece is empty."""
+    if j < 0:
+        raise DomainError("need j >= 0")
+    band = dyadic_band_cells((x_hi - x_lo) / (F.shape[1] - 1), j, pv.eps_cells)
+    if band[0] >= F.shape[1] - 1:
+        return None
+    return oscillatory_apply_batch(F, x_lo, x_hi, kernel, phase, pv, band)
+
+
 def dyadic_piece(f: SampledFunction, kernel: KernelSpec,
                  phase: PolynomialPhase, j: int, pv: PVConfig) -> OperatorResult:
     """The piece T_j of the dyadic decomposition T = T_0 + sum_j T_j."""
-    if j < 0:
-        raise DomainError("need j >= 0")
-    lo_c, hi_c = dyadic_band_cells(f.spacing, j, pv.eps_cells)
-    if lo_c >= f.n - 1:
-        return OperatorResult(f.with_values(np.zeros(f.n, dtype=np.complex128)),
-                              None, empty_range=True)
-    out = oscillatory_ranged(f, kernel, phase, pv, lo_c, hi_c)
-    return OperatorResult(out, None, False)
+    out = dyadic_apply_batch(f.values[None, :], f.x_lo, f.x_hi, kernel, phase, j, pv)
+    vals = np.zeros(f.n, dtype=np.complex128) if out is None else out[0]
+    return OperatorResult(f.with_values(vals), None, empty_range=out is None)
 
 
 # ---------------------------------------------------------------------------

@@ -168,9 +168,6 @@ class WeightSpec:
             raise DomainError(f"weight {self.label()} not strictly positive on the window")
         return vals
 
-    def as_sampled(self, x_lo: float, x_hi: float, n: int) -> SampledFunction:
-        return SampledFunction(x_lo, x_hi, n, self.realize(x_lo, x_hi, n))
-
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
         if self.form == "sampled":
@@ -424,12 +421,21 @@ def _integrals(vals: np.ndarray, d: float, lat: _Lattice, lo: str, hi: str,
         n = len(vals)
         keys, inv = np.unique(i * n + j, return_inverse=True)
         cells = trapezoid_cells(vals, d).tolist()
-        sums = [math.fsum(cells[k // n:k % n]) for k in keys.tolist()]
+        sums = [_fsum_positive(cells[k // n:k % n]) for k in keys.tolist()]
         out[lat.ok] = np.asarray(sums, dtype=float)[inv]
     else:
         cum = cumulative_trapezoid(vals, d)
         out[lat.ok] = cum[j] - cum[i]
     return out
+
+
+def _fsum_positive(cells: list) -> float:
+    """math.fsum of nonnegative cells; a sum past the float range is +inf
+    (fsum raises on intermediate overflow instead)."""
+    try:
+        return math.fsum(cells)
+    except OverflowError:
+        return math.inf
 
 
 def _averages(vals: np.ndarray, d: float, lat: _Lattice, lo: str, hi: str) -> np.ndarray:
@@ -591,27 +597,36 @@ def gamma_fourpoint_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig) -
 # A_1 and reverse Holder
 # ---------------------------------------------------------------------------
 
+def _pointwise_constant(w: WeightSpec, cfg: TripleSearchConfig, ratio) -> ConstantReport:
+    """sup over the grid nodes of ``ratio(wf)``; a weight that overflows
+    on the window is not in the class (finite_flag=False, no witness)."""
+    lo, hi = cfg.window
+    wv = w.realize(lo, hi, cfg.n_grid)
+    if not np.all(np.isfinite(wv)):
+        return ConstantReport(math.inf, None, cfg, False)
+    wf = SampledFunction(lo, hi, cfg.n_grid, wv)
+    return _report(ratio(wf), lambda arg: {"x": float(wf.nodes()[arg])}, cfg)
+
+
 def a1_constant(w: WeightSpec, side: str, cfg: TripleSearchConfig) -> ConstantReport:
     """A_1^{+/-} constant: sup_x M^{-}w(x)/w(x) (plus side) or
     M^{+}w(x)/w(x) (minus side), maximal functions taken on the grid."""
     if side not in ("plus", "minus"):
         raise ConfigError(f"side must be plus or minus, got {side!r}")
-    lo, hi = cfg.window
-    wf = w.as_sampled(lo, hi, cfg.n_grid)
-    m = _ops.m_minus(wf) if side == "plus" else _ops.m_plus(wf)
-    return _report(m.values.real / wf.values.real,
-                   lambda arg: {"x": float(wf.nodes()[arg])}, cfg)
+    maximal = _ops.m_minus if side == "plus" else _ops.m_plus
+    return _pointwise_constant(
+        w, cfg, lambda wf: maximal(wf).values.real / wf.values.real)
 
 
 def rh_infty_constant(w: WeightSpec, cfg: TripleSearchConfig) -> ConstantReport:
     """RH_infty^+ constant: sup_x w(x)/m^{+}w(x) with the one-sided
     minimal operator m^{+}."""
-    lo, hi = cfg.window
-    wf = w.as_sampled(lo, hi, cfg.n_grid)
-    m = _ops.m_plus_min(wf).values.real
-    if np.any(m == 0.0):
-        raise DomainError("m^+ w vanishes at a node")
-    return _report(wf.values.real / m, lambda arg: {"x": float(wf.nodes()[arg])}, cfg)
+    def ratio(wf):
+        m = _ops.m_plus_min(wf).values.real
+        if np.any(m == 0.0):
+            raise DomainError("m^+ w vanishes at a node")
+        return wf.values.real / m
+    return _pointwise_constant(w, cfg, ratio)
 
 
 # variant -> cell offsets of the points a, b, c[, d] in units of the length

@@ -34,13 +34,20 @@ class TestWeightsCommands:
 
     def test_estimate_divergent_exit_3(self, tmp_path):
         # e^x fails both-sided A_2; |x|^-350 overflows the fsum lattice
+        # and the grid the maximal functions of a1 and rh_infty run on
+        overflowing = {"form": "power", "params": [-350.0]}
         for i, cfg in enumerate([
                 {"estimator": "ap_both", "p": 2.0,
                  "weight": {"form": "exponential", "params": [1.0]},
                  "search": dict(SEARCH, h_max=15.9, ceiling=1e3)},
                 {"estimator": "gamma_fourpoint", "p": 3.0,
-                 "weight": {"form": "power", "params": [-350.0]},
-                 "search": SEARCH}]):
+                 "weight": overflowing, "search": SEARCH},
+                {"estimator": "a1", "side": "plus",
+                 "weight": overflowing, "search": SEARCH},
+                {"estimator": "a1", "side": "minus",
+                 "weight": overflowing, "search": SEARCH},
+                {"estimator": "rh_infty",
+                 "weight": overflowing, "search": SEARCH}]):
             path = write_cfg(tmp_path, f"c{i}.json", cfg)
             out = tmp_path / f"res{i}"
             assert main(["weights", "estimate", "--config", path, "--out", str(out)]) == 3

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from onesided.errors import ConfigError
+from onesided.errors import ConfigError, DomainError
+from onesided.grid import SampledFunction
 from onesided.experiments import (CSV_COLUMNS, OperatorSpec,
                                   TestFunctionFamily, campaign_row,
                                   coefficient_sweep, config_digest,
                                   dyadic_decay, generate_family, norm_ratio,
                                   write_campaign_csv)
-from onesided.operators import (PolynomialPhase, PVConfig,
-                                oscillating_log_kernel)
+from onesided.operators import (PolynomialPhase, PVConfig, dyadic_piece,
+                                m_minus, oscillating_log_kernel)
 from onesided.weights import WeightSpec
 
 KP = oscillating_log_kernel("plus")
@@ -119,6 +120,35 @@ class TestDyadicRatioCeiling:
                               PVConfig(), j=j)
             rep = norm_ratio(op, None, 2.0, fam, window, n)
             assert rep.best_ratio <= 2.0 * KP.size_const * mrep.best_ratio + 1e-12
+
+
+class TestApplyBatch:
+    """The batch dispatch and the SampledFunction wrappers share one
+    mirror and one empty-band test, so rows agree bit for bit."""
+
+    F = generate_family(FAM, -4.0, 4.0, 257)
+
+    def test_m_minus_rows_match_wrapper(self):
+        got = OperatorSpec("m_minus").apply_batch(self.F, -4.0, 4.0)
+        for row, vals in zip(got, self.F):
+            f = SampledFunction(-4.0, 4.0, 257, vals)
+            assert np.array_equal(row, m_minus(f).values)
+
+    def test_dyadic_rows_match_wrapper(self):
+        # one row per batch (BLAS rounds a matrix-vector product apart
+        # from a matrix-matrix one); j = 9 starts past the 8-unit window
+        for j in (0, 3, 9):
+            op = OperatorSpec("dyadic_piece", KP, PolynomialPhase.zero(), PVConfig(), j=j)
+            got = op.apply_batch(self.F[:1], -4.0, 4.0)[0]
+            res = dyadic_piece(SampledFunction(-4.0, 4.0, 257, self.F[0]), KP,
+                               PolynomialPhase.zero(), j, PVConfig())
+            assert np.array_equal(got, res.function.values)
+            assert res.empty_range == (j == 9) == (not np.any(got))
+
+    def test_negative_piece_rejected(self):
+        op = OperatorSpec("dyadic_piece", KP, PolynomialPhase.zero(), PVConfig(), j=-1)
+        with pytest.raises(DomainError):
+            op.apply_batch(self.F, -4.0, 4.0)
 
 
 class TestWindowStability:

@@ -218,6 +218,21 @@ class TestSawyer:
             for run in runs:
                 assert not run().finite_flag
 
+    def test_ap_general_fsum_overflow_flags(self):
+        # cells of 5e307 sum past the float range: fsum raises OverflowError
+        # there, the estimator reads it as +inf and flags it
+        w = WeightSpec.constant(5e307)
+        c = TripleSearchConfig((0.0, 100.0), n_anchor=9, n_h=4, h_min=2.0, n_grid=101)
+        for side in ("plus", "minus"):
+            assert not ap_general_constant(w, 2.0, side, c).finite_flag
+
+    def test_gamma_fourpoint_fsum_overflow_flags(self):
+        w = WeightSpec.constant(5e307)
+        c = TripleSearchConfig((0.0, 100.0), n_anchor=9, n_h=4, h_min=2.0,
+                               n_grid=101, gamma=0.25)
+        assert not gamma_fourpoint_constant(w, 2.0, c).finite_flag
+
+
 
 # ---------------------------------------------------------------------------
 # general three-point form
@@ -292,6 +307,13 @@ class TestA1:
     def test_lower_bound(self):
         for w in CATALOG:
             assert a1_constant(w, "plus", cfg()).constant >= 1.0 - 1e-12
+
+    def test_overflowing_weight_flags(self):
+        # |x|^-350 overflows near 0: not in the class, reported, not raised
+        w, c = WeightSpec.power(-350.0), cfg(n_grid=8192)
+        for rep in (a1_constant(w, "plus", c), a1_constant(w, "minus", c),
+                    rh_infty_constant(w, c)):
+            assert not rep.finite_flag and rep.witness is None
 
 
 class TestReverseHolder:
