@@ -20,12 +20,26 @@ interpolant of (kernel x sample) data: cells whose phase is linear in y
 are integrated in closed form (exact moments, stable for arbitrarily
 fast oscillation), all other cells are subdivided until the local phase
 increment per subcell is at most pi/8.  With zero phase the moment
-formula degenerates to plain composite trapezoid, bit for bit, so the
-singular operator is literally the oscillatory code path with phase 0.
+formula degenerates to plain composite trapezoid, so the singular
+operator is literally the oscillatory code path with phase 0.
 
-Per-node outputs are independent; everything here is pure and
-deterministic (fixed summation order), so concurrent evaluation of
-nodes or family members is safe.
+The phase picks one of three evaluation paths, by its terms alone:
+
+* fft-chirp: P = A(x) + (b0 + b1 x) y, which covers phase 0, a xy and
+  any added b y or g(x).  Bluestein's factorisation
+  e^{i b1 x y} = e^{i b1 x^2/2} e^{i b1 y^2/2} e^{-i b1 (x-y)^2/2}
+  makes the Filon matrix diagonal x Toeplitz x diagonal, so one FFT
+  correlation per row costs O(n log n).  Nodes whose band holds no
+  nonzero sample are set to exactly 0, as the dense sum gives there.
+* dense-filon: other phases linear in y (x^2 y, ...), the same closed
+  form on an explicit O(n^2) matrix; it is also the fft-chirp oracle.
+* dense-subdivided: phases nonlinear in y (x y^2, ...).
+
+Everything here is pure and deterministic (fixed summation order), so
+concurrent evaluation of family members is safe.  On the fft-chirp path
+a row's output does not depend on the other rows of its batch, bit for
+bit; on the dense paths it does only up to rounding, because BLAS sums
+a matrix-vector product apart from a matrix-matrix one.
 """
 
 from __future__ import annotations
@@ -500,24 +514,86 @@ def _row_weights_general(x_i: float, y: np.ndarray, kv: np.ndarray,
     return w
 
 
+def _affine_y_coefficient(phase: PolynomialPhase) -> Optional[tuple]:
+    """(b0, b1) when P = A(x) + (b0 + b1 x) y, else None."""
+    if not phase.y_degree_at_most_one() or any(
+            b == 1 and a > 1 for (a, b), _ in phase.terms):
+        return None
+    c = phase.coeffs
+    return c.get((0, 1), 0.0), c.get((1, 1), 0.0)
+
+
+def _correlate(S: np.ndarray, taps: np.ndarray, size: int) -> np.ndarray:
+    """C[q, i] = sum_r taps[r] S[q, i + r] (zero past the end of S) for
+    i < S.shape[1], by FFT; size >= S.shape[1] + taps.size - 1 keeps the
+    circular product free of wrap-around."""
+    H = np.fft.fft(taps.conj(), size).conj()
+    return np.fft.ifft(np.fft.fft(S, size) * H)[:, :S.shape[1]]
+
+
+def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
+                 phase: PolynomialPhase, b0: float, b1: float,
+                 lo: int, hi: int) -> np.ndarray:
+    """The dense Filon sum for P = A(x) + (b0 + b1 x) y in O(n log n).
+
+    With k = j - i and e^{i B(x_i) y_j} = e^{i(b1 x_i^2/2)} e^{i(b0 y_j
+    + b1 y_j^2/2)} e^{-i b1 (k d)^2/2}, row i of the matrix is a row
+    factor times the chirped samples G correlated with the Toeplitz taps
+    T[k] = K(-k d) e^{-i b1 (k d)^2/2}.  Cell [j, j+1] of row i weighs
+    its left sample by d m0 and its right sample by d m1 e^{-i B d},
+    over the band k in [lo, hi) (cells end at the last node)."""
+    m, n = F.shape
+    hi = min(hi, n - 1)
+    out = np.zeros((m, n), dtype=np.complex128)
+    live = n - 1 - lo                 # rows i with a cell in their band
+    if live <= 0 or hi <= lo:
+        return out
+    A, B = phase.linear_parts(x)
+    m0, m1 = _filon_moments(B * d)
+    kd = np.arange(lo, hi + 1) * d
+    T = kernel.evaluate(-kd) * np.exp(-0.5j * b1 * kd * kd)
+    G = F * np.exp(1j * (b0 * x + 0.5 * b1 * x * x))
+    size = 1 << (n - 2 * lo + hi - 2).bit_length()   # >= n - 2 lo + hi - 1
+    right = _correlate(G[:, lo + 1:], T[1:], size)[:, :live]
+    G[:, -1] = 0.0                    # the last node is no cell's left end
+    left = _correlate(G[:, lo:], T[:-1], size)[:, :live]
+    rows = slice(0, live)
+    out[:, rows] = d * np.exp(1j * (A[rows] + 0.5 * b1 * x[rows] * x[rows])) * (
+        m0[rows] * left + m1[rows] * np.exp(-1j * B[rows] * d) * right)
+    # a node whose band [i + lo, min(i + hi, n - 1)] holds no nonzero
+    # sample is exactly 0 in the dense sum; FFT round-off is not
+    seen = np.zeros((m, n + 1), dtype=np.int64)
+    np.cumsum(F != 0, axis=1, out=seen[:, 1:])
+    i = np.arange(live)
+    out[:, rows][seen[:, np.minimum(i + hi, n - 1) + 1] == seen[:, i + lo]] = 0.0
+    return out
+
+
 def _apply_plan(F: np.ndarray, x_lo: float, x_hi: float, kernel: KernelSpec,
                 phase: PolynomialPhase, eps_cells: int,
                 band_cells: Optional[tuple]) -> np.ndarray:
-    """Core evaluator: out[q, i] = sum_j W[i, j] F[q, j] for the plus
-    direction, rows chunked to bound memory."""
+    """Core evaluator for the plus direction: the fft-chirp path when
+    the phase allows it, else out[q, i] = sum_j W[i, j] F[q, j] with
+    rows chunked to bound memory."""
     m, n = F.shape
     x = grid_nodes(x_lo, x_hi, n)
     d = (x_hi - x_lo) / (n - 1)
-    if band_cells is None:
-        lo_c, hi_c = eps_cells, n - 1
-        start = np.minimum(np.arange(n) + eps_cells, n - 1)
-        stop = np.full(n, n - 1)
-    else:
-        lo_c, hi_c = band_cells
-        start = np.minimum(np.arange(n) + lo_c, n - 1)
-        stop = np.minimum(np.arange(n) + hi_c, n - 1)
     if eps_cells >= n - 1:
         raise ConfigError("eps_cells exceeds the window")
+    lo_c, hi_c = (eps_cells, n - 1) if band_cells is None else band_cells
+    affine = _affine_y_coefficient(phase)
+    if affine is not None:
+        return _apply_chirp(F, x, d, kernel, phase, *affine, lo_c, hi_c)
+    return _apply_dense(F, x, d, kernel, phase, lo_c, hi_c)
+
+
+def _apply_dense(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
+                 phase: PolynomialPhase, lo_c: int, hi_c: int) -> np.ndarray:
+    """The quadrature matrix W built row chunk by row chunk (closed-form
+    Filon cells for a phase linear in y, subdivided cells otherwise)."""
+    m, n = F.shape
+    start = np.minimum(np.arange(n) + lo_c, n - 1)
+    stop = np.minimum(np.arange(n) + hi_c, n - 1)
     out = np.zeros((m, n), dtype=np.complex128)
     linear = phase.y_degree_at_most_one()
     chunk = max(1, int(4_000_000 // n))
@@ -558,8 +634,17 @@ def oscillatory_apply_batch(F: np.ndarray, x_lo: float, x_hi: float,
     """Apply the one-sided oscillatory operator to a batch of sampled
     functions (rows of F).  Direction follows kernel.side; the minus
     side is evaluated as the exact mirror image of the plus side."""
+    F = np.asarray(F)
+    if F.ndim != 2 or F.shape[1] < 2:
+        raise DomainError(f"F must be 2-D with at least 2 nodes, got shape {F.shape}")
+    if not np.all(np.isfinite(F)):
+        raise DomainError("F must be finite")
+    if not x_lo < x_hi:
+        raise DomainError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
+    if band_cells is not None and band_cells[0] < 0:
+        raise DomainError(f"band cells must start at >= 0, got {band_cells}")
     if kernel.side == "minus":
-        # contiguous copy: BLAS rounding must match a caller-side
+        # contiguous copy: the rounding must match a caller-side
         # reflected computation bit for bit
         Fr = np.ascontiguousarray(F[:, ::-1])
         out = _apply_plan(Fr, -x_hi, -x_lo, kernel.reflected(),

@@ -236,15 +236,19 @@ def criterion_10(seed: int) -> CriterionResult:
 
 def criterion_11(seed: int) -> CriterionResult:
     """Case-2 scaling identity is exact up to quadrature noise
-    (<= 1e-6) for P = 4xy and P = 8x^2 y at lambda = 2."""
+    (<= 1e-6) for P = 4xy and P = 8x^2 y at lambda = 2, and for P = 9xy
+    at lambda = 3, where rescaling is not exact in binary."""
     K = oscillating_log_kernel("plus")
     f = SampledFunction.from_callable(lambda x: np.exp(-3.0 * x ** 2),
                                       -4.0, 4.0, 1025)
     pv = PVConfig(eps_cells=1)
     d1 = scaling_identity_check(f, K, PolynomialPhase.monomial(1, 1, 4.0), pv)
     d2 = scaling_identity_check(f, K, PolynomialPhase.from_coeffs({(2, 1): 8.0}), pv)
-    return CriterionResult(11, "scaling identity", d1 <= 1e-6 and d2 <= 1e-6,
-                           {"discrepancy_4xy": d1, "discrepancy_8x2y": d2})
+    d3 = scaling_identity_check(f, K, PolynomialPhase.monomial(1, 1, 9.0), pv)
+    return CriterionResult(11, "scaling identity",
+                           all(d <= 1e-6 for d in (d1, d2, d3)),
+                           {"discrepancy_4xy": d1, "discrepancy_8x2y": d2,
+                            "discrepancy_9xy": d3})
 
 
 def criterion_12(seed: int) -> CriterionResult:

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onesided.errors import ConfigError, DomainError
+from onesided.experiments import TestFunctionFamily, generate_family
 from onesided.grid import SampledFunction, cumulative_trapezoid, grid_nodes
 from onesided.operators import (KernelSpec, PolynomialPhase,
-                                PVConfig, dyadic_band_cells, dyadic_piece,
+                                PVConfig, _affine_y_coefficient, _apply_dense,
+                                dyadic_band_cells, dyadic_piece,
                                 forward_extremal_averages,
                                 kernel_cancellation_sup, m_minus, m_plus,
                                 m_plus_min, normalize_phase,
@@ -430,9 +432,8 @@ class TestOscillatory:
         assert naive_err >= 2.0 * err
 
     def test_batch_matches_single(self):
-        # batch shape changes the BLAS accumulation pattern, so only
-        # agreement to round-off is guaranteed (each shape alone is
-        # deterministic)
+        # agreement to round-off; on the fft-chirp path taken here the
+        # rows are even bit-identical (TestChirpAgainstDense)
         rng = np.random.default_rng(10)
         n = 257
         F = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
@@ -442,6 +443,174 @@ class TestOscillatory:
             f = SampledFunction(-4.0, 4.0, n, F[q])
             single = oscillatory_one_sided(f, KP, P, PV1).function.values
             assert np.max(np.abs(batch[q] - single)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# fft-chirp path against the dense Filon oracle
+# ---------------------------------------------------------------------------
+
+class OnGridOffsets:
+    """A kernel sampled at the nearest whole number of cells, t = -k d,
+    where the fft-chirp path samples it; the dense sum takes
+    t = x_i - x_j, which differs by the rounding of the nodes."""
+
+    def __init__(self, kernel, d):
+        self.kernel, self.d = kernel, d
+
+    def evaluate(self, t):
+        return self.kernel.evaluate(np.round(t / self.d) * self.d)
+
+
+def dense_oracle(F, x_lo, x_hi, kernel, phase, eps_cells, band, on_grid=False):
+    """The dense Filon sum, mirrored for the minus side the way
+    oscillatory_apply_batch mirrors."""
+    if kernel.side == "minus":
+        return dense_oracle(F[:, ::-1], -x_hi, -x_lo, kernel.reflected(),
+                            phase.reflected(), eps_cells, band, on_grid)[:, ::-1]
+    n = F.shape[1]
+    d = (x_hi - x_lo) / (n - 1)
+    lo, hi = (eps_cells, n - 1) if band is None else band
+    return _apply_dense(F, grid_nodes(x_lo, x_hi, n), d,
+                        OnGridOffsets(kernel, d) if on_grid else kernel, phase, lo, hi)
+
+
+def structural_zeros(F, eps_cells, band, side):
+    """Nodes whose band [i + lo, min(i + hi, n - 1)] holds no nonzero
+    sample, or that have no cell at all (i + lo >= n - 1)."""
+    if side == "minus":
+        return structural_zeros(F[:, ::-1], eps_cells, band, "plus")[:, ::-1]
+    n = F.shape[1]
+    lo, hi = (eps_cells, n - 1) if band is None else band
+    return np.array([[i + lo >= n - 1 or not np.any(row[i + lo:min(i + hi, n - 1) + 1])
+                      for i in range(n)] for row in F])
+
+
+@st.composite
+def chirp_cases(draw):
+    """A batch with runs of zeros, a window, P = g(x) + (b0 + b1 x) y,
+    either kernel on either side, an eps and maybe a band (possibly
+    starting past the window)."""
+    n = draw(st.one_of(st.sampled_from([2, 3]), st.integers(2, 600)))
+    x_lo = draw(st.floats(-8.0, 6.0))
+    x_hi = x_lo + draw(st.floats(0.1, 12.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1, 3))
+    F = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    for row in F:
+        cuts = np.sort(rng.integers(0, n + 1, size=draw(st.integers(0, 5))))
+        for seg in np.split(np.arange(n), cuts):
+            if draw(st.booleans()):
+                row[seg] = 0.0
+    b1 = draw(st.one_of(st.just(0.0), st.builds(
+        lambda s, e: s * 10.0 ** e, st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))))
+    g = [draw(st.floats(-3.0, 3.0)) for _ in range(3)]
+    phase = PolynomialPhase.from_coeffs({(1, 1): b1, (0, 1): draw(st.floats(-10.0, 10.0)),
+                                         (0, 0): g[0], (1, 0): g[1], (2, 0): g[2]})
+    side = draw(st.sampled_from(["plus", "minus"]))
+    kernel = draw(st.sampled_from([oscillating_log_kernel(side),
+                                   truncated_power_kernel(side, 0.3, 2.0)]))
+    eps_cells = draw(st.integers(1, max(1, n - 2)))
+    band = draw(st.one_of(st.none(), st.integers(0, n + 3).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, lo + 2 * n)))))
+    return F, x_lo, x_hi, kernel, phase, eps_cells, band
+
+
+CHIRP_REL_TOL = 1e-12
+CHIRP_PHASE_EPS = 16
+
+
+class TestChirpAgainstDense:
+    @settings(max_examples=200, deadline=None)
+    @given(chirp_cases())
+    def test_random_cases(self, case):
+        """Equal to the dense sum within
+        (CHIRP_REL_TOL + CHIRP_PHASE_EPS eps Phi) max|dense|, with Phi
+        the largest |P| on the window: a phase of size ~Phi carries
+        ~eps Phi of rounding on either path, however it is factored.
+        The dense sum here samples the kernel at t = -k d as the FFT
+        path does; at t = x_i - x_j, the rounding of the nodes alone
+        moves it by up to ~eps max|x| / d relative, times the kernel's
+        condition (3e-10 seen near the edge of a truncated-power
+        support).  Worst seen over 3000 draws: 1.4e-11 relative at
+        2.5 eps Phi.  Structural zeros are exactly 0 on both paths."""
+        F, x_lo, x_hi, kernel, phase, eps_cells, band = case
+        pv = PVConfig(eps_cells=eps_cells)
+        if eps_cells >= F.shape[1] - 1:
+            with pytest.raises(ConfigError):
+                oscillatory_apply_batch(F, x_lo, x_hi, kernel, phase, pv, band)
+            return
+        got = oscillatory_apply_batch(F, x_lo, x_hi, kernel, phase, pv, band)
+        want = dense_oracle(F, x_lo, x_hi, kernel, phase, eps_cells, band, on_grid=True)
+        M = max(abs(x_lo), abs(x_hi))
+        phi = sum(abs(v) * M ** (a + b) for (a, b), v in phase.terms)
+        tol = CHIRP_REL_TOL + CHIRP_PHASE_EPS * np.finfo(float).eps * phi
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+        zero = structural_zeros(F, eps_cells, band, kernel.side)
+        dense = dense_oracle(F, x_lo, x_hi, kernel, phase, eps_cells, band)
+        assert np.all(got[zero] == 0.0) and np.all(dense[zero] == 0.0)
+
+    def test_routing_by_phase_terms(self):
+        for coeffs in ({}, {(1, 1): 1e3}, {(1, 1): 3.0, (0, 1): 2.0, (2, 0): 5.0}):
+            assert _affine_y_coefficient(PolynomialPhase.from_coeffs(coeffs)) is not None
+        for coeffs in ({(2, 1): 10.0}, {(1, 2): 1.0}, {(2, 1): 1.0, (1, 1): 1.0}):
+            assert _affine_y_coefficient(PolynomialPhase.from_coeffs(coeffs)) is None
+
+    def test_non_affine_phases_stay_dense(self):
+        # x^2 y (dense Filon) and x y^2 (subdivided) give the dense
+        # code's bits, on both sides and with a band
+        rng = np.random.default_rng(14)
+        F = rng.normal(size=(3, 129)) + 1j * rng.normal(size=(3, 129))
+        for P in (PolynomialPhase.monomial(2, 1, 10.0), PolynomialPhase.monomial(1, 2, 1.0)):
+            for K in (KP, oscillating_log_kernel("minus")):
+                for band in (None, (4, 40)):
+                    got = oscillatory_apply_batch(F, -2.0, 2.0, K, P, PV1, band)
+                    want = dense_oracle(F, -2.0, 2.0, K, P, 1, band)
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_rows_independent_of_batch(self, side):
+        # pocketfft transforms each row on its own, so a row's bits do
+        # not depend on the batch around it (BLAS on the dense paths
+        # rounds a matrix-vector product apart from a matrix-matrix one)
+        K = oscillating_log_kernel(side)
+        F = generate_family(TestFunctionFamily("modulated-gaussians", 64, 3, (-2.0, 2.0)),
+                            -8.0, 8.0, 1025)
+        for P, band in ((PolynomialPhase.monomial(1, 1, 1e3), None),
+                        (PolynomialPhase.zero(), None),
+                        (PolynomialPhase.monomial(1, 1, 1.0), (64, 128))):
+            full = oscillatory_apply_batch(F, -8.0, 8.0, K, P, PV1, band)
+            for q in (0, 17, 63):
+                one = oscillatory_apply_batch(F[q:q + 1], -8.0, 8.0, K, P, PV1, band)
+                assert np.array_equal(one[0], full[q])
+            assert np.array_equal(
+                oscillatory_apply_batch(F[5:8], -8.0, 8.0, K, P, PV1, band), full[5:8])
+
+
+class TestApplyBoundary:
+    @pytest.mark.parametrize("F", [np.ones(9, dtype=complex),
+                                   np.ones((2, 3, 9), dtype=complex),
+                                   np.ones((2, 1), dtype=complex)])
+    def test_rejects_shape(self, F):
+        with pytest.raises(DomainError):
+            oscillatory_apply_batch(F, -1.0, 1.0, KP, PolynomialPhase.zero(), PV1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite(self, bad):
+        F = np.ones((2, 9), dtype=complex)
+        F[1, 4] = bad
+        with pytest.raises(DomainError):
+            oscillatory_apply_batch(F, -1.0, 1.0, KP, PolynomialPhase.zero(), PV1)
+
+    @pytest.mark.parametrize("window", [(1.0, 1.0), (1.0, -1.0), (math.nan, 1.0)])
+    def test_rejects_window(self, window):
+        with pytest.raises(DomainError):
+            oscillatory_apply_batch(np.ones((1, 9), dtype=complex), *window, KP,
+                                    PolynomialPhase.zero(), PV1)
+
+    def test_rejects_negative_band_start(self):
+        with pytest.raises(DomainError):
+            oscillatory_apply_batch(np.ones((1, 9), dtype=complex), -1.0, 1.0, KP,
+                                    PolynomialPhase.zero(), PV1, (-1, 3))
 
 
 # ---------------------------------------------------------------------------
