@@ -26,9 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import grid_nodes
-from .operators import (KernelSpec, PolynomialPhase, PVConfig,
-                        backward_extremal_averages, dyadic_apply_batch,
-                        forward_extremal_averages, oscillatory_apply_batch)
+from .operators import KernelSpec, OperatorSpec, PolynomialPhase, PVConfig
 from .weights import WeightSpec
 
 __all__ = [
@@ -128,68 +126,6 @@ def generate_family(family: TestFunctionFamily, x_lo: float, x_hi: float,
                 vals += s * ((x >= e0) & (x < e1))
             out[i] = vals * inside
     return out
-
-
-# ---------------------------------------------------------------------------
-# operators as campaign descriptors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """A named operator with its parameters, applied batch-wise."""
-
-    kind: str                 # identity | m_plus | m_minus | singular | oscillatory | dyadic_piece
-    kernel: Optional[KernelSpec] = None
-    phase: Optional[PolynomialPhase] = None
-    pv: PVConfig = PVConfig()
-    j: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "m_plus", "m_minus", "singular",
-                             "oscillatory", "dyadic_piece"):
-            raise ConfigError(f"unknown operator kind {self.kind!r}")
-        if self.kind in ("singular", "oscillatory", "dyadic_piece") and self.kernel is None:
-            raise ConfigError(f"{self.kind} needs a kernel")
-        if self.kind == "dyadic_piece" and self.j is None:
-            raise ConfigError("dyadic_piece needs j")
-
-    def describe(self) -> str:
-        if self.kind in ("identity", "m_plus", "m_minus"):
-            return self.kind
-        parts = [self.kind, self.kernel.tag, self.kernel.side]
-        if self.kind == "oscillatory" and self.phase is not None:
-            body = ";".join(f"{v}x^{a}y^{b}" for (a, b), v in self.phase.terms)
-            parts.append("P=" + (body or "0"))
-        if self.kind == "dyadic_piece":
-            parts.append(f"j={self.j}")
-        return "|".join(parts)
-
-    def apply_batch(self, F: np.ndarray, x_lo: float, x_hi: float) -> np.ndarray:
-        d = (x_hi - x_lo) / (F.shape[1] - 1)
-        if self.kind == "identity":
-            return F.copy()
-        if self.kind == "m_plus":
-            return forward_extremal_averages(F, d).astype(np.complex128)
-        if self.kind == "m_minus":
-            return backward_extremal_averages(F, d).astype(np.complex128)
-        phase = self.phase if self.phase is not None else PolynomialPhase.zero()
-        if self.kind == "singular":
-            phase = PolynomialPhase.zero()
-        if self.kind == "dyadic_piece":
-            out = dyadic_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.j, self.pv)
-            return np.zeros_like(F) if out is None else out
-        return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.pv)
-
-    def to_json(self) -> dict:
-        obj = {"kind": self.kind, "pv": {"eps_cells": self.pv.eps_cells,
-                                         "refine_checks": self.pv.refine_checks}}
-        if self.kernel is not None:
-            obj.update(self.kernel.to_json())
-        if self.phase is not None:
-            obj.update(self.phase.to_json())
-        if self.j is not None:
-            obj["j"] = self.j
-        return obj
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,12 @@
 Calderon-Zygmund singular integrals, oscillatory integrals with real
 polynomial phase, and their dyadic decomposition.
 
+``OperatorSpec.apply_batch`` is the one operator dispatch: the only code
+that picks an evaluator by operator kind, the dyadic band and the
+empty-piece rule included.  ``m_plus``, ``m_minus``,
+``singular_one_sided``, ``oscillatory_one_sided`` and ``dyadic_piece``
+apply a spec to one ``SampledFunction``.
+
 The one-sided maximal and minimal functions follow F. Riesz's rising-sun
 lemma: the best forward average from a node is the steepest chord to
 the running sums right of it, which ends on their upper (lower) convex
@@ -29,8 +35,9 @@ The phase picks one of three evaluation paths, by its terms alone:
   any added b y or g(x).  Bluestein's factorisation
   e^{i b1 x y} = e^{i b1 x^2/2} e^{i b1 y^2/2} e^{-i b1 (x-y)^2/2}
   makes the Filon matrix diagonal x Toeplitz x diagonal, so one FFT
-  correlation per row costs O(n log n).  Nodes whose band holds no
-  nonzero sample are set to exactly 0, as the dense sum gives there.
+  correlation per row costs O(n log n).  Nodes whose band, cut to the
+  cells with a nonzero kernel tap, holds no nonzero sample are set to
+  exactly 0, as the dense sum gives there.
 * dense-filon: other phases linear in y (x^2 y, ...), the same closed
   form on an explicit O(n^2) matrix; it is also the fft-chirp oracle.
 * dense-subdivided: phases nonlinear in y (x y^2, ...).
@@ -45,7 +52,7 @@ a matrix-vector product apart from a matrix-matrix one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -58,6 +65,7 @@ __all__ = [
     "PolynomialPhase",
     "PVConfig",
     "OperatorResult",
+    "OperatorSpec",
     "oscillating_log_kernel",
     "truncated_power_kernel",
     "m_plus",
@@ -65,10 +73,8 @@ __all__ = [
     "m_plus_min",
     "singular_one_sided",
     "oscillatory_one_sided",
-    "oscillatory_ranged",
     "oscillatory_apply_batch",
     "dyadic_piece",
-    "dyadic_apply_batch",
     "dyadic_band_cells",
     "kernel_cancellation_sup",
     "normalize_phase",
@@ -135,25 +141,15 @@ class KernelSpec:
 
     def dilated(self, lam: float) -> "KernelSpec":
         """The kernel K_lambda(t) = K(t / lambda) (same declared bounds
-        scale out of the size/smoothness conditions)."""
-        if self.tag == "oscillating-log":
-            l0, sign = self.params
-            return KernelSpec(self.tag, self.side, (l0 * lam, sign),
-                              self.size_const, self.smooth_const)
-        r_lo, r_hi, l0, sign = self.params
-        return KernelSpec(self.tag, self.side, (r_lo, r_hi, l0 * lam, sign),
-                          self.size_const, self.smooth_const)
+        scale out of the size/smoothness conditions).  The params of
+        every tag end in (lambda, sign)."""
+        return replace(self, params=self.params[:-2] + (self.params[-2] * lam,
+                                                        self.params[-1]))
 
     def reflected(self) -> "KernelSpec":
         """The kernel t -> K(-t) on the opposite half-line."""
         side = {"plus": "minus", "minus": "plus", "both": "both"}[self.side]
-        if self.tag == "oscillating-log":
-            lam, sign = self.params
-            return KernelSpec(self.tag, side, (lam, -sign),
-                              self.size_const, self.smooth_const)
-        r_lo, r_hi, lam, sign = self.params
-        return KernelSpec(self.tag, side, (r_lo, r_hi, lam, -sign),
-                          self.size_const, self.smooth_const)
+        return replace(self, side=side, params=self.params[:-1] + (-self.params[-1],))
 
     def support_radii(self) -> tuple:
         """(inner, outer) |t| radii outside which K vanishes (outer may
@@ -369,7 +365,6 @@ class OperatorResult:
 
     function: SampledFunction
     pv_convergence: Optional[float] = None
-    empty_range: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -439,22 +434,9 @@ def backward_extremal_averages(values: np.ndarray, spacing: float) -> np.ndarray
     return forward_extremal_averages(values[..., ::-1], spacing)[..., ::-1]
 
 
-def m_plus(f: SampledFunction) -> SampledFunction:
-    """One-sided maximal function sup_{h>0} (1/h) int_x^{x+h} |f|."""
-    vals = forward_extremal_averages(np.abs(f.values), f.spacing)
-    return f.with_values(vals.astype(np.complex128))
-
-
-def m_minus(f: SampledFunction) -> SampledFunction:
-    """Mirror image of m_plus (backward averages)."""
-    vals = backward_extremal_averages(f.values, f.spacing)
-    return f.with_values(vals.astype(np.complex128))
-
-
 def m_plus_min(f: SampledFunction) -> SampledFunction:
     """One-sided minimal function inf_{h>0} (1/h) int_x^{x+h} |f|."""
-    vals = forward_extremal_averages(np.abs(f.values), f.spacing, minimum=True)
-    return f.with_values(vals.astype(np.complex128))
+    return f.with_values(forward_extremal_averages(f.values, f.spacing, minimum=True))
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +525,20 @@ def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
     its left sample by d m0 and its right sample by d m1 e^{-i B d},
     over the band k in [lo, hi) (cells end at the last node)."""
     m, n = F.shape
-    hi = min(hi, n - 1)
     out = np.zeros((m, n), dtype=np.complex128)
-    live = n - 1 - lo                 # rows i with a cell in their band
-    if live <= 0 or hi <= lo:
+    kd = np.arange(lo, min(hi, n - 1) + 1) * d
+    K = kernel.evaluate(-kd)
+    # cut the band to the cells with a nonzero tap, for the zero rule below
+    cells = np.flatnonzero((K[:-1] != 0.0) | (K[1:] != 0.0))
+    if cells.size == 0:
         return out
+    first, last = int(cells[0]), int(cells[-1])
+    kd, K = kd[first:last + 2], K[first:last + 2]
+    lo, hi = lo + first, lo + last + 1
+    live = n - 1 - lo                 # rows i with a cell in their band
     A, B = phase.linear_parts(x)
     m0, m1 = _filon_moments(B * d)
-    kd = np.arange(lo, hi + 1) * d
-    T = kernel.evaluate(-kd) * np.exp(-0.5j * b1 * kd * kd)
+    T = K * np.exp(-0.5j * b1 * kd * kd)
     G = F * np.exp(1j * (b0 * x + 0.5 * b1 * x * x))
     size = 1 << (n - 2 * lo + hi - 2).bit_length()   # >= n - 2 lo + hi - 1
     right = _correlate(G[:, lo + 1:], T[1:], size)[:, :live]
@@ -606,7 +593,9 @@ def _apply_dense(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
         jlo = int(start[rows].min())
         jhi = int(stop[rows].max())
         yv = x[jlo:jhi + 1][None, :]
-        t = x[rows][:, None] - yv
+        # t = (i - j) d, not the rounded x_i - x_j, as the fft-chirp path
+        t = np.subtract.outer(rows.astype(np.float64), np.arange(jlo, jhi + 1.0))
+        t *= d
         kv = kernel.evaluate(t)
         W = np.zeros((rows.size, jhi + 1 - jlo), dtype=np.complex128)
         if linear:
@@ -655,52 +644,6 @@ def oscillatory_apply_batch(F: np.ndarray, x_lo: float, x_hi: float,
     return _apply_plan(F, x_lo, x_hi, kernel, phase, pv.eps_cells, band_cells)
 
 
-def oscillatory_ranged(f: SampledFunction, kernel: KernelSpec,
-                       phase: PolynomialPhase, pv: PVConfig,
-                       lo_cells: int, hi_cells: int) -> SampledFunction:
-    """Oscillatory integral restricted to y - x in (lo_cells, hi_cells]
-    grid cells; the dyadic pieces and their summation identity live
-    here."""
-    out = oscillatory_apply_batch(f.values[None, :], f.x_lo, f.x_hi,
-                                  kernel, phase, pv, (lo_cells, hi_cells))
-    return f.with_values(out[0])
-
-
-def _refined_convergence(f: SampledFunction, kernel: KernelSpec,
-                         phase: PolynomialPhase, pv: PVConfig,
-                         base: np.ndarray) -> float:
-    conv = 0.0
-    prev = base
-    for level in range(1, pv.refine_checks + 1):
-        n2 = (f.n - 1) * 2 ** level + 1
-        f2 = resample(f, f.x_lo, f.x_hi, n2)
-        out2 = oscillatory_apply_batch(f2.values[None, :], f.x_lo, f.x_hi,
-                                       kernel, phase, pv)[0]
-        cur = out2[::2 ** level]
-        conv = max(conv, float(np.max(np.abs(cur - prev))))
-        prev = cur
-    return conv
-
-
-def oscillatory_one_sided(f: SampledFunction, kernel: KernelSpec,
-                          phase: PolynomialPhase, pv: PVConfig) -> OperatorResult:
-    """p.v. integral of e^{iP(x,y)} K(x-y) f(y) over the kernel's side,
-    truncated at eps = eps_cells * spacing and at the window edge."""
-    out = oscillatory_apply_batch(f.values[None, :], f.x_lo, f.x_hi,
-                                  kernel, phase, pv)[0]
-    conv = None
-    if pv.refine_checks > 0:
-        conv = _refined_convergence(f, kernel, phase, pv, out)
-    return OperatorResult(f.with_values(out), conv)
-
-
-def singular_one_sided(f: SampledFunction, kernel: KernelSpec,
-                       pv: PVConfig) -> OperatorResult:
-    """One-sided Calderon-Zygmund integral: the oscillatory operator
-    with phase 0 (same code path, hence bit-identical by construction)."""
-    return oscillatory_one_sided(f, kernel, PolynomialPhase.zero(), pv)
-
-
 # ---------------------------------------------------------------------------
 # dyadic decomposition
 # ---------------------------------------------------------------------------
@@ -719,25 +662,121 @@ def dyadic_band_cells(spacing: float, j: int, eps_cells: int) -> tuple:
     return (k0 * 2 ** (j - 1), k0 * 2 ** j)
 
 
-def dyadic_apply_batch(F: np.ndarray, x_lo: float, x_hi: float,
-                       kernel: KernelSpec, phase: PolynomialPhase, j: int,
-                       pv: PVConfig) -> Optional[np.ndarray]:
-    """The piece T_j applied to the rows of F; None when its band starts
-    at or past the last node, where the piece is empty."""
-    if j < 0:
-        raise DomainError("need j >= 0")
-    band = dyadic_band_cells((x_hi - x_lo) / (F.shape[1] - 1), j, pv.eps_cells)
-    if band[0] >= F.shape[1] - 1:
-        return None
-    return oscillatory_apply_batch(F, x_lo, x_hi, kernel, phase, pv, band)
+# ---------------------------------------------------------------------------
+# the operator dispatch
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OperatorSpec:
+    """A named operator with its parameters, applied batch-wise."""
+
+    kind: str                 # identity | m_plus | m_minus | singular | oscillatory | dyadic_piece
+    kernel: Optional[KernelSpec] = None
+    phase: Optional[PolynomialPhase] = None
+    pv: PVConfig = PVConfig()
+    j: Optional[int] = None
+
+    def __post_init__(self):
+        if self.kind not in ("identity", "m_plus", "m_minus", "singular",
+                             "oscillatory", "dyadic_piece"):
+            raise ConfigError(f"unknown operator kind {self.kind!r}")
+        if self.kind in ("singular", "oscillatory", "dyadic_piece") and self.kernel is None:
+            raise ConfigError(f"{self.kind} needs a kernel")
+        if self.kind == "dyadic_piece" and self.j is None:
+            raise ConfigError("dyadic_piece needs j")
+
+    def describe(self) -> str:
+        if self.kind in ("identity", "m_plus", "m_minus"):
+            return self.kind
+        parts = [self.kind, self.kernel.tag, self.kernel.side]
+        if self.kind == "oscillatory" and self.phase is not None:
+            body = ";".join(f"{v}x^{a}y^{b}" for (a, b), v in self.phase.terms)
+            parts.append("P=" + (body or "0"))
+        if self.kind == "dyadic_piece":
+            parts.append(f"j={self.j}")
+        return "|".join(parts)
+
+    def apply_batch(self, F: np.ndarray, x_lo: float, x_hi: float) -> np.ndarray:
+        """The operator on every row of F, sampled on [x_lo, x_hi].  A
+        dyadic piece whose band starts at or past the last node is empty
+        and gives zeros."""
+        d = (x_hi - x_lo) / (F.shape[1] - 1)
+        if self.kind == "identity":
+            return F.copy()
+        if self.kind == "m_plus":
+            return forward_extremal_averages(F, d).astype(np.complex128)
+        if self.kind == "m_minus":
+            return backward_extremal_averages(F, d).astype(np.complex128)
+        phase = (PolynomialPhase.zero() if self.phase is None or self.kind == "singular"
+                 else self.phase)
+        band = None
+        if self.kind == "dyadic_piece":
+            if self.j < 0:
+                raise DomainError("need j >= 0")
+            band = dyadic_band_cells(d, self.j, self.pv.eps_cells)
+            if band[0] >= F.shape[1] - 1:
+                return np.zeros_like(F)
+        return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.pv, band)
+
+    def to_json(self) -> dict:
+        obj = {"kind": self.kind, "pv": {"eps_cells": self.pv.eps_cells,
+                                         "refine_checks": self.pv.refine_checks}}
+        if self.kernel is not None:
+            obj.update(self.kernel.to_json())
+        if self.phase is not None:
+            obj.update(self.phase.to_json())
+        if self.j is not None:
+            obj["j"] = self.j
+        return obj
+
+
+def _apply_one(op: OperatorSpec, f: SampledFunction) -> SampledFunction:
+    """``op`` applied to the single function f."""
+    return f.with_values(op.apply_batch(f.values[None, :], f.x_lo, f.x_hi)[0])
+
+
+def _refined_convergence(op: OperatorSpec, f: SampledFunction) -> OperatorResult:
+    """op f with its pv_convergence: the largest nodewise change of op f
+    over pv.refine_checks halvings of the spacing (and so of eps), read
+    on the nodes of f; None when no halving is asked for."""
+    out = _apply_one(op, f)
+    conv, prev = None, out.values
+    for level in range(1, op.pv.refine_checks + 1):
+        f2 = resample(f, f.x_lo, f.x_hi, (f.n - 1) * 2 ** level + 1)
+        cur = _apply_one(op, f2).values[::2 ** level]
+        conv = max(conv or 0.0, float(np.max(np.abs(cur - prev))))
+        prev = cur
+    return OperatorResult(out, conv)
+
+
+def m_plus(f: SampledFunction) -> SampledFunction:
+    """One-sided maximal function sup_{h>0} (1/h) int_x^{x+h} |f|."""
+    return _apply_one(OperatorSpec("m_plus"), f)
+
+
+def m_minus(f: SampledFunction) -> SampledFunction:
+    """Mirror image of m_plus (backward averages)."""
+    return _apply_one(OperatorSpec("m_minus"), f)
+
+
+def oscillatory_one_sided(f: SampledFunction, kernel: KernelSpec,
+                          phase: PolynomialPhase, pv: PVConfig) -> OperatorResult:
+    """p.v. integral of e^{iP(x,y)} K(x-y) f(y) over the kernel's side,
+    truncated at eps = eps_cells * spacing and at the window edge."""
+    return _refined_convergence(OperatorSpec("oscillatory", kernel, phase, pv), f)
+
+
+def singular_one_sided(f: SampledFunction, kernel: KernelSpec,
+                       pv: PVConfig) -> OperatorResult:
+    """One-sided Calderon-Zygmund integral: the oscillatory operator
+    with phase 0 (same code path, hence bit-identical by construction)."""
+    return _refined_convergence(OperatorSpec("singular", kernel, pv=pv), f)
 
 
 def dyadic_piece(f: SampledFunction, kernel: KernelSpec,
                  phase: PolynomialPhase, j: int, pv: PVConfig) -> OperatorResult:
     """The piece T_j of the dyadic decomposition T = T_0 + sum_j T_j."""
-    out = dyadic_apply_batch(f.values[None, :], f.x_lo, f.x_hi, kernel, phase, j, pv)
-    vals = np.zeros(f.n, dtype=np.complex128) if out is None else out[0]
-    return OperatorResult(f.with_values(vals), None, empty_range=out is None)
+    return OperatorResult(_apply_one(OperatorSpec("dyadic_piece", kernel, phase, pv, j), f))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -22,9 +22,8 @@ import numpy as np
 
 from .experiments import (STANDARD_N, STANDARD_P, STANDARD_SEED,
                           STANDARD_WINDOW, OperatorSpec, TestFunctionFamily,
-                          campaign_row, coefficient_sweep, config_digest,
-                          decay_rows, dyadic_decay, norm_ratio,
-                          write_campaign_csv)
+                          campaign_row, coefficient_sweep, decay_rows,
+                          dyadic_decay, norm_ratio, write_campaign_csv)
 from .grid import SampledFunction, grid_nodes
 from .interpolate import InterpolationEndpoints, verify_on_multiplier
 from .operators import (PolynomialPhase, PVConfig, dyadic_band_cells,
@@ -41,11 +40,16 @@ __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 @dataclass
 class CriterionResult:
+    """One criterion's verdict, plus the campaigns.csv rows and the
+    campaigns.json entries of the campaigns it ran."""
+
     cid: int
     name: str
     passed: bool
     details: dict
     elapsed: float = 0.0
+    rows: list = field(default_factory=list)
+    configs: list = field(default_factory=list)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -288,23 +292,26 @@ def criterion_12(seed: int) -> CriterionResult:
                            {"sum_err": sum_err, "worst_bound_margin": worst_margin})
 
 
-def criterion_13(seed: int):
+def criterion_13(seed: int) -> CriterionResult:
     """Unweighted dyadic decay slope <= -0.1 for P = xy at j_max = 8
     (stated wide window); weighted run (w = e^x) also decays."""
     K = oscillating_log_kernel("plus")
     P = PolynomialPhase.monomial(1, 1, 1.0)
     fam = TestFunctionFamily("random-bump-sums", 16, seed, (0.0, 1.0))
-    fit = dyadic_decay(K, P, STANDARD_P, None, fam, 8, (-258.0, 2.0), 2 ** 14)
-    fitw = dyadic_decay(K, P, STANDARD_P, _CATALOG["e^x"], fam, 5,
-                        (-34.0, 2.0), 2 ** 13)
-    passed = fit.slope <= -0.1 and fitw.slope < 0.0
-    return CriterionResult(13, "dyadic decay", passed,
-                           {"slope_unweighted": fit.slope,
-                            "slope_weighted": fitw.slope},
-                           ), fit, fitw
+    slopes, rows, configs = {}, [], []
+    for key, tag, w, j_max, window, n in (
+            ("slope_unweighted", "unweighted", None, 8, (-258.0, 2.0), 2 ** 14),
+            ("slope_weighted", "e^x", _CATALOG["e^x"], 5, (-34.0, 2.0), 2 ** 13)):
+        fit = dyadic_decay(K, P, STANDARD_P, w, fam, j_max, window, n)
+        slopes[key] = fit.slope
+        rows += decay_rows(fit, tag, STANDARD_P, window, n, seed)
+        configs.append({"campaign": "decay", "weight": tag,
+                        "slope": fit.slope, "intercept": fit.intercept})
+    passed = slopes["slope_unweighted"] <= -0.1 and slopes["slope_weighted"] < 0.0
+    return CriterionResult(13, "dyadic decay", passed, slopes, rows=rows, configs=configs)
 
 
-def criterion_14(seed: int):
+def criterion_14(seed: int) -> CriterionResult:
     """Coefficient-independence: max/min best ratio <= 20 across seven
     decades of the xy coefficient, per weight."""
     K = oscillating_log_kernel("plus")
@@ -312,7 +319,7 @@ def criterion_14(seed: int):
     coeffs = [10.0 ** e for e in range(-3, 4)]
     details = {}
     passed = True
-    all_reports = {}
+    rows, configs = [], []
     for name, w in (("1", None), ("e^x", _CATALOG["e^x"])):
         reps = coefficient_sweep(K, (1, 1), coeffs, w, STANDARD_P, fam,
                                  STANDARD_WINDOW, STANDARD_N)
@@ -320,11 +327,17 @@ def criterion_14(seed: int):
         spread = max(ratios) / min(ratios)
         details[f"spread[{name}]"] = spread
         passed = passed and spread <= 20.0
-        all_reports[name] = (coeffs, reps)
-    return CriterionResult(14, "coefficient independence", passed, details), all_reports
+        for a, rep in zip(coeffs, reps):
+            op = OperatorSpec("oscillatory", K, PolynomialPhase.monomial(1, 1, a))
+            rows.append(campaign_row("sweep", op, w, STANDARD_P, a, rep,
+                                     STANDARD_WINDOW, STANDARD_N))
+            configs.append({"campaign": "sweep", "param": a, "weight": name,
+                            "digest": rep.config_digest})
+    return CriterionResult(14, "coefficient independence", passed, details,
+                           rows=rows, configs=configs)
 
 
-def criterion_15(seed: int):
+def criterion_15(seed: int) -> CriterionResult:
     """Boundedness signatures under window doubling: members drift
     <= 25%, the non-member pair at least doubles."""
     K = oscillating_log_kernel("plus")
@@ -337,21 +350,24 @@ def criterion_15(seed: int):
                     (6.0, 7.0)),
     }
     details = {}
-    reports = {}
+    rows, configs = [], []
     for name, (op, w, support) in runs.items():
         vals = {}
         for win, n in ((STANDARD_WINDOW, STANDARD_N), ((-16.0, 16.0), 2 * STANDARD_N)):
             fam = TestFunctionFamily("random-bump-sums", 64, seed, support)
             rep = norm_ratio(op, w, STANDARD_P, fam, win, n)
             vals[win] = rep.best_ratio
-            reports[(name, win)] = (op, w, rep, win, n)
+            rows.append(campaign_row("doubling", op, w, STANDARD_P, name, rep, win, n))
+            configs.append({"campaign": "doubling", "pair": name,
+                            "window": list(win), "digest": rep.config_digest})
         small, big = vals[STANDARD_WINDOW], vals[(-16.0, 16.0)]
         details[name] = big / small
     passed = (abs(details["M+/e^x"] - 1.0) <= 0.25
               and abs(details["T+xy/e^x"] - 1.0) <= 0.25
               and details["M+/e^-x"] >= 2.0)
     det = {f"doubling[{k}]": v for k, v in details.items()}
-    return CriterionResult(15, "boundedness signatures", passed, det), reports
+    return CriterionResult(15, "boundedness signatures", passed, det,
+                           rows=rows, configs=configs)
 
 
 CRITERIA = {
@@ -375,51 +391,19 @@ def run_all(out_dir: Optional[str] = None, seed: int = STANDARD_SEED,
     diffs the files.
     """
     results = []
-    campaign_rows = []
-    campaign_cfgs = []
     for cid in sorted(CRITERIA):
         t0 = time.time()
         out = CRITERIA[cid](seed)
-        extra = None
-        if isinstance(out, tuple):
-            out, *extra = out
         out.elapsed = time.time() - t0
         results.append(out)
         if echo:
             print(out.line(), flush=True)
-        if cid == 13 and extra:
-            fit, fitw = extra
-            decay_runs = (("unweighted", fit, (-258.0, 2.0), 2 ** 14),
-                          ("e^x", fitw, (-34.0, 2.0), 2 ** 13))
-            for tag, f, window, n in decay_runs:
-                campaign_rows += decay_rows(f, tag, STANDARD_P, window, n, seed)
-                campaign_cfgs.append({"campaign": "decay", "weight": tag,
-                                      "slope": f.slope, "intercept": f.intercept})
-        if cid == 14 and extra:
-            for name, (coeffs, reps) in extra[0].items():
-                w = None if name == "1" else _CATALOG["e^x"]
-                K = oscillating_log_kernel("plus")
-                for a, rep in zip(coeffs, reps):
-                    op = OperatorSpec("oscillatory", K,
-                                      PolynomialPhase.monomial(1, 1, a))
-                    campaign_rows.append(campaign_row(
-                        "sweep", op, w, STANDARD_P, a, rep, STANDARD_WINDOW,
-                        STANDARD_N))
-                    campaign_cfgs.append({"campaign": "sweep", "param": a,
-                                          "weight": name,
-                                          "digest": rep.config_digest})
-        if cid == 15 and extra:
-            for (name, win), (op, w, rep, window, n) in extra[0].items():
-                campaign_rows.append(campaign_row(
-                    "doubling", op, w, STANDARD_P, name, rep, window, n))
-                campaign_cfgs.append({"campaign": "doubling", "pair": name,
-                                      "window": list(window),
-                                      "digest": rep.config_digest})
     if out_dir is not None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
-        write_campaign_csv(path / "campaigns.csv", campaign_rows,
-                           path / "campaigns.json", campaign_cfgs)
+        write_campaign_csv(path / "campaigns.csv", [row for r in results for row in r.rows],
+                           path / "campaigns.json",
+                           [cfg for r in results for cfg in r.configs])
         _write_summary(path / "summary.csv", results, seed)
     return results
 

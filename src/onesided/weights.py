@@ -598,14 +598,14 @@ def gamma_fourpoint_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig) -
 # ---------------------------------------------------------------------------
 
 def _pointwise_constant(w: WeightSpec, cfg: TripleSearchConfig, ratio) -> ConstantReport:
-    """sup over the grid nodes of ``ratio(wf)``; a weight that overflows
-    on the window is not in the class (finite_flag=False, no witness)."""
+    """sup over the grid nodes of ``ratio(wv, spacing)``; a weight that
+    overflows on the window is not in the class (finite_flag=False, no witness)."""
     lo, hi = cfg.window
     wv = w.realize(lo, hi, cfg.n_grid)
     if not np.all(np.isfinite(wv)):
         return ConstantReport(math.inf, None, cfg, False)
-    wf = SampledFunction(lo, hi, cfg.n_grid, wv)
-    return _report(ratio(wf), lambda arg: {"x": float(wf.nodes()[arg])}, cfg)
+    return _report(ratio(wv, cfg.spacing),
+                   lambda arg: {"x": float(grid_nodes(lo, hi, cfg.n_grid)[arg])}, cfg)
 
 
 def a1_constant(w: WeightSpec, side: str, cfg: TripleSearchConfig) -> ConstantReport:
@@ -613,19 +613,19 @@ def a1_constant(w: WeightSpec, side: str, cfg: TripleSearchConfig) -> ConstantRe
     M^{+}w(x)/w(x) (minus side), maximal functions taken on the grid."""
     if side not in ("plus", "minus"):
         raise ConfigError(f"side must be plus or minus, got {side!r}")
-    maximal = _ops.m_minus if side == "plus" else _ops.m_plus
-    return _pointwise_constant(
-        w, cfg, lambda wf: maximal(wf).values.real / wf.values.real)
+    maximal = (_ops.backward_extremal_averages if side == "plus"
+               else _ops.forward_extremal_averages)
+    return _pointwise_constant(w, cfg, lambda wv, d: maximal(wv, d) / wv)
 
 
 def rh_infty_constant(w: WeightSpec, cfg: TripleSearchConfig) -> ConstantReport:
     """RH_infty^+ constant: sup_x w(x)/m^{+}w(x) with the one-sided
     minimal operator m^{+}."""
-    def ratio(wf):
-        m = _ops.m_plus_min(wf).values.real
+    def ratio(wv, d):
+        m = _ops.forward_extremal_averages(wv, d, minimum=True)
         if np.any(m == 0.0):
             raise DomainError("m^+ w vanishes at a node")
-        return wf.values.real / m
+        return wv / m
     return _pointwise_constant(w, cfg, ratio)
 
 

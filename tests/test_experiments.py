@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from onesided.errors import ConfigError, DomainError
-from onesided.grid import SampledFunction
 from onesided.experiments import (CSV_COLUMNS, OperatorSpec,
                                   TestFunctionFamily, campaign_row,
                                   coefficient_sweep, config_digest,
                                   dyadic_decay, generate_family, norm_ratio,
                                   write_campaign_csv)
-from onesided.operators import (PolynomialPhase, PVConfig, dyadic_piece,
-                                m_minus, oscillating_log_kernel)
+from onesided.operators import (PolynomialPhase, PVConfig, dyadic_band_cells,
+                                oscillating_log_kernel, oscillatory_apply_batch)
 from onesided.weights import WeightSpec
+from test_operators import scan_extremal_averages
 
 KP = oscillating_log_kernel("plus")
 FAM = TestFunctionFamily("random-bump-sums", 12, 20240901, (-2.0, 2.0))
@@ -123,27 +123,26 @@ class TestDyadicRatioCeiling:
 
 
 class TestApplyBatch:
-    """The batch dispatch and the SampledFunction wrappers share one
-    mirror and one empty-band test, so rows agree bit for bit."""
+    """The batch dispatch against oracles that do not go through it."""
 
     F = generate_family(FAM, -4.0, 4.0, 257)
 
-    def test_m_minus_rows_match_wrapper(self):
+    def test_m_minus_rows_match_reversed_scan(self):
         got = OperatorSpec("m_minus").apply_batch(self.F, -4.0, 4.0)
-        for row, vals in zip(got, self.F):
-            f = SampledFunction(-4.0, 4.0, 257, vals)
-            assert np.array_equal(row, m_minus(f).values)
+        want = scan_extremal_averages(self.F[:, ::-1], 8.0 / 256)[:, ::-1]
+        assert np.array_equal(got, want)
 
-    def test_dyadic_rows_match_wrapper(self):
-        # one row per batch (BLAS rounds a matrix-vector product apart
-        # from a matrix-matrix one); j = 9 starts past the 8-unit window
-        for j in (0, 3, 9):
-            op = OperatorSpec("dyadic_piece", KP, PolynomialPhase.zero(), PVConfig(), j=j)
-            got = op.apply_batch(self.F[:1], -4.0, 4.0)[0]
-            res = dyadic_piece(SampledFunction(-4.0, 4.0, 257, self.F[0]), KP,
-                               PolynomialPhase.zero(), j, PVConfig())
-            assert np.array_equal(got, res.function.values)
-            assert res.empty_range == (j == 9) == (not np.any(got))
+    def test_dyadic_pieces_sum_to_union_band(self):
+        # pieces 0..3 cover (1, 256] cells, the whole 8-unit window; from
+        # j = 4 on a piece starts at the last node and is exactly 0
+        P = PolynomialPhase.monomial(1, 1, 3.0)
+        pieces = [OperatorSpec("dyadic_piece", KP, P, PVConfig(), j=j)
+                  .apply_batch(self.F, -4.0, 4.0) for j in range(10)]
+        k0 = dyadic_band_cells(8.0 / 256, 0, 1)[1]
+        union = oscillatory_apply_batch(self.F, -4.0, 4.0, KP, P, PVConfig(),
+                                        (1, k0 * 2 ** 3))
+        assert np.max(np.abs(sum(pieces) - union)) <= 1e-12 * np.max(np.abs(union))
+        assert all(p.shape == self.F.shape and not np.any(p) for p in pieces[4:])
 
     def test_negative_piece_rejected(self):
         op = OperatorSpec("dyadic_piece", KP, PolynomialPhase.zero(), PVConfig(), j=-1)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from onesided.errors import ConfigError, DomainError
 from onesided.experiments import TestFunctionFamily, generate_family
@@ -15,7 +15,7 @@ from onesided.operators import (KernelSpec, PolynomialPhase,
                                 m_plus_min, normalize_phase,
                                 oscillating_log_kernel,
                                 oscillatory_apply_batch, oscillatory_one_sided,
-                                oscillatory_ranged, scaling_identity_check,
+                                scaling_identity_check,
                                 singular_one_sided, truncated_power_kernel)
 
 KP = oscillating_log_kernel("plus")
@@ -449,29 +449,16 @@ class TestOscillatory:
 # fft-chirp path against the dense Filon oracle
 # ---------------------------------------------------------------------------
 
-class OnGridOffsets:
-    """A kernel sampled at the nearest whole number of cells, t = -k d,
-    where the fft-chirp path samples it; the dense sum takes
-    t = x_i - x_j, which differs by the rounding of the nodes."""
-
-    def __init__(self, kernel, d):
-        self.kernel, self.d = kernel, d
-
-    def evaluate(self, t):
-        return self.kernel.evaluate(np.round(t / self.d) * self.d)
-
-
-def dense_oracle(F, x_lo, x_hi, kernel, phase, eps_cells, band, on_grid=False):
+def dense_oracle(F, x_lo, x_hi, kernel, phase, eps_cells, band):
     """The dense Filon sum, mirrored for the minus side the way
     oscillatory_apply_batch mirrors."""
     if kernel.side == "minus":
         return dense_oracle(F[:, ::-1], -x_hi, -x_lo, kernel.reflected(),
-                            phase.reflected(), eps_cells, band, on_grid)[:, ::-1]
+                            phase.reflected(), eps_cells, band)[:, ::-1]
     n = F.shape[1]
     d = (x_hi - x_lo) / (n - 1)
     lo, hi = (eps_cells, n - 1) if band is None else band
-    return _apply_dense(F, grid_nodes(x_lo, x_hi, n), d,
-                        OnGridOffsets(kernel, d) if on_grid else kernel, phase, lo, hi)
+    return _apply_dense(F, grid_nodes(x_lo, x_hi, n), d, kernel, phase, lo, hi)
 
 
 def structural_zeros(F, eps_cells, band, side):
@@ -519,20 +506,29 @@ CHIRP_REL_TOL = 1e-12
 CHIRP_PHASE_EPS = 16
 
 
+# The dense sum is exactly 0: the bands of rows 0 and 1 hold nonzero
+# samples, but the kernel vanishes at every offset below 0.3 = 5.1 cells,
+# so no nonzero tap reaches one.
+KERNEL_MISSES_SAMPLES = (
+    np.array([[0.125 - 1.25j, -0.125 - 0.625j] + [0.0] * 16]), 0.0, 1.0,
+    truncated_power_kernel("plus", 0.3, 2.0), PolynomialPhase.zero(), 1, None)
+
+
 class TestChirpAgainstDense:
     @settings(max_examples=200, deadline=None)
     @given(chirp_cases())
+    @example(case=KERNEL_MISSES_SAMPLES)
     def test_random_cases(self, case):
         """Equal to the dense sum within
         (CHIRP_REL_TOL + CHIRP_PHASE_EPS eps Phi) max|dense|, with Phi
         the largest |P| on the window: a phase of size ~Phi carries
         ~eps Phi of rounding on either path, however it is factored.
-        The dense sum here samples the kernel at t = -k d as the FFT
-        path does; at t = x_i - x_j, the rounding of the nodes alone
-        moves it by up to ~eps max|x| / d relative, times the kernel's
-        condition (3e-10 seen near the edge of a truncated-power
-        support).  Worst seen over 3000 draws: 1.4e-11 relative at
-        2.5 eps Phi.  Structural zeros are exactly 0 on both paths."""
+        Both paths sample the kernel at t = (i - j) d; the rounded node
+        difference x_i - x_j would move the dense sum by up to ~eps
+        max|x| / d relative, times the kernel's condition (3e-10 seen
+        near the edge of a truncated-power support).  Worst seen over
+        3000 draws: 1.4e-11 relative at 2.5 eps Phi.  Structural zeros
+        are exactly 0 on both paths."""
         F, x_lo, x_hi, kernel, phase, eps_cells, band = case
         pv = PVConfig(eps_cells=eps_cells)
         if eps_cells >= F.shape[1] - 1:
@@ -540,14 +536,13 @@ class TestChirpAgainstDense:
                 oscillatory_apply_batch(F, x_lo, x_hi, kernel, phase, pv, band)
             return
         got = oscillatory_apply_batch(F, x_lo, x_hi, kernel, phase, pv, band)
-        want = dense_oracle(F, x_lo, x_hi, kernel, phase, eps_cells, band, on_grid=True)
+        want = dense_oracle(F, x_lo, x_hi, kernel, phase, eps_cells, band)
         M = max(abs(x_lo), abs(x_hi))
         phi = sum(abs(v) * M ** (a + b) for (a, b), v in phase.terms)
         tol = CHIRP_REL_TOL + CHIRP_PHASE_EPS * np.finfo(float).eps * phi
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
         zero = structural_zeros(F, eps_cells, band, kernel.side)
-        dense = dense_oracle(F, x_lo, x_hi, kernel, phase, eps_cells, band)
-        assert np.all(got[zero] == 0.0) and np.all(dense[zero] == 0.0)
+        assert np.all(got[zero] == 0.0) and np.all(want[zero] == 0.0)
 
     def test_routing_by_phase_terms(self):
         for coeffs in ({}, {(1, 1): 1e3}, {(1, 1): 3.0, (0, 1): 2.0, (2, 0): 5.0}):
@@ -636,7 +631,8 @@ class TestDyadic:
         for J in (1, 3, 5):
             total = sum(dyadic_piece(f, KP, P, j, PV1).function.values
                         for j in range(J + 1))
-            ranged = oscillatory_ranged(f, KP, P, PV1, 1, k0 * 2 ** J).values
+            ranged = oscillatory_apply_batch(f.values[None, :], f.x_lo, f.x_hi,
+                                             KP, P, PV1, (1, k0 * 2 ** J))[0]
             assert np.max(np.abs(total - ranged)) <= 1e-12
 
     def test_pieces_no_singularity(self):
@@ -659,10 +655,10 @@ class TestDyadic:
                 T = np.abs(dyadic_piece(f, KP, P, j, PV1).function.values)
                 assert np.all(T <= 2.0 * KP.size_const * M + 1e-12)
 
-    def test_empty_range_flag(self):
+    def test_empty_range_is_zero(self):
         f = gaussian(-2.0, 2.0, 129)
         res = dyadic_piece(f, KP, PolynomialPhase.zero(), 8, PV1)
-        assert res.empty_range and np.all(res.function.values == 0.0)
+        assert np.all(res.function.values == 0.0)
 
     def test_rejects_negative_j(self):
         with pytest.raises(DomainError):
