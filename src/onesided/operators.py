@@ -35,12 +35,25 @@ The phase picks one of three evaluation paths, by its terms alone:
   any added b y or g(x).  Bluestein's factorisation
   e^{i b1 x y} = e^{i b1 x^2/2} e^{i b1 y^2/2} e^{-i b1 (x-y)^2/2}
   makes the Filon matrix diagonal x Toeplitz x diagonal, so one FFT
-  correlation per row costs O(n log n).  Nodes whose band, cut to the
-  cells with a nonzero kernel tap, holds no nonzero sample are set to
-  exactly 0, as the dense sum gives there.
+  correlation per row costs O(n log n).  Node i + k enters row i through
+  the two cells ending there, both weighted by the tap K(-k d); a row
+  where no nonzero sample sits on a nonzero tap is set to exactly 0, as
+  the dense sum gives there.
 * dense-filon: other phases linear in y (x^2 y, ...), the same closed
-  form on an explicit O(n^2) matrix; it is also the fft-chirp oracle.
-* dense-subdivided: phases nonlinear in y (x y^2, ...).
+  form on an explicit O(n^2) matrix.
+* dense-subdivided: phases nonlinear in y (x y^2, ...).  e^{iP} is
+  computed once per (row, node) and shared by the two cells ending
+  there; a subdivided cell adds only its interior points.
+
+The dense paths sample the kernel once at the offsets k d and gather it
+by k = j - i.  They build the matrix in row chunks of _CHUNK_BYTES
+(8 MiB) of complex entries divided by the subcell bound, so a call's
+temporaries stay at a few such chunks whatever n and the batch size.
+That bound -- d / (pi/8) times a triangle bound on |dP/dy| over the
+window, 1 for a phase linear in y -- times the band's cells is the
+request's cost: above _SUBCELL_LIMIT (2e9 subcells, one to a few
+minutes on two cores) the request is refused up front with a
+ConfigError that states the estimate.
 
 Everything here is pure and deterministic (fixed summation order), so
 concurrent evaluation of family members is safe.  On the fft-chirp path
@@ -84,6 +97,8 @@ __all__ = [
 ]
 
 _PHASE_RESOLUTION = math.pi / 8.0   # max phase increment per quadrature cell
+_CHUNK_BYTES = 8 << 20              # W per dense row chunk, times the subcell bound
+_SUBCELL_LIMIT = 2e9                # dense requests estimated above this are refused
 
 
 # ---------------------------------------------------------------------------
@@ -472,30 +487,6 @@ def _filon_moments(beta: np.ndarray):
     return m0, m1
 
 
-def _row_weights_general(x_i: float, y: np.ndarray, kv: np.ndarray,
-                         phase: PolynomialPhase, lo: int, hi: int,
-                         d: float) -> np.ndarray:
-    """Quadrature weights of one output row for a phase nonlinear in y:
-    each cell is subdivided until the phase increment per subcell is at
-    most pi/8, with the (kernel x sample) product interpolated linearly."""
-    w = np.zeros(y.shape, dtype=np.complex128)
-    centers = (y[lo:hi] + y[lo + 1:hi + 1]) / 2.0
-    dpdy = np.abs(phase.partial_y(np.full(centers.shape, x_i), centers))
-    rs = np.maximum(1, np.ceil(dpdy * d / _PHASE_RESOLUTION).astype(np.int64))
-    for r in np.unique(rs):
-        idx = lo + np.nonzero(rs == r)[0]
-        theta = np.arange(r + 1) / r
-        tw = np.full(r + 1, d / r)
-        tw[0] = tw[-1] = d / (2 * r)
-        ys = y[idx][:, None] + theta[None, :] * d
-        ph = np.exp(1j * phase.evaluate(np.full(ys.shape, x_i), ys))
-        left = ph @ (tw * (1.0 - theta))
-        right = ph @ (tw * theta)
-        np.add.at(w, idx, kv[idx] * left)
-        np.add.at(w, idx + 1, kv[idx + 1] * right)
-    return w
-
-
 def _affine_y_coefficient(phase: PolynomialPhase) -> Optional[tuple]:
     """(b0, b1) when P = A(x) + (b0 + b1 x) y, else None."""
     if not phase.y_degree_at_most_one() or any(
@@ -528,7 +519,7 @@ def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
     out = np.zeros((m, n), dtype=np.complex128)
     kd = np.arange(lo, min(hi, n - 1) + 1) * d
     K = kernel.evaluate(-kd)
-    # cut the band to the cells with a nonzero tap, for the zero rule below
+    # cut the band to the cells with a nonzero tap
     cells = np.flatnonzero((K[:-1] != 0.0) | (K[1:] != 0.0))
     if cells.size == 0:
         return out
@@ -547,12 +538,18 @@ def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
     rows = slice(0, live)
     out[:, rows] = d * np.exp(1j * (A[rows] + 0.5 * b1 * x[rows] * x[rows])) * (
         m0[rows] * left + m1[rows] * np.exp(-1j * B[rows] * d) * right)
-    # a node whose band [i + lo, min(i + hi, n - 1)] holds no nonzero
-    # sample is exactly 0 in the dense sum; FFT round-off is not
+    # a row where no nonzero sample sits on a nonzero tap is exactly 0 in
+    # the dense sum, FFT round-off is not; count each run of consecutive
+    # nonzero taps off prefix sums
     seen = np.zeros((m, n + 1), dtype=np.int64)
     np.cumsum(F != 0, axis=1, out=seen[:, 1:])
+    taps = lo + np.flatnonzero(K)
     i = np.arange(live)
-    out[:, rows][seen[:, np.minimum(i + hi, n - 1) + 1] == seen[:, i + lo]] = 0.0
+    reached = np.zeros((m, live), dtype=bool)
+    for run in np.split(taps, np.flatnonzero(np.diff(taps) > 1) + 1):
+        reached |= (seen[:, np.minimum(i + run[-1] + 1, n)] >
+                    seen[:, np.minimum(i + run[0], n)])
+    out[:, rows][~reached] = 0.0
     return out
 
 
@@ -574,46 +571,136 @@ def _apply_plan(F: np.ndarray, x_lo: float, x_hi: float, kernel: KernelSpec,
     return _apply_dense(F, x, d, kernel, phase, lo_c, hi_c)
 
 
+def _subcell_bound(x: np.ndarray, d: float, phase: PolynomialPhase) -> float:
+    """Upper bound on the subcells of any cell: 1 for a phase linear in
+    y (closed-form cells), else d / (pi/8) times the triangle bound
+    sum |a_ab| b M^(a+b-1) of |dP/dy| on the window's square, M the
+    largest |x|; inf when that overflows."""
+    if phase.y_degree_at_most_one():
+        return 1
+    M = max(abs(x[0]), abs(x[-1]))
+    try:
+        slope = sum(abs(v) * b * M ** (a + b - 1) for (a, b), v in phase.terms if b)
+        return max(1, math.ceil(slope * d / _PHASE_RESOLUTION))
+    except OverflowError:
+        return math.inf
+
+
+def _toeplitz(a: np.ndarray, n: int, r0: int, r1: int, j0: int, j1: int) -> np.ndarray:
+    """The read-only view a[j - i + n - 1] for rows i in [r0, r1) and
+    columns j in [j0, j1): offset taps gathered without a copy."""
+    win = np.lib.stride_tricks.sliding_window_view(a, j1 - j0)
+    return win[j0 - r1 + n:j0 - r0 + n][::-1]
+
+
 def _apply_dense(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
-                 phase: PolynomialPhase, lo_c: int, hi_c: int) -> np.ndarray:
-    """The quadrature matrix W built row chunk by row chunk (closed-form
-    Filon cells for a phase linear in y, subdivided cells otherwise)."""
+                 phase: PolynomialPhase, lo: int, hi: int) -> np.ndarray:
+    """out[q, i] = sum_j W[i, j] F[q, j] with the quadrature matrix W
+    built row chunk by row chunk (closed-form Filon cells for a phase
+    linear in y, subdivided cells otherwise).
+
+    Row i has the cells [j, j + 1] with k = j - i in [lo, hi) and
+    j < n - 1.  A cell's left end takes the tap K(-k d), its right end
+    K(-(k + 1) d); taps off the band are 0, which zeroes the off-band
+    cells of a chunk."""
     m, n = F.shape
-    start = np.minimum(np.arange(n) + lo_c, n - 1)
-    stop = np.minimum(np.arange(n) + hi_c, n - 1)
     out = np.zeros((m, n), dtype=np.complex128)
+    live = n - 1 - lo                 # rows i with a cell in their band
+    if hi <= lo or live <= 0:
+        return out
+    i = np.arange(live)
+    cells = int(np.sum(np.minimum(i + hi, n - 1) - i - lo))
+    sub = _subcell_bound(x, d, phase)
+    if cells * sub > _SUBCELL_LIMIT:
+        raise ConfigError(f"the dense apply needs about {cells * sub:.3g} subcells "
+                          f"({cells} cells x {sub} per cell), over the limit "
+                          f"{_SUBCELL_LIMIT:.0e}; use fewer nodes or a smaller window")
+    k = np.arange(1 - n, n)
+    taps = kernel.evaluate(-k * d)    # t = (i - j) d, as on the fft-chirp path
+    left = np.where((k >= lo) & (k < hi), taps, 0.0)
+    right = np.where((k > lo) & (k <= hi), taps, 0.0)
     linear = phase.y_degree_at_most_one()
-    chunk = max(1, int(4_000_000 // n))
+    if linear:
+        A, B = phase.linear_parts(x[:live])
+        m0, m1 = _filon_moments(B * d)
+        dm0, dm1 = d * m0, d * m1
+    entries = _CHUNK_BYTES // (16 * sub)
+    span = min(hi, n - 1) - lo        # a chunk of c rows spans c + span nodes
     Ft = F.T
-    for c0 in range(0, n, chunk):
-        rows = np.arange(c0, min(c0 + chunk, n))
-        rows = rows[start[rows] < stop[rows]]
-        if rows.size == 0:
-            continue
-        jlo = int(start[rows].min())
-        jhi = int(stop[rows].max())
-        yv = x[jlo:jhi + 1][None, :]
-        # t = (i - j) d, not the rounded x_i - x_j, as the fft-chirp path
-        t = np.subtract.outer(rows.astype(np.float64), np.arange(jlo, jhi + 1.0))
-        t *= d
-        kv = kernel.evaluate(t)
-        W = np.zeros((rows.size, jhi + 1 - jlo), dtype=np.complex128)
+    r0 = 0
+    while r0 < live:
+        c = max(1, (math.isqrt(span * span + 4 * entries) - span) // 2,
+                entries // (n - r0 - lo))
+        r1 = min(r0 + c, live)
+        j0, j1 = r0 + lo, min(r1 - 1 + hi, n - 1) + 1
+        W = np.empty((r1 - r0, j1 - j0), dtype=np.complex128)
+        cellw = W[:, :-1]             # cell [j, j + 1] weighs node j here ...
         if linear:
-            A, B = phase.linear_parts(x[rows])
-            beta = B * d
-            m0, m1 = _filon_moments(beta)
-            Ecell = np.exp(1j * (A[:, None] + B[:, None] * yv))[:, :-1]
-            cellmask = ((np.arange(jlo, jhi)[None, :] >= start[rows][:, None]) &
-                        (np.arange(jlo, jhi)[None, :] < stop[rows][:, None]))
-            W[:, :-1] += np.where(cellmask, d * m0[:, None] * Ecell * kv[:, :-1], 0.0)
-            W[:, 1:] += np.where(cellmask, d * m1[:, None] * Ecell * kv[:, 1:], 0.0)
+            np.multiply(B[r0:r1, None], x[j0:j1 - 1], out=cellw.imag)
+            cellw.imag += A[r0:r1, None]
+            np.cos(cellw.imag, out=cellw.real)
+            np.sin(cellw.imag, out=cellw.imag)
+            # dm * E, not E * dm: numpy's complex product need not commute
+            ends = dm1[r0:r1, None] * cellw    # ... and node j + 1 here
+            np.multiply(dm0[r0:r1, None], cellw, out=cellw)
         else:
-            for q, i in enumerate(rows):
-                W[q] = _row_weights_general(x[i], x[jlo:jhi + 1], kv[q],
-                                            phase, start[i] - jlo,
-                                            stop[i] - jlo, d)
-        out[:, rows] = (W @ Ft[jlo:jhi + 1, :]).T
+            ends = _subdivided_weights(W, x, d, phase, r0, r1, j0, j1, lo, hi)
+        tl = _toeplitz(left, n, r0, r1, j0, j1 - 1)
+        tr = _toeplitz(right, n, r0, r1, j0 + 1, j1)
+        cellw.real *= tl
+        cellw.imag *= tl
+        ends.real *= tr
+        ends.imag *= tr
+        W[:, -1] = 0.0
+        W[:, 1:] += ends
+        out[:, r0:r1] = (W @ Ft[j0:j1]).T
+        r0 = r1
     return out
+
+
+def _subdivided_weights(W: np.ndarray, x: np.ndarray, d: float,
+                        phase: PolynomialPhase, r0: int, r1: int, j0: int,
+                        j1: int, lo: int, hi: int) -> np.ndarray:
+    """Subdivided cells of rows [r0, r1) over nodes [j0, j1): each cell
+    gets r equal subcells with r the least count that keeps the phase
+    increment per subcell at most pi/8 at the cell's centre, and the
+    trapezoid rule on the linear interpolant.  Leaves each cell's
+    left-end weight in W[:, :-1] and returns its right-end weights.
+
+    e^{iP} is computed once per (row, node) and serves the two cells
+    ending there; only the r - 1 interior points of each cell are added,
+    cells grouped by r."""
+    xr = x[r0:r1, None]
+    arg = phase.evaluate(xr, x[j0:j1])
+    np.cos(arg, out=W.real)
+    np.sin(arg, out=W.imag)
+    del arg
+    dpdy = np.abs(phase.partial_y(xr, (x[j0:j1 - 1] + x[j0 + 1:j1]) / 2.0))
+    r = np.maximum(1.0, np.ceil(dpdy * d / _PHASE_RESOLUTION))
+    q, c = np.nonzero(r > 1.0)
+    band = (c >= q) & (c - q < hi - lo)     # k = j - i = lo + c - q
+    q, c = q[band], c[band]
+    counts = r[q, c].astype(np.int64)
+    order = np.argsort(counts, kind="stable")
+    groups = np.bincount(counts)
+    end = d / (2.0 * r)
+    cellw = W[:, :-1]
+    ends = W[:, 1:] * end
+    cellw.real *= end
+    cellw.imag *= end
+    stop = np.cumsum(groups)
+    for s in np.flatnonzero(groups):
+        sel = order[stop[s] - groups[s]:stop[s]]
+        qs, cs = q[sel], c[sel]
+        theta = np.arange(1, s) / s
+        wts = (d / s) * np.stack([1.0 - theta, theta], axis=1)
+        arg = phase.evaluate(xr[qs], x[j0 + cs][:, None] + theta * d)
+        re, im = np.cos(arg) @ wts, np.sin(arg) @ wts
+        cellw.real[qs, cs] += re[:, 0]
+        cellw.imag[qs, cs] += im[:, 0]
+        ends.real[qs, cs] += re[:, 1]
+        ends.imag[qs, cs] += im[:, 1]
+    return ends
 
 
 def oscillatory_apply_batch(F: np.ndarray, x_lo: float, x_hi: float,

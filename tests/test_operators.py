@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from onesided.errors import ConfigError, DomainError
 from onesided.experiments import TestFunctionFamily, generate_family
 from onesided.grid import SampledFunction, cumulative_trapezoid, grid_nodes
-from onesided.operators import (KernelSpec, PolynomialPhase,
+from onesided import operators
+from onesided.operators import (_PHASE_RESOLUTION, KernelSpec, PolynomialPhase,
                                 PVConfig, _affine_y_coefficient, _apply_dense,
+                                _filon_moments, _toeplitz,
                                 dyadic_band_cells, dyadic_piece,
                                 forward_extremal_averages,
                                 kernel_cancellation_sup, m_minus, m_plus,
@@ -446,30 +450,108 @@ class TestOscillatory:
 
 
 # ---------------------------------------------------------------------------
-# fft-chirp path against the dense Filon oracle
+# the dense paths' oracle
 # ---------------------------------------------------------------------------
 
-def dense_oracle(F, x_lo, x_hi, kernel, phase, eps_cells, band):
+def _row_weights_general(x_i: float, y: np.ndarray, kv: np.ndarray,
+                         phase: PolynomialPhase, lo: int, hi: int,
+                         d: float) -> np.ndarray:
+    """Quadrature weights of one output row for a phase nonlinear in y:
+    each cell is subdivided until the phase increment per subcell is at
+    most pi/8, with the (kernel x sample) product interpolated linearly."""
+    w = np.zeros(y.shape, dtype=np.complex128)
+    centers = (y[lo:hi] + y[lo + 1:hi + 1]) / 2.0
+    dpdy = np.abs(phase.partial_y(np.full(centers.shape, x_i), centers))
+    rs = np.maximum(1, np.ceil(dpdy * d / _PHASE_RESOLUTION).astype(np.int64))
+    for r in np.unique(rs):
+        idx = lo + np.nonzero(rs == r)[0]
+        theta = np.arange(r + 1) / r
+        tw = np.full(r + 1, d / r)
+        tw[0] = tw[-1] = d / (2 * r)
+        ys = y[idx][:, None] + theta[None, :] * d
+        ph = np.exp(1j * phase.evaluate(np.full(ys.shape, x_i), ys))
+        left = ph @ (tw * (1.0 - theta))
+        right = ph @ (tw * theta)
+        np.add.at(w, idx, kv[idx] * left)
+        np.add.at(w, idx + 1, kv[idx + 1] * right)
+    return w
+
+
+def oracle_apply_dense(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
+                       phase: PolynomialPhase, lo_c: int, hi_c: int) -> np.ndarray:
+    """The quadrature matrix W built row chunk by row chunk (closed-form
+    Filon cells for a phase linear in y, subdivided cells otherwise).
+
+    The dense apply as it was before its taps, chunks and subdivided
+    cells were vectorised, kept verbatim as the oracle of
+    operators._apply_dense and of the fft-chirp path."""
+    m, n = F.shape
+    start = np.minimum(np.arange(n) + lo_c, n - 1)
+    stop = np.minimum(np.arange(n) + hi_c, n - 1)
+    out = np.zeros((m, n), dtype=np.complex128)
+    linear = phase.y_degree_at_most_one()
+    chunk = max(1, int(4_000_000 // n))
+    Ft = F.T
+    for c0 in range(0, n, chunk):
+        rows = np.arange(c0, min(c0 + chunk, n))
+        rows = rows[start[rows] < stop[rows]]
+        if rows.size == 0:
+            continue
+        jlo = int(start[rows].min())
+        jhi = int(stop[rows].max())
+        yv = x[jlo:jhi + 1][None, :]
+        # t = (i - j) d, not the rounded x_i - x_j, as the fft-chirp path
+        t = np.subtract.outer(rows.astype(np.float64), np.arange(jlo, jhi + 1.0))
+        t *= d
+        kv = kernel.evaluate(t)
+        W = np.zeros((rows.size, jhi + 1 - jlo), dtype=np.complex128)
+        if linear:
+            A, B = phase.linear_parts(x[rows])
+            beta = B * d
+            m0, m1 = _filon_moments(beta)
+            Ecell = np.exp(1j * (A[:, None] + B[:, None] * yv))[:, :-1]
+            cellmask = ((np.arange(jlo, jhi)[None, :] >= start[rows][:, None]) &
+                        (np.arange(jlo, jhi)[None, :] < stop[rows][:, None]))
+            W[:, :-1] += np.where(cellmask, d * m0[:, None] * Ecell * kv[:, :-1], 0.0)
+            W[:, 1:] += np.where(cellmask, d * m1[:, None] * Ecell * kv[:, 1:], 0.0)
+        else:
+            for q, i in enumerate(rows):
+                W[q] = _row_weights_general(x[i], x[jlo:jhi + 1], kv[q],
+                                            phase, start[i] - jlo,
+                                            stop[i] - jlo, d)
+        out[:, rows] = (W @ Ft[jlo:jhi + 1, :]).T
+    return out
+
+
+def dense_oracle(F, x_lo, x_hi, kernel, phase, eps_cells, band, apply=oracle_apply_dense):
     """The dense Filon sum, mirrored for the minus side the way
     oscillatory_apply_batch mirrors."""
     if kernel.side == "minus":
         return dense_oracle(F[:, ::-1], -x_hi, -x_lo, kernel.reflected(),
-                            phase.reflected(), eps_cells, band)[:, ::-1]
+                            phase.reflected(), eps_cells, band, apply)[:, ::-1]
     n = F.shape[1]
     d = (x_hi - x_lo) / (n - 1)
     lo, hi = (eps_cells, n - 1) if band is None else band
-    return _apply_dense(F, grid_nodes(x_lo, x_hi, n), d, kernel, phase, lo, hi)
+    return apply(F, grid_nodes(x_lo, x_hi, n), d, kernel, phase, lo, hi)
 
 
-def structural_zeros(F, eps_cells, band, side):
-    """Nodes whose band [i + lo, min(i + hi, n - 1)] holds no nonzero
-    sample, or that have no cell at all (i + lo >= n - 1)."""
-    if side == "minus":
-        return structural_zeros(F[:, ::-1], eps_cells, band, "plus")[:, ::-1]
+def structural_zeros(F, x_lo, x_hi, kernel, eps_cells, band):
+    """Nodes where no nonzero sample sits on a nonzero kernel tap: node
+    i + k enters row i through the cells ending at it, k in [lo, hi],
+    with tap K((i - j) d), and a row without a cell (i + lo >= n - 1)
+    has nothing at all.  The dense sum is exactly 0 there."""
+    if kernel.side == "minus":
+        return structural_zeros(F[:, ::-1], -x_hi, -x_lo, kernel.reflected(),
+                                eps_cells, band)[:, ::-1]
     n = F.shape[1]
+    d = (x_hi - x_lo) / (n - 1)
     lo, hi = (eps_cells, n - 1) if band is None else band
-    return np.array([[i + lo >= n - 1 or not np.any(row[i + lo:min(i + hi, n - 1) + 1])
-                      for i in range(n)] for row in F])
+    zero = np.ones(F.shape, dtype=bool)
+    for i in range(max(0, n - 1 - lo) if hi > lo else 0):
+        j = np.arange(i + lo, min(i + hi, n - 1) + 1)
+        tap = kernel.evaluate((i - j.astype(np.float64)) * d) != 0.0
+        zero[:, i] = ~np.any(F[:, j[tap]] != 0.0, axis=1)
+    return zero
 
 
 @st.composite
@@ -514,10 +596,33 @@ KERNEL_MISSES_SAMPLES = (
     truncated_power_kernel("plus", 0.3, 2.0), PolynomialPhase.zero(), 1, None)
 
 
+# Node 1 (and in the second case node 0) is exactly 0 in the dense sum:
+# its only nonzero sample in reach sits one cell on, where the kernel
+# vanishes, while the next tap, of the same cell's right end, does not.
+SAMPLE_ON_ZERO_TAP = (
+    np.array([[0.345584192064786 + 0.5811181041963531j,
+               0.8216181435011584 + 0.36457239618607573j,
+               0.33043707618338714 + 0.294132496655526j, 0.0, 0.0, 0.0, 0.0]]),
+    0.0, 1.0, truncated_power_kernel("plus", 0.3, 2.0), PolynomialPhase.zero(), 1, None)
+SAMPLE_ON_ZERO_TAP_WIDE = (
+    np.array([[0.1257302210933933 - 0.2873877078086663j,
+               -0.1321048632913019 + 1.5744082788445868j] + [0.0] * 43,
+              [0.0] * 45]),
+    0.0, 7.0, truncated_power_kernel("plus", 0.3, 2.0), PolynomialPhase.zero(), 1, None)
+
+# A zero tap inside the band: sin(ln 1) = 0 at t = -1 = -8 cells, so
+# node 0, whose only nonzero sample is node 8, is exactly 0.
+INTERIOR_ZERO_TAP = (
+    np.array([[0.0] * 8 + [0.75 - 0.5j] + [0.0] * 8]), 0.0, 2.0,
+    oscillating_log_kernel("plus"), PolynomialPhase.zero(), 1, None)
+
+
 class TestChirpAgainstDense:
     @settings(max_examples=200, deadline=None)
     @given(chirp_cases())
     @example(case=KERNEL_MISSES_SAMPLES)
+    @example(case=SAMPLE_ON_ZERO_TAP_WIDE)
+    @example(case=INTERIOR_ZERO_TAP)
     def test_random_cases(self, case):
         """Equal to the dense sum within
         (CHIRP_REL_TOL + CHIRP_PHASE_EPS eps Phi) max|dense|, with Phi
@@ -541,8 +646,23 @@ class TestChirpAgainstDense:
         phi = sum(abs(v) * M ** (a + b) for (a, b), v in phase.terms)
         tol = CHIRP_REL_TOL + CHIRP_PHASE_EPS * np.finfo(float).eps * phi
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
-        zero = structural_zeros(F, eps_cells, band, kernel.side)
+        zero = structural_zeros(F, x_lo, x_hi, kernel, eps_cells, band)
         assert np.all(got[zero] == 0.0) and np.all(want[zero] == 0.0)
+
+    @pytest.mark.parametrize("case", [SAMPLE_ON_ZERO_TAP, SAMPLE_ON_ZERO_TAP_WIDE,
+                                      INTERIOR_ZERO_TAP])
+    def test_sample_on_zero_tap_is_exact_zero(self, case):
+        # the reach rule alone; SAMPLE_ON_ZERO_TAP's live node 0 still
+        # misses the relative bound of test_random_cases by normwise FFT
+        # error (7.6e-12 against 1e-12), which only a direct recompute of
+        # such nodes would mend
+        F, x_lo, x_hi, kernel, phase, eps_cells, band = case
+        got = oscillatory_apply_batch(F, x_lo, x_hi, kernel, phase, PVConfig(eps_cells), band)
+        zero = structural_zeros(F, x_lo, x_hi, kernel, eps_cells, band)
+        assert np.all(got[zero] == 0.0) and np.all(got[~zero] != 0.0)
+        # some such node holds a nonzero sample in its band (eps 1, no cut)
+        in_band = np.array([[np.any(row[i + 1:]) for i in range(F.shape[1])] for row in F])
+        assert np.any(zero & in_band)
 
     def test_routing_by_phase_terms(self):
         for coeffs in ({}, {(1, 1): 1e3}, {(1, 1): 3.0, (0, 1): 2.0, (2, 0): 5.0}):
@@ -551,15 +671,15 @@ class TestChirpAgainstDense:
             assert _affine_y_coefficient(PolynomialPhase.from_coeffs(coeffs)) is None
 
     def test_non_affine_phases_stay_dense(self):
-        # x^2 y (dense Filon) and x y^2 (subdivided) give the dense
-        # code's bits, on both sides and with a band
+        # x^2 y (dense Filon) and x y^2 (subdivided) give _apply_dense's
+        # bits, on both sides and with a band
         rng = np.random.default_rng(14)
         F = rng.normal(size=(3, 129)) + 1j * rng.normal(size=(3, 129))
         for P in (PolynomialPhase.monomial(2, 1, 10.0), PolynomialPhase.monomial(1, 2, 1.0)):
             for K in (KP, oscillating_log_kernel("minus")):
                 for band in (None, (4, 40)):
                     got = oscillatory_apply_batch(F, -2.0, 2.0, K, P, PV1, band)
-                    want = dense_oracle(F, -2.0, 2.0, K, P, 1, band)
+                    want = dense_oracle(F, -2.0, 2.0, K, P, 1, band, _apply_dense)
                     assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
@@ -579,6 +699,122 @@ class TestChirpAgainstDense:
                 assert np.array_equal(one[0], full[q])
             assert np.array_equal(
                 oscillatory_apply_batch(F[5:8], -8.0, 8.0, K, P, PV1, band), full[5:8])
+
+
+@st.composite
+def dense_cases(draw):
+    """A batch with runs of zeros, a window, a phase of one of the two
+    dense kinds -- linear in y with a non-affine B(x) (x^2 y type) or
+    nonlinear in y (x y^2 / y^3 type) -- either kernel on either side, an
+    eps, maybe a band, and a chunk budget from one row per chunk up to
+    the whole matrix (so several chunks and a partial last one)."""
+    n = draw(st.integers(2, 160))
+    x_lo = draw(st.floats(-5.0, 4.0))
+    x_hi = x_lo + draw(st.floats(0.1, 7.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1, 3))
+    F = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    for row in F:
+        cuts = np.sort(rng.integers(0, n + 1, size=draw(st.integers(0, 5))))
+        for seg in np.split(np.arange(n), cuts):
+            if draw(st.booleans()):
+                row[seg] = 0.0
+    c = [draw(st.floats(-3.0, 3.0)) for _ in range(4)]
+    if draw(st.booleans()):
+        coeffs = {(2, 1): c[0] or 1.0, (1, 1): c[1], (0, 1): c[2], (3, 0): c[3]}
+    else:
+        coeffs = {draw(st.sampled_from([(1, 2), (0, 3), (2, 2)])): c[0] or 1.0,
+                  (1, 1): c[1], (2, 0): c[2]}
+    side = draw(st.sampled_from(["plus", "minus"]))
+    kernel = draw(st.sampled_from([oscillating_log_kernel(side),
+                                   truncated_power_kernel(side, 0.3, 2.0)]))
+    eps_cells = draw(st.integers(1, max(1, n - 2)))
+    band = draw(st.one_of(st.none(), st.integers(0, n + 3).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, lo + 2 * n)))))
+    chunk_bytes = 16 * draw(st.one_of(st.integers(1, 4 * n), st.integers(1, 2 * n * n)))
+    return (F, x_lo, x_hi, kernel, PolynomialPhase.from_coeffs(coeffs), eps_cells,
+            band, chunk_bytes)
+
+
+DENSE_REL_TOL = 1e-12
+
+
+class TestDenseAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(dense_cases())
+    def test_random_cases(self, case):
+        """Within DENSE_REL_TOL max|oracle| of the per-row code, whatever
+        the chunking: the Filon cells are the oracle's bits and only BLAS
+        sums them in another order; subdivided cells share e^{iP} at the
+        nodes, where the oracle took y_j + d for y_{j+1}.  Structural
+        zeros are exactly 0 on both."""
+        F, x_lo, x_hi, kernel, phase, eps_cells, band, chunk_bytes = case
+        pv = PVConfig(eps_cells=eps_cells)
+        with mock.patch.object(operators, "_CHUNK_BYTES", chunk_bytes):
+            if eps_cells >= F.shape[1] - 1:
+                with pytest.raises(ConfigError):
+                    oscillatory_apply_batch(F, x_lo, x_hi, kernel, phase, pv, band)
+                return
+            got = oscillatory_apply_batch(F, x_lo, x_hi, kernel, phase, pv, band)
+        want = dense_oracle(F, x_lo, x_hi, kernel, phase, eps_cells, band)
+        assert np.max(np.abs(got - want)) <= DENSE_REL_TOL * np.max(np.abs(want))
+        zero = structural_zeros(F, x_lo, x_hi, kernel, eps_cells, band)
+        assert np.all(got[zero] == 0.0) and np.all(want[zero] == 0.0)
+
+    def test_filon_cells_bit_identical_in_one_chunk(self):
+        # one chunk and one row: the same W entries and the same
+        # matrix-vector product as the oracle
+        rng = np.random.default_rng(15)
+        F = rng.normal(size=(1, 300)) + 1j * rng.normal(size=(1, 300))
+        P = PolynomialPhase.from_coeffs({(2, 1): 10.0, (1, 1): -2.0, (3, 0): 1.0})
+        for K in (KP, truncated_power_kernel("plus", 0.3, 2.0)):
+            for band in (None, (5, 40)):
+                got = oscillatory_apply_batch(F, -3.0, 2.0, K, P, PV1, band)
+                assert np.array_equal(got, dense_oracle(F, -3.0, 2.0, K, P, 1, band))
+
+    def test_kernel_taps_bit_identical(self):
+        # taps sampled once at k d and gathered by i - j equal the kernel
+        # sampled at every (i - j) d
+        n, d = 97, 0.37
+        k = np.arange(1 - n, n)
+        for K in (KP, truncated_power_kernel("plus", 0.3, 2.0)):
+            taps = K.evaluate(-k * d)
+            for r0, r1, j0, j1 in ((0, 97, 0, 97), (5, 9, 6, 50), (90, 97, 91, 97)):
+                t = np.subtract.outer(np.arange(r0, r1, dtype=np.float64),
+                                      np.arange(j0, j1, dtype=np.float64)) * d
+                assert np.array_equal(_toeplitz(taps, n, r0, r1, j0, j1), K.evaluate(t))
+
+    def test_memory_bounded(self):
+        """One x^2 y apply at n = 2048 with 16 rows: the per-row-chunk
+        code peaked at 324 MB (five chunk-sized complex temporaries on
+        2000 rows at once); the byte-budget chunks keep it at ~26 MB."""
+        rng = np.random.default_rng(16)
+        F = rng.normal(size=(16, 2048)) + 1j * rng.normal(size=(16, 2048))
+        tracemalloc.start()
+        try:
+            oscillatory_apply_batch(F, -8.0, 8.0, KP, PolynomialPhase.monomial(2, 1, 10.0), PV1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    def test_refuses_oversized_request_up_front(self):
+        # 1e3 x y^2 on [-8, 8] at n = 4096: ~8.4e6 cells x 1274 subcells
+        # each by the slope bound, about 1e10; nothing may be evaluated
+        F = np.ones((1, 4096), dtype=complex)
+        P = PolynomialPhase.monomial(1, 2, 1e3)
+        with mock.patch.object(PolynomialPhase, "evaluate", side_effect=AssertionError), \
+                mock.patch.object(PolynomialPhase, "partial_y", side_effect=AssertionError), \
+                mock.patch.object(KernelSpec, "evaluate", side_effect=AssertionError):
+            with pytest.raises(ConfigError, match=r"1\.07e\+10 subcells"):
+                oscillatory_apply_batch(F, -8.0, 8.0, KP, P, PV1)
+
+    def test_refusal_spares_the_campaign_sizes(self):
+        # the benchmark's sweeps: x^2 y at n = 4096 (one subcell per
+        # cell) and x y^2 at n = 2048 (three), each over ~n^2/2 cells
+        x = grid_nodes(-8.0, 8.0, 2048)
+        assert operators._subcell_bound(x, x[1] - x[0], PolynomialPhase.monomial(1, 2, 1.0)) == 3
+        assert max(4096 * 4095 // 2, 2048 * 2047 // 2 * 3) < operators._SUBCELL_LIMIT
 
 
 class TestApplyBoundary:

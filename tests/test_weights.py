@@ -47,6 +47,20 @@ class TestCatalog:
         winv = WeightSpec.power(-0.5)
         assert winv.realize(-1.0, 1.0, 101)[50] == (d / 2.0) ** -0.5
 
+    def test_exp_overflow_realizes_inf(self):
+        # e^{100 x} passes the float range past x = 7.09: realize gives
+        # +inf there without a RuntimeWarning, and the estimators flag
+        # the weight instead of raising
+        w = WeightSpec.exponential(100.0)
+        c = cfg(window=(0.0, 8.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = w.realize(0.0, 8.0, 257)
+            assert np.all(np.isposinf(vals[228:])) and np.all(np.isfinite(vals[:228]))
+            for rep in (ap_plus_constant(w, 2.0, c), ap_general_constant(w, 2.0, "plus", c),
+                        rh_plus_constant(w, 1.2, 1, c), a1_constant(w, "plus", c)):
+                assert not rep.finite_flag
+
     def test_dual_examples(self):
         assert dual_weight(ONE, 2.0).canonical() == (1.0, 0.0, 0.0)
         # p = 2 -> pointwise reciprocal
