@@ -51,7 +51,7 @@ _ESTIMATORS = {
     "ap_both": lambda w, c, p=2.0, **k: ap_both_constant(w, p, c),
     "ap_general": lambda w, c, p=2.0, side="plus", **k: ap_general_constant(w, p, side, c),
     "a1": lambda w, c, side="plus", **k: a1_constant(w, side, c),
-    "rh_plus": lambda w, c, r=1.2, variant=4, **k: rh_plus_constant(w, r, int(variant), c),
+    "rh_plus": lambda w, c, r=1.2, variant=4, **k: rh_plus_constant(w, r, variant, c),
     "rh_infty": lambda w, c, **k: rh_infty_constant(w, c),
     "gamma_fourpoint": lambda w, c, p=2.0, **k: gamma_fourpoint_constant(w, p, c),
 }
@@ -109,8 +109,18 @@ def _weight_from(obj, path: str = "weight"):
         return None
     try:
         return WeightSpec.from_json(obj)
-    except (ConfigError, DomainError, KeyError, TypeError) as exc:
+    except (ConfigError, DomainError, KeyError, TypeError, ValueError) as exc:
         raise _fail(path, str(exc)) from exc
+
+
+def _number(obj: dict, key: str, default, kind=float):
+    """``obj[key]`` (or ``default``) as ``kind``; it must be a JSON number,
+    an integral one for int."""
+    v = obj.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or (
+            kind is int and not float(v).is_integer()):
+        raise _fail(key, f"expected {kind.__name__}, got {v!r}")
+    return kind(v)
 
 
 def _family_from(obj: dict, path: str = "family") -> TestFunctionFamily:
@@ -138,9 +148,10 @@ def _write_rows(path: Path, header, rows):
 
 
 def _write_json(path: Path, obj):
+    # one compact line through json's C encoder; json.dump would stream
+    # through the pure-Python one, which dominates on sampled weights
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +165,10 @@ def _cmd_weights_estimate(cfg: dict, args) -> int:
                                  f"expected one of {sorted(_ESTIMATORS)}")
     w = _weight_from(_need(cfg, "weight", ""))
     search = _search_from(_need(cfg, "search", ""))
-    kw = {k: cfg[k] for k in ("p", "side", "r", "variant") if k in cfg}
+    kw = {k: _number(cfg, k, None, kind) for k, kind in
+          (("p", float), ("r", float), ("variant", int)) if k in cfg}
+    if "side" in cfg:
+        kw["side"] = cfg["side"]
     report = _ESTIMATORS[name](w, search, **kw)
     prefix = _out_prefix(args)
     _write_rows(prefix.with_suffix(".csv"),
@@ -172,8 +186,9 @@ def _cmd_weights_estimate(cfg: dict, args) -> int:
 def _cmd_weights_bump(cfg: dict, args) -> int:
     w = _weight_from(_need(cfg, "weight", ""))
     search = _search_from(_need(cfg, "search", ""))
-    p = float(cfg.get("p", 2.0))
-    ceiling = float(_need(cfg, "ceiling", ""))
+    p = _number(cfg, "p", 2.0)
+    _need(cfg, "ceiling", "")
+    ceiling = _number(cfg, "ceiling", None)
     res = power_bump_search(w, p, search, ceiling)
     prefix = _out_prefix(args)
     _write_rows(prefix.with_suffix(".csv"),

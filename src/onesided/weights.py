@@ -16,10 +16,12 @@ estimators reuse identical lattices, which turns the analytic identities
 (duality power law, dilation invariance, reflection symmetry) into
 near-bit-level test assertions.  Interval integrals are prefix
 differences of running trapezoid sums, except in ``ap_general_constant``
-and ``gamma_fourpoint_constant``: they sum each interval's cells with
-``math.fsum``, whose correctly rounded result does not depend on where
-the interval sits, so the duality law (acceptance criterion 2) and the
-exact reflection tests hold to the last bit.
+and ``gamma_fourpoint_constant``: there every finite cell is an integer
+multiple of one power of two, so a running Python-int sum over the cells
+is exact, and each interval is one prefix difference rounded once.  That
+correctly rounded result does not depend on where the interval sits, so
+the duality law (acceptance criterion 2) and the exact reflection tests
+hold to the last bit.
 
 A search never raises on divergence: values above the configured
 ceiling (or overflow to non-finite) are reported with
@@ -32,6 +34,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import lshift
 from typing import Optional
 
 import numpy as np
@@ -64,6 +68,8 @@ __all__ = [
 ]
 
 DIVERGENCE_CEILING = 1.0e6  # default cap; estimators flag rather than raise
+# a search config whose estimated working set exceeds this is refused up front
+_SEARCH_BYTES_LIMIT = 4 * 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +300,19 @@ class TripleSearchConfig:
             raise ConfigError("degenerate search lattice")
         if self.ceiling <= 0:
             raise ConfigError("ceiling must be positive")
+        if self.working_bytes() > _SEARCH_BYTES_LIMIT:
+            raise ConfigError(
+                f"search would hold about {self.working_bytes() / 2 ** 30:.3g} GiB "
+                f"at once (n_grid={self.n_grid}, {self.n_anchor} anchors x "
+                f"{self.n_h ** 2} columns), over the "
+                f"{_SEARCH_BYTES_LIMIT / 2 ** 30:g} GiB budget")
+
+    def working_bytes(self) -> int:
+        """Estimated bytes a search holds at once: about eight float64
+        arrays over the grid (node values, dual power, cells, running
+        sums) and ten over the largest lattice, the three-point form's
+        anchors x n_h^2 columns."""
+        return 8 * (8 * self.n_grid + 10 * self.n_anchor * self.n_h ** 2)
 
     @property
     def spacing(self) -> float:
@@ -411,31 +430,65 @@ def _integrals(vals: np.ndarray, d: float, lat: _Lattice, lo: str, hi: str,
     every entry; NaN where the entry is not ok.
 
     The default takes prefix differences of the running cell sums.  With
-    ``exact`` the cells of each distinct interval are summed once by
-    ``math.fsum``, which is correctly rounded and hence independent of
-    where the interval sits.
+    ``exact`` each distinct interval gets the correctly rounded sum of its
+    cells (``_exact_sums``), which is independent of where the interval
+    sits.
     """
     i, j = lat.at(lo)[lat.ok], lat.at(hi)[lat.ok]
     out = np.full(lat.ok.shape, np.nan)
     if exact:
         n = len(vals)
         keys, inv = np.unique(i * n + j, return_inverse=True)
-        cells = trapezoid_cells(vals, d).tolist()
-        sums = [_fsum_positive(cells[k // n:k % n]) for k in keys.tolist()]
-        out[lat.ok] = np.asarray(sums, dtype=float)[inv]
+        out[lat.ok] = _exact_sums(trapezoid_cells(vals, d), keys // n, keys % n)[inv]
     else:
         cum = cumulative_trapezoid(vals, d)
         out[lat.ok] = cum[j] - cum[i]
     return out
 
 
-def _fsum_positive(cells: list) -> float:
-    """math.fsum of nonnegative cells; a sum past the float range is +inf
-    (fsum raises on intermediate overflow instead)."""
-    try:
-        return math.fsum(cells)
-    except OverflowError:
-        return math.inf
+_SUM_BLOCK = 4096   # cells turned into Python ints at a time by _exact_sums
+
+
+def _exact_sums(cells: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of the nonnegative ``cells[s:e]`` for every
+    pair (s, e) with s <= e; +inf where the sum passes the float range or
+    the interval holds a non-finite cell.
+
+    A finite cell is its 53-bit mantissa times 2^(e - 53), hence an integer
+    multiple of 2^scale, with scale the lowest such exponent among the
+    nonzero cells.  One running Python int therefore sums the cells
+    exactly (a long accumulator).  It is recorded only at the distinct
+    endpoints, walking the cells a block at a time, so no per-cell Python
+    object outlives its block.  Each interval is one prefix difference
+    rounded once, by int true division or int-to-float conversion, which
+    CPython rounds correctly (half-even); their OverflowError is +inf.
+    """
+    marks, where = np.unique(np.concatenate([starts, ends]), return_inverse=True)
+    finite = np.isfinite(cells)
+    low = np.min(cells, initial=math.inf, where=finite & (cells > 0))
+    scale = math.frexp(low)[1] - 53 if low < math.inf else 0
+    bounds = list(range(0, len(cells), _SUM_BLOCK)) + [len(cells)]
+    stops = np.searchsorted(marks, bounds, side="right").tolist()
+    prefix, running = [0] * stops[0], 0       # prefix[k]: cells before marks[k]
+    for b0, b1, m0, m1 in zip(bounds[:-1], bounds[1:], stops[:-1], stops[1:]):
+        mant, expo = np.frexp(np.where(finite[b0:b1], cells[b0:b1], 0.0))
+        units = np.ldexp(mant, 53).astype(np.int64)
+        shifts = np.where(units != 0, expo - 53 - scale, 0)
+        acc = list(accumulate(map(lshift, units.tolist(), shifts.tolist()),
+                              initial=running))
+        prefix += [acc[m - b0] for m in marks[m0:m1].tolist()]
+        running = acc[-1]
+    k = len(starts)
+    out = np.empty(k)
+    for t, (a, b) in enumerate(zip(where[:k].tolist(), where[k:].tolist())):
+        total = prefix[b] - prefix[a]
+        try:
+            out[t] = total / (1 << -scale) if scale < 0 else float(total << scale)
+        except OverflowError:
+            out[t] = math.inf
+    bad = np.flatnonzero(~finite)
+    out[np.searchsorted(bad, ends) > np.searchsorted(bad, starts)] = math.inf
+    return out
 
 
 def _averages(vals: np.ndarray, d: float, lat: _Lattice, lo: str, hi: str) -> np.ndarray:
@@ -498,7 +551,7 @@ def _report(values: np.ndarray, witnesses, cfg: TripleSearchConfig,
 
 # ---------------------------------------------------------------------------
 # A_p-type estimators: Sawyer pairs (prefix sums), three- and four-point
-# forms (fsum sums)
+# forms (exact sums)
 # ---------------------------------------------------------------------------
 
 def _sawyer_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig,

@@ -1,6 +1,11 @@
 import json
+from unittest import mock
 
+import pytest
+
+from onesided import weights
 from onesided.cli import main
+from onesided.experiments import config_digest
 
 
 def write_cfg(tmp_path, name, obj):
@@ -88,6 +93,49 @@ class TestWeightsCommands:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["weights", "estimate", "--config", str(p)]) == 2
+
+    def test_sampled_sidecar_roundtrip(self, tmp_path):
+        # the compact sidecar reads back as the config and its digest
+        values = [1.0, 0.1, 1e-8, 2.5, 1.0 / 3.0, 7.0, 1e300, 5e-324, 0.5]
+        cfg = {"estimator": "ap_plus", "p": 2.0,
+               "weight": {"form": "sampled", "x_lo": -8.0, "x_hi": 8.0,
+                          "n": len(values), "values": values},
+               "search": dict(SEARCH, n_grid=257, n_anchor=9, n_h=4, h_min=0.5)}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        sidecars = []
+        for name in ("r1", "r2"):
+            main(["weights", "estimate", "--config", path,
+                  "--out", str(tmp_path / name)])
+            sidecars.append((tmp_path / f"{name}.json").read_bytes())
+        assert sidecars[0] == sidecars[1]
+        assert sidecars[0].count(b"\n") == 1 and sidecars[0].endswith(b"\n")
+        payload = json.loads(sidecars[0])
+        assert payload["config"] == cfg
+        assert payload["digest"] == config_digest(cfg)
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("estimate", "weight", {"form": "sampled", "x_lo": 0.0, "x_hi": 1.0,
+                                "n": 3, "values": ["a", 1, 1]}),
+        ("estimate", "p", "2"),
+        ("estimate", "variant", "x"),
+        ("bump", "ceiling", "abc")])
+    def test_bad_field_exit_2_with_path(self, tmp_path, capsys, command, field, value):
+        cfg = {"estimator": "rh_plus", "weight": {"form": "constant", "params": [1.0]},
+               "search": SEARCH, "ceiling": 100.0}
+        cfg[field] = value
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["weights", command, "--config", path,
+                     "--out", str(tmp_path / "res")]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_oversized_lattice_refused_up_front(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "estimator": "ap_plus", "p": 2.0,
+            "weight": {"form": "constant", "params": [1.0]},
+            "search": dict(SEARCH, n_grid=10 ** 12)})
+        with mock.patch.object(weights, "grid_nodes", side_effect=AssertionError):
+            assert main(["weights", "estimate", "--config", cfg]) == 2
+        assert "GiB" in capsys.readouterr().err
 
 
 class TestOperatorCommands:

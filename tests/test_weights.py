@@ -1,11 +1,17 @@
 import math
+import sys
+import tracemalloc
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from onesided import weights
 from onesided.errors import ConfigError, DomainError, GridMismatchError
-from onesided.grid import SampledFunction
+from onesided.grid import SampledFunction, cumulative_trapezoid, trapezoid_cells
 from onesided.weights import (TripleSearchConfig, WeightSpec, a1_constant,
                               ap_both_constant, ap_general_constant,
                               ap_minus_constant, ap_plus_constant, dilate,
@@ -139,6 +145,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TripleSearchConfig((-8.0, 8.0), gamma=0.7)
 
+    def test_oversized_search_refused(self):
+        # refused from n_grid and the lattice size alone; nothing allocated
+        with pytest.raises(ConfigError, match="GiB"):
+            TripleSearchConfig((-8.0, 8.0), n_grid=10 ** 12)
+        with pytest.raises(ConfigError, match="GiB"):
+            TripleSearchConfig((-8.0, 8.0), n_anchor=10 ** 6, n_h=10 ** 3)
+        # the largest searches in use (the battery's and the benchmark's
+        # 2^20-node bump) sit far below the budget
+        big = TripleSearchConfig((-8.0, 8.0), n_anchor=65, n_h=16, n_grid=2 ** 20)
+        assert 16 * big.working_bytes() < weights._SEARCH_BYTES_LIMIT
+
     def test_h_min_below_spacing(self):
         c = cfg(h_min=1e-6, h_max=1.0)
         with pytest.raises(ConfigError):
@@ -218,7 +235,7 @@ class TestSawyer:
 
     def test_every_lattice_estimator_flags_overflow_silently(self):
         # |x|^{-350} overflows near 0 on the battery lattice: each lattice
-        # estimator flags it, without raising (fsum path, p = 3) or warning
+        # estimator flags it, without raising (exact-sum path, p = 3) or warning
         w, c = WeightSpec.power(-350.0), cfg(n_grid=4096)
         runs = [lambda: ap_plus_constant(w, 3.0, c),
                 lambda: ap_minus_constant(w, 3.0, c),
@@ -233,8 +250,9 @@ class TestSawyer:
                 assert not run().finite_flag
 
     def test_ap_general_fsum_overflow_flags(self):
-        # cells of 5e307 sum past the float range: fsum raises OverflowError
-        # there, the estimator reads it as +inf and flags it
+        # cells of 5e307 sum past the float range: the exact sum's rounding
+        # raises OverflowError there, the estimator reads it as +inf and
+        # flags it
         w = WeightSpec.constant(5e307)
         c = TripleSearchConfig((0.0, 100.0), n_anchor=9, n_h=4, h_min=2.0, n_grid=101)
         for side in ("plus", "minus"):
@@ -465,3 +483,149 @@ class TestPowerBump:
         c = cfg(window=(-2.0, 2.0), n_grid=8193, ceiling=10.0)
         with pytest.raises(DomainError):
             power_bump_search(WeightSpec.power(1.5), 2.0, c, ceiling=10.0)
+
+
+# ---------------------------------------------------------------------------
+# exact interval sums against the per-interval math.fsum oracle
+# ---------------------------------------------------------------------------
+
+def _fsum_positive(cells: list) -> float:
+    """math.fsum of nonnegative cells; a sum past the float range is +inf
+    (fsum raises on intermediate overflow instead)."""
+    try:
+        return math.fsum(cells)
+    except OverflowError:
+        return math.inf
+
+
+def oracle_integrals(vals: np.ndarray, d: float, lat, lo: str, hi: str,
+                     exact: bool = False) -> np.ndarray:
+    """The estimators' interval integrals with the exact form done by
+    summing the cells of each distinct interval with ``math.fsum``."""
+    i, j = lat.at(lo)[lat.ok], lat.at(hi)[lat.ok]
+    out = np.full(lat.ok.shape, np.nan)
+    if exact:
+        n = len(vals)
+        keys, inv = np.unique(i * n + j, return_inverse=True)
+        cells = trapezoid_cells(vals, d).tolist()
+        sums = [_fsum_positive(cells[k // n:k % n]) for k in keys.tolist()]
+        out[lat.ok] = np.asarray(sums, dtype=float)[inv]
+    else:
+        cum = cumulative_trapezoid(vals, d)
+        out[lat.ok] = cum[j] - cum[i]
+    return out
+
+
+DBL_MAX = sys.float_info.max
+# fsum is correctly rounded except just above the largest float: an exact
+# sum in (DBL_MAX, DBL_MAX + ulp/2) rounds to DBL_MAX, but fsum may meet an
+# intermediate partial that rounds to inf and raise, which the oracle reads
+# as +inf.  The exact sums return DBL_MAX there.
+FSUM_OVERFLOW_BAND = (Fraction(DBL_MAX), Fraction(DBL_MAX) + Fraction(2) ** 970)
+FSUM_RAISES_IN_BAND = [DBL_MAX / 2, 2.0 ** 918, 2.0 ** 969, DBL_MAX / 2]
+FSUM_ROUNDS_IN_BAND = [DBL_MAX, 2.0 ** 969]
+HALF_EVEN_TIE_TO_INF = [DBL_MAX, 2.0 ** 970]
+
+_cell = st.one_of(
+    st.floats(min_value=0.0, max_value=DBL_MAX),      # zeros, subnormals, DBL_MAX
+    st.floats(min_value=1e300, max_value=DBL_MAX),    # sums past the float range
+    st.floats(min_value=0.0, max_value=1e-300),       # subnormal-heavy sums
+    st.just(0.0),
+    st.just(math.inf))
+
+
+def _check_sums(cells, pairs, block):
+    arr = np.asarray(cells, dtype=float)
+    starts = np.asarray([min(a, b) for a, b in pairs], dtype=np.int64)
+    ends = np.asarray([max(a, b) for a, b in pairs], dtype=np.int64)
+    with mock.patch.object(weights, "_SUM_BLOCK", block):
+        got = weights._exact_sums(arr, starts, ends)
+    for g, s, e in zip(got.tolist(), starts.tolist(), ends.tolist()):
+        want = _fsum_positive(cells[s:e])
+        exact = (sum(map(Fraction, cells[s:e]), Fraction(0))
+                 if all(map(math.isfinite, cells[s:e])) else None)
+        if exact is not None and FSUM_OVERFLOW_BAND[0] < exact < FSUM_OVERFLOW_BAND[1]:
+            assert g == DBL_MAX and want in (DBL_MAX, math.inf)
+        else:
+            assert np.float64(g).view(np.int64) == np.float64(want).view(np.int64)
+
+
+class TestExactSums:
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(_cell, min_size=0, max_size=40), data=st.data(),
+           block=st.sampled_from([1, 2, 3, 4096]))
+    @example(cells=FSUM_RAISES_IN_BAND, data=None, block=4096)
+    @example(cells=FSUM_ROUNDS_IN_BAND, data=None, block=1)
+    @example(cells=HALF_EVEN_TIE_TO_INF, data=None, block=2)
+    @example(cells=[5e-324] * 7 + [0.0] * 5, data=None, block=3)
+    def test_bit_identical_to_fsum(self, cells, data, block):
+        n = len(cells)
+        pairs = [(0, n), (0, 0), (n, n)]                 # full and empty intervals
+        if data is not None:
+            idx = st.integers(0, n)
+            pairs += data.draw(st.lists(st.tuples(idx, idx), max_size=12))
+        _check_sums(cells, pairs, block)
+
+    def test_runs_of_zeros_and_inf_cells(self):
+        cells = [0.0] * 9 + [1.5, math.inf, 2.0 ** -1074, 0.0, 0.0, 3.0, math.inf, 0.0]
+        pairs = [(a, b) for a in range(len(cells) + 1) for b in range(a, len(cells) + 1)]
+        for block in (1, 4, 4096):
+            _check_sums(cells, pairs, block)
+
+    def test_fsum_overflow_band(self):
+        # inside the band the exact sums stay correctly rounded (DBL_MAX);
+        # fsum raises on one ordering and rounds on the other
+        for cells, fsum_gives in ((FSUM_RAISES_IN_BAND, math.inf),
+                                  (FSUM_ROUNDS_IN_BAND, DBL_MAX)):
+            assert _fsum_positive(cells) == fsum_gives
+            got = weights._exact_sums(np.asarray(cells), np.array([0]), np.array([len(cells)]))
+            assert got[0] == DBL_MAX
+        got = weights._exact_sums(np.asarray(HALF_EVEN_TIE_TO_INF), np.array([0]), np.array([2]))
+        assert got[0] == math.inf == _fsum_positive(HALF_EVEN_TIE_TO_INF)
+
+
+def _spike_train(n: int) -> WeightSpec:
+    vals = np.full(n, 1e-8)
+    vals[[5, 400, 1201, 1202, 3000, 4090]] = [0.7, 1.9, 1.2, 0.5, 1.4, 0.9]
+    return WeightSpec.sampled(SampledFunction(-8.0, 8.0, n, vals))
+
+
+REPORT_WEIGHTS = (ONE, EX, WeightSpec.exponential(-1.0), POW_HALF,
+                  WeightSpec.power(1.5), MIXED, _spike_train(4096),
+                  WeightSpec.power(-350.0))
+
+
+class TestExactEstimatorsAgainstOracle:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_reports_match_fsum_form(self, p, monkeypatch):
+        c = cfg(n_grid=4096)
+        runs = [lambda w: ap_general_constant(w, p, "plus", c),
+                lambda w: ap_general_constant(w, p, "minus", c),
+                lambda w: gamma_fourpoint_constant(w, p, c)]
+        new = [run(w) for w in REPORT_WEIGHTS for run in runs]
+        monkeypatch.setattr(weights, "_integrals", oracle_integrals)
+        old = [run(w) for w in REPORT_WEIGHTS for run in runs]
+        for a, b in zip(new, old):
+            assert np.float64(a.constant).view(np.int64) == np.float64(b.constant).view(np.int64)
+            assert (a.witness, a.finite_flag) == (b.witness, b.finite_flag)
+        flagged = sum(not r.finite_flag for r in new)
+        assert 3 <= flagged < len(new)       # |x|^-350 at least, not everything
+
+    def test_peak_memory_bounded_by_fsum_form(self, monkeypatch):
+        # no per-cell Python object may outlive its block: a version holding
+        # one Python int per cell peaks well above the fsum form's cell list
+        c = TripleSearchConfig((-8.0, 8.0), n_anchor=9, n_h=6, h_min=0.05,
+                               n_grid=2 ** 17)
+
+        def peak():
+            ap_general_constant(POW_HALF, 2.0, "plus", c)
+            tracemalloc.start()
+            try:
+                ap_general_constant(POW_HALF, 2.0, "plus", c)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        new = peak()
+        monkeypatch.setattr(weights, "_integrals", oracle_integrals)
+        assert new <= peak()
