@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read
 from .grid import grid_nodes
 from .operators import KernelSpec, OperatorSpec, PolynomialPhase, PVConfig
 from .weights import WeightSpec
@@ -77,12 +77,10 @@ class TestFunctionFamily:
                 "support": list(self.support)}
 
     @staticmethod
-    def from_json(obj: dict) -> "TestFunctionFamily":
-        try:
-            return TestFunctionFamily(obj["kind"], obj["count"], obj["seed"],
-                                      tuple(obj["support"]))
-        except KeyError as exc:
-            raise ConfigError(f"family missing field {exc}") from exc
+    def from_json(obj: dict, path: str = "family") -> "TestFunctionFamily":
+        return TestFunctionFamily(*(read(obj, k, kind, path=path) for k, kind in (
+            ("kind", str), ("count", int), ("seed", int))),
+            tuple(read(obj, "support", (float, float), path=path)))
 
 
 def generate_family(family: TestFunctionFamily, x_lo: float, x_hi: float,
@@ -267,15 +265,10 @@ def decay_rows(fit: DecayFit, weight_label: str, p: float, window: tuple,
             for j, lg in zip(fit.j_values, fit.log2_ratios)]
 
 
-def write_campaign_csv(path, rows, sidecar_path=None, configs=None):
-    """Campaign CSV plus a JSON sidecar holding the full config digests.
-    Output is byte-deterministic: no timestamps, repr-formatted floats."""
+def write_campaign_csv(path, rows):
+    """Campaign CSV with the ``CSV_COLUMNS`` of each row.  Output is
+    byte-deterministic: no timestamps, repr-formatted floats."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    if sidecar_path is not None:
-        with open(sidecar_path, "w") as fh:
-            json.dump(configs or [], fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        writer.writerows(rows)

@@ -15,8 +15,9 @@ Numerical contract
 * Integration endpoints snap to the nearest grid node (no partial
   cells), so splitting an integral at an interior node loses nothing:
   the cell partition is exact and only the final float addition rounds.
-* Interval sums use ``math.fsum`` (correctly rounded, summation-order
-  independent), which makes mirror-image computations bit-identical.
+* ``integrate`` and ``lp_weighted_norm`` sum cells with ``math.fsum``
+  (correctly rounded, summation-order independent), which makes
+  mirror-image computations bit-identical.
 * Grid nodes are built from the convex combination
   ``x_i = ((n-1-i) x_lo + i x_hi) / (n-1)`` so that the node set of the
   reflected window ``[-x_hi, -x_lo]`` is exactly ``-x_{n-1-i}``.
@@ -34,6 +35,7 @@ from .errors import DomainError, GridMismatchError
 __all__ = [
     "SampledFunction",
     "ExponentPair",
+    "grid_node",
     "grid_nodes",
     "integrate",
     "lp_weighted_norm",
@@ -41,11 +43,15 @@ __all__ = [
 ]
 
 
-def grid_nodes(x_lo: float, x_hi: float, n: int) -> np.ndarray:
-    """Uniform nodes of [x_lo, x_hi], endpoint-exact and reflection-symmetric."""
-    i = np.arange(n, dtype=np.float64)
+def grid_node(x_lo: float, x_hi: float, n: int, i):
+    """Node ``i`` (an int or an index array) of the n-node grid of [x_lo, x_hi]."""
     m = float(n - 1)
     return ((m - i) * x_lo + i * x_hi) / m
+
+
+def grid_nodes(x_lo: float, x_hi: float, n: int) -> np.ndarray:
+    """Uniform nodes of [x_lo, x_hi], endpoint-exact and reflection-symmetric."""
+    return grid_node(x_lo, x_hi, n, np.arange(n, dtype=np.float64))
 
 
 def trapezoid_cells(values: np.ndarray, spacing: float) -> np.ndarray:

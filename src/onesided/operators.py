@@ -70,7 +70,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, read
 from .grid import SampledFunction, cumulative_trapezoid, grid_nodes, resample
 
 __all__ = [
@@ -210,10 +210,13 @@ class KernelSpec:
                            "smooth_const": self.smooth_const}}
 
     @staticmethod
-    def from_json(obj: dict) -> "KernelSpec":
-        k = obj["kernel"] if "kernel" in obj else obj
-        return KernelSpec(k["tag"], k["side"], tuple(k["params"]),
-                          k.get("size_const", 1.0), k.get("smooth_const", 2.0))
+    def from_json(obj: dict, path: str = "kernel") -> "KernelSpec":
+        """From ``{"tag", "side", "params", ...}`` or that object under ``"kernel"``."""
+        k = obj["kernel"] if isinstance(obj.get("kernel"), dict) else obj
+        return KernelSpec(read(k, "tag", str, path=path), read(k, "side", str, path=path),
+                          tuple(read(k, "params", [float], path=path)),
+                          read(k, "size_const", float, 1.0, path),
+                          read(k, "smooth_const", float, 2.0, path))
 
 
 def _bump(u: np.ndarray, r_lo: float, r_hi: float) -> np.ndarray:
@@ -353,9 +356,11 @@ class PolynomialPhase:
         return {"phase": {"coeffs": [[a, b, v] for (a, b), v in self.terms]}}
 
     @staticmethod
-    def from_json(obj: dict) -> "PolynomialPhase":
-        ph = obj["phase"] if "phase" in obj else obj
-        return PolynomialPhase(tuple(((a, b), v) for a, b, v in ph["coeffs"]))
+    def from_json(obj: dict, path: str = "phase") -> "PolynomialPhase":
+        """From ``{"coeffs": [[deg_x, deg_y, value], ...]}``, or that object under ``"phase"``."""
+        ph = obj["phase"] if isinstance(obj.get("phase"), dict) else obj
+        coeffs = read(ph, "coeffs", [(int, int, float)], path=path)
+        return PolynomialPhase(tuple(((a, b), v) for a, b, v in coeffs))
 
 
 @dataclass(frozen=True)
@@ -879,8 +884,8 @@ def kernel_cancellation_sup(kernel: KernelSpec, eps_grid, N_grid,
     """
     eps_grid = [float(e) for e in eps_grid]
     N_grid = [float(N) for N in N_grid]
-    if min(eps_grid) <= 0 or min(N_grid) <= 0:
-        raise DomainError("truncation radii must be positive")
+    if min(eps_grid, default=0.0) <= 0 or min(N_grid, default=0.0) <= 0:
+        raise DomainError("truncation radii must be given and positive")
     pairs = [(e, N) for e in eps_grid for N in N_grid if e < N]
     if not pairs:
         raise DomainError("no admissible pair with eps < N")

@@ -12,6 +12,8 @@ reproducibility by diffing two runs.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -401,17 +403,18 @@ def run_all(out_dir: Optional[str] = None, seed: int = STANDARD_SEED,
     if out_dir is not None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
-        write_campaign_csv(path / "campaigns.csv", [row for r in results for row in r.rows],
-                           path / "campaigns.json",
-                           [cfg for r in results for cfg in r.configs])
+        write_campaign_csv(path / "campaigns.csv", [row for r in results for row in r.rows])
+        with open(path / "campaigns.json", "w") as fh:
+            json.dump([cfg for r in results for cfg in r.configs], fh,
+                      sort_keys=True, indent=1)
+            fh.write("\n")
         _write_summary(path / "summary.csv", results, seed)
     return results
 
 
 def _write_summary(path, results, seed):
-    import csv as _csv
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["criterion", "name", "passed", "details", "seed"])
         for r in results:
             det = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(r.details.items()))

@@ -41,9 +41,9 @@ from typing import Optional
 import numpy as np
 
 from . import operators as _ops
-from .errors import ConfigError, DomainError, GridMismatchError
+from .errors import ConfigError, DomainError, GridMismatchError, read
 from .grid import (ExponentPair, SampledFunction, cumulative_trapezoid,
-                   grid_nodes, resample, trapezoid_cells)
+                   grid_node, grid_nodes, resample, trapezoid_cells)
 
 __all__ = [
     "WeightSpec",
@@ -183,22 +183,20 @@ class WeightSpec:
         return {"form": self.form, "params": list(self.params)}
 
     @staticmethod
-    def from_json(obj: dict) -> "WeightSpec":
-        form = obj.get("form")
+    def from_json(obj: dict, path: str = "weight") -> "WeightSpec":
+        form = read(obj, "form", str, path=path)
         if form == "sampled":
-            sf = SampledFunction(obj["x_lo"], obj["x_hi"], obj["n"],
-                                 np.asarray(obj["values"], dtype=float))
+            sf = SampledFunction(*(read(obj, k, kind, path=path) for k, kind in
+                                   (("x_lo", float), ("x_hi", float), ("n", int))),
+                                 np.asarray(read(obj, "values", [float], path=path)))
             return WeightSpec.sampled(sf)
-        params = obj.get("params", [])
-        if form == "constant":
-            return WeightSpec.constant(*params)
-        if form == "power":
-            return WeightSpec.power(*params)
-        if form == "exponential":
-            return WeightSpec.exponential(*params)
-        if form == "product":
-            return WeightSpec.product(*params)
-        raise ConfigError(f"weight.form: unknown tag {form!r}")
+        arity = {"constant": 1, "power": 1, "exponential": 1, "product": 3}.get(form)
+        if arity is None:
+            raise ConfigError(f"{path}.form: unknown tag {form!r}")
+        params = read(obj, "params", [float], path=path)
+        if len(params) != arity:
+            raise ConfigError(f"{path}.params: {form} takes {arity}, got {len(params)}")
+        return getattr(WeightSpec, form)(*params)
 
 
 def weight_power(w: WeightSpec, e: float) -> WeightSpec:
@@ -337,14 +335,11 @@ class TripleSearchConfig:
                 "gamma": self.gamma, "n_grid": self.n_grid, "ceiling": self.ceiling}
 
     @staticmethod
-    def from_json(obj: dict) -> "TripleSearchConfig":
-        try:
-            return TripleSearchConfig(tuple(obj["window"]), **{
-                k: obj[k] for k in
-                ("n_anchor", "n_h", "h_min", "h_max", "gamma", "n_grid", "ceiling")
-                if k in obj})
-        except KeyError as exc:
-            raise ConfigError(f"search config missing field {exc}") from exc
+    def from_json(obj: dict, path: str = "search") -> "TripleSearchConfig":
+        return TripleSearchConfig(tuple(read(obj, "window", (float, float), path=path)), **{
+            k: read(obj, k, kind, path=path) for k, kind in
+            (("n_anchor", int), ("n_h", int), ("h_min", float), ("h_max", float),
+             ("gamma", float), ("n_grid", int), ("ceiling", float)) if k in obj})
 
 
 @dataclass(frozen=True)
@@ -501,13 +496,13 @@ def _witness(lat: _Lattice, cfg: TripleSearchConfig, fields: Optional[dict] = No
     times the spacing, starting from 0 without a point and adding nothing
     without a shift.  By default every point is reported as its node."""
     fields = fields or {name: (name, None) for name in lat.offsets}
-    nodes = grid_nodes(*cfg.window, cfg.n_grid)
 
     def build(arg):
         i, c = divmod(arg, lat.ok.shape[1])
         out = {}
         for name, (point, shift) in fields.items():
-            v = float(nodes[lat.anchors[i] + lat.offsets[point][c]]) if point else 0.0
+            v = grid_node(*cfg.window, cfg.n_grid,
+                          int(lat.anchors[i] + lat.offsets[point][c])) if point else 0.0
             out[name] = v + float(lat.offsets[shift][c] * cfg.spacing) if shift else v
         return out
 
@@ -658,7 +653,7 @@ def _pointwise_constant(w: WeightSpec, cfg: TripleSearchConfig, ratio) -> Consta
     if not np.all(np.isfinite(wv)):
         return ConstantReport(math.inf, None, cfg, False)
     return _report(ratio(wv, cfg.spacing),
-                   lambda arg: {"x": float(grid_nodes(lo, hi, cfg.n_grid)[arg])}, cfg)
+                   lambda arg: {"x": grid_node(lo, hi, cfg.n_grid, int(arg))}, cfg)
 
 
 def a1_constant(w: WeightSpec, side: str, cfg: TripleSearchConfig) -> ConstantReport:

@@ -1,9 +1,11 @@
+import copy
 import json
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from onesided import weights
+from onesided import cli, weights
 from onesided.cli import main
 from onesided.experiments import config_digest
 
@@ -21,6 +23,66 @@ KERNEL = {"kernel": {"tag": "oscillating-log", "side": "plus",
                      "smooth_const": 2.0}}
 FAMILY = {"kind": "random-bump-sums", "count": 6, "seed": 20240901,
           "support": [-2.0, 2.0]}
+ENDPOINTS = {"p0": 2.0, "p1": 3.0,
+             "u0": {"form": "exponential", "params": [1.0]},
+             "v0": {"form": "constant", "params": [1.0]},
+             "u1": {"form": "constant", "params": [1.0]},
+             "v1": {"form": "power", "params": [0.5]},
+             "theta": 0.4}
+SMALL_GRID = {"window": [-4.0, 4.0], "n": 129}
+# one small valid config per command; every run takes well under a second
+TINY = {
+    ("weights", "estimate"): {
+        "estimator": "ap_general", "p": 2.0, "side": "plus",
+        "weight": {"form": "sampled", "x_lo": -8.0, "x_hi": 8.0, "n": 9,
+                   "values": [1.0, 0.1, 1e-8, 2.5, 1.0 / 3.0, 7.0, 1e300, 5e-324, 0.5]},
+        "search": dict(SEARCH, n_grid=257, n_anchor=9, n_h=4, h_min=0.5)},
+    ("weights", "bump"): {
+        "weight": {"form": "power", "params": [0.5]}, "p": 2.0, "ceiling": 100.0,
+        "search": dict(SEARCH, n_grid=257, n_anchor=9, n_h=4, h_min=0.5)},
+    ("operators", "apply"): {
+        "operator": dict({"kind": "singular", "pv": {"eps_cells": 1}}, **KERNEL),
+        "grid": SMALL_GRID, "input": {"family": FAMILY, "index": 2}},
+    ("operators", "cancel-sup"): dict({"eps_grid": [1e-3, 1e-2], "N_grid": [1.0, 8.0]},
+                                      **KERNEL),
+    ("interp", "verify"): {"endpoints": ENDPOINTS,
+                           "g": {"family": FAMILY, "index": 0, "grid": SMALL_GRID}},
+    ("sweep", "coeffs"): dict({"monomial": [1, 1], "coeffs": [1.0], "weight": None,
+                               "p": 2.0, "family": FAMILY, "grid": SMALL_GRID,
+                               "pv": {"eps_cells": 1}}, **KERNEL),
+    ("decay", "fit"): dict({"phase": {"coeffs": [[1, 1, 1.0]]}, "p": 2.0, "weight": None,
+                            "family": dict(FAMILY, count=2, support=[0.0, 1.0]),
+                            "j_max": 3, "grid": {"window": [-10.0, 2.0], "n": 257}},
+                           **KERNEL),
+    ("suite", "run"): {"seed": 1},
+}
+# flags of a run and the config paths they write
+OVERRIDES = {
+    ("operators", "apply"): (["--window=-3,3", "--n", "65"],
+                             {"grid.window": [-3.0, 3.0], "grid.n": 65}),
+    ("interp", "verify"): (["--window=-3,3", "--n", "65"],
+                           {"g.grid.window": [-3.0, 3.0], "g.grid.n": 65}),
+    ("sweep", "coeffs"): (["--seed", "7", "--n", "65"], {"family.seed": 7, "grid.n": 65}),
+    ("decay", "fit"): (["--seed", "7", "--window=-9,2"],
+                       {"family.seed": 7, "grid.window": [-9.0, 2.0]}),
+}
+# each fails at a field the reader names: (command, top-level change, flags, path)
+MALFORMED = [
+    (("sweep", "coeffs"), {"p": "abc"}, [], "p"),
+    (("sweep", "coeffs"), {"monomial": [1, "y"]}, [], "monomial[1]"),
+    (("sweep", "coeffs"), {"pv": {"eps_cells": "x"}}, [], "pv.eps_cells"),
+    (("sweep", "coeffs"),
+     {"kernel": {k: v for k, v in KERNEL["kernel"].items() if k != "side"}}, [],
+     "kernel.side"),
+    (("decay", "fit"), {"phase": {"coeffs": [[1, 1]]}}, [], "phase.coeffs[0]"),
+    (("operators", "apply"), {"input": {"index": "a"}}, [], "input.index"),
+    (("operators", "apply"), {"grid": {"window": [-2, 2, 3]}}, [], "grid.window"),
+    (("operators", "cancel-sup"), {"eps_grid": ["a"]}, [], "eps_grid[0]"),
+    (("interp", "verify"), {"endpoints": dict(ENDPOINTS, p0="a")}, [], "endpoints.p0"),
+    (("interp", "verify"), {"g": {"values": ["x", 2, 3]}}, [], "g.values[0]"),
+    (("suite", "run"), {"seed": "x"}, [], "seed"),
+    (("weights", "estimate"), {}, ["--n", "64"], "--n"),
+]
 
 
 class TestWeightsCommands:
@@ -94,24 +156,31 @@ class TestWeightsCommands:
         p.write_text("{not json")
         assert main(["weights", "estimate", "--config", str(p)]) == 2
 
-    def test_sampled_sidecar_roundtrip(self, tmp_path):
-        # the compact sidecar reads back as the config and its digest
-        values = [1.0, 0.1, 1e-8, 2.5, 1.0 / 3.0, 7.0, 1e300, 5e-324, 0.5]
-        cfg = {"estimator": "ap_plus", "p": 2.0,
-               "weight": {"form": "sampled", "x_lo": -8.0, "x_hi": 8.0,
-                          "n": len(values), "values": values},
-               "search": dict(SEARCH, n_grid=257, n_anchor=9, n_h=4, h_min=0.5)}
+    @pytest.mark.parametrize("command", [c for c in TINY if c != ("suite", "run")],
+                             ids="-".join)
+    def test_sampled_sidecar_roundtrip(self, tmp_path, command):
+        # one compact sidecar line that reads back as the config the run
+        # used, overrides included, and its digest
+        cfg = TINY[command]
+        flags, overrides = OVERRIDES.get(command, ([], {}))
         path = write_cfg(tmp_path, "c.json", cfg)
         sidecars = []
         for name in ("r1", "r2"):
-            main(["weights", "estimate", "--config", path,
-                  "--out", str(tmp_path / name)])
+            assert main([*command, "--config", path, "--out", str(tmp_path / name),
+                         *flags]) in (0, 3)
             sidecars.append((tmp_path / f"{name}.json").read_bytes())
         assert sidecars[0] == sidecars[1]
         assert sidecars[0].count(b"\n") == 1 and sidecars[0].endswith(b"\n")
+        used = copy.deepcopy(cfg)
+        for dotted, value in overrides.items():
+            *parents, key = dotted.split(".")
+            holder = used
+            for part in parents:
+                holder = holder[part]
+            holder[key] = value
         payload = json.loads(sidecars[0])
-        assert payload["config"] == cfg
-        assert payload["digest"] == config_digest(cfg)
+        assert payload["config"] == used
+        assert payload["digest"] == config_digest(used)
 
     @pytest.mark.parametrize("command, field, value", [
         ("estimate", "weight", {"form": "sampled", "x_lo": 0.0, "x_hi": 1.0,
@@ -126,7 +195,8 @@ class TestWeightsCommands:
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main(["weights", command, "--config", path,
                      "--out", str(tmp_path / "res")]) == 2
-        assert f"config error: {field}:" in capsys.readouterr().err
+        leaf = {"weight": "weight.values[0]"}.get(field, field)
+        assert f"config error: {leaf}:" in capsys.readouterr().err
 
     def test_oversized_lattice_refused_up_front(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {
@@ -243,3 +313,74 @@ class TestInterpSweepDecay:
         ra = (tmp_path / "a.csv").read_text().splitlines()[1]
         rb = (tmp_path / "b.csv").read_text().splitlines()[1]
         assert ra != rb
+
+
+class TestCommandTable:
+    def test_sweep_overrides_change_digest(self, tmp_path):
+        path = write_cfg(tmp_path, "c.json", TINY["sweep", "coeffs"])
+        digests = set()
+        for i, flags in enumerate(([], ["--seed", "7"], ["--n", "65"], ["--window=-3,3"])):
+            out = tmp_path / f"r{i}"
+            assert main(["sweep", "coeffs", "--config", path, "--out", str(out), *flags]) == 0
+            digests.add(json.loads((tmp_path / f"r{i}.json").read_text())["digest"])
+        assert len(digests) == 4
+
+    @pytest.mark.parametrize("argv", [["weights", "estimat"], ["sweep", "run"]])
+    def test_unknown_command_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert all(" ".join(command) in err for command in cli._COMMANDS)
+
+    @pytest.mark.parametrize("command, change, flags, path", MALFORMED,
+                             ids=[case[-1] for case in MALFORMED])
+    def test_malformed_exit_2_with_path(self, tmp_path, capsys, command, change, flags, path):
+        cfg = write_cfg(tmp_path, "c.json", dict(TINY[command], **change))
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "res"), *flags]) == 2
+        assert f"config error: {path}:" in capsys.readouterr().err
+
+
+def _leaves(obj, keys=(), label=""):
+    """(keys, dotted path, value) of every scalar in a JSON value."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, keys + (k,), f"{label}.{k}" if label else k)
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, keys + (i,), f"{label}[{i}]")
+    else:
+        yield keys, label, obj
+
+
+LEAVES = [(command, keys, label, value) for command, cfg in TINY.items()
+          for keys, label, value in _leaves(cfg)]
+WRONG_TYPES = {
+    "string": st.text(max_size=3), "null": st.none(), "bool": st.booleans(),
+    "list": st.lists(st.integers(-2, 2), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2)}
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    return "string" if isinstance(value, str) else "number"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_wrong_type_never_a_traceback(tmp_path, capsys, data):
+    # one leaf of a valid config gets a value of another JSON type; sizes
+    # never change, so no example can start an expensive run
+    command, keys, label, value = data.draw(st.sampled_from(LEAVES))
+    kind = data.draw(st.sampled_from([t for t in WRONG_TYPES if t != _json_type(value)]))
+    cfg = copy.deepcopy(TINY[command])
+    holder = cfg
+    for k in keys[:-1]:
+        holder = holder[k]
+    holder[keys[-1]] = data.draw(WRONG_TYPES[kind])
+    path = write_cfg(tmp_path, "c.json", cfg)
+    capsys.readouterr()
+    assert main([*command, "--config", path, "--out", str(tmp_path / "res")]) == 2
+    assert f"config error: {label}" in capsys.readouterr().err

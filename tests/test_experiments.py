@@ -213,10 +213,9 @@ class TestCSV:
         row = campaign_row("test", OperatorSpec("identity"), None, 2.0, 0.0,
                            rep, GRID[0], GRID[1])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_campaign_csv(p1, [row], tmp_path / "a.json", [{"d": rep.config_digest}])
-        write_campaign_csv(p2, [row], tmp_path / "b.json", [{"d": rep.config_digest}])
+        write_campaign_csv(p1, [row])
+        write_campaign_csv(p2, [row])
         assert p1.read_bytes() == p2.read_bytes()
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_columns(self, tmp_path):
         rep = norm_ratio(OperatorSpec("identity"), None, 2.0, FAM, *GRID)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onesided.errors import DomainError, GridMismatchError
-from onesided.grid import (ExponentPair, SampledFunction, grid_nodes,
+from onesided.grid import (ExponentPair, SampledFunction, grid_node, grid_nodes,
                            integrate, lp_weighted_norm, resample)
 
 
@@ -37,6 +37,15 @@ class TestSampledFunction:
             x = grid_nodes(lo, hi, n)
             xr = grid_nodes(-hi, -lo, n)
             assert np.array_equal(xr, -x[::-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e3, 1e3), st.floats(1e-6, 2e3), st.integers(2, 2 ** 21),
+           st.data())
+    def test_scalar_node_matches_array(self, lo, span, n, data):
+        # the witness reads one node as Python floats, bit for bit the array's
+        i = data.draw(st.integers(0, n - 1))
+        x = grid_node(lo, lo + span, n, i)
+        assert type(x) is float and x == grid_nodes(lo, lo + span, n)[i]
 
     def test_reflection_involution(self):
         rng = np.random.default_rng(0)
