@@ -42,8 +42,8 @@ import numpy as np
 from .errors import ConfigError, DomainError, GridMismatchError, read
 from .experiments import (CSV_COLUMNS, STANDARD_N, STANDARD_SEED, STANDARD_WINDOW,
                           OperatorSpec, TestFunctionFamily, campaign_row,
-                          coefficient_sweep, config_digest, decay_rows,
-                          dyadic_decay, generate_family)
+                          coefficient_sweep, decay_rows, dyadic_decay,
+                          generate_family, json_digest)
 from .grid import SampledFunction, grid_nodes
 from .interpolate import InterpolationEndpoints, verify_on_multiplier
 from .operators import (KernelSpec, PolynomialPhase, PVConfig,
@@ -292,11 +292,17 @@ def _write_outputs(prefix: Path, cfg: dict, header, rows, results: dict) -> None
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    # one compact line through json's C encoder; json.dump would stream
-    # through the pure-Python one, which dominates on sampled weights
     with open(prefix.with_suffix(".json"), "w") as fh:
-        fh.write(json.dumps(dict(results, config=cfg, digest=config_digest(cfg)),
-                            sort_keys=True) + "\n")
+        fh.write(_sidecar(cfg, results) + "\n")
+
+
+def _sidecar(cfg: dict, results: dict) -> str:
+    """``json.dumps(dict(results, config=cfg, digest=config_digest(cfg)), sort_keys=True)``
+    with the config encoded once, for the sidecar and its digest."""
+    config = json.dumps(cfg, sort_keys=True)
+    fields = {k: json.dumps(v, sort_keys=True) for k, v in results.items()}
+    fields.update(config=config, digest=json.dumps(json_digest(config)))
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in sorted(fields.items())) + "}"
 
 
 def main(argv=None) -> int:

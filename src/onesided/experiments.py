@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, read
-from .grid import grid_nodes
+from .grid import check_working_bytes, grid_nodes
 from .operators import KernelSpec, OperatorSpec, PolynomialPhase, PVConfig
 from .weights import WeightSpec
 
@@ -34,7 +34,7 @@ __all__ = [
     "STANDARD_COUNT",
     "TestFunctionFamily", "OperatorSpec", "NormRatioReport", "DecayFit",
     "generate_family", "norm_ratio", "coefficient_sweep", "dyadic_decay",
-    "weighted_norms_batch", "write_campaign_csv", "config_digest",
+    "weighted_norms_batch", "write_campaign_csv", "config_digest", "json_digest",
 ]
 
 # Reproducibility anchor: every acceptance number is produced at this
@@ -93,6 +93,10 @@ def generate_family(family: TestFunctionFamily, x_lo: float, x_hi: float,
     lo, hi = family.support
     if lo < x_lo or hi > x_hi:
         raise ConfigError(f"support {family.support} outside window [{x_lo}, {x_hi}]")
+    # 16 complex (count, n) blocks: the samples, the apply's output and its
+    # FFT temporaries, measured at 9-13
+    check_working_bytes(16 * 16 * family.count * n,
+                        f"a family of {family.count} x {n} samples and its apply")
     x = grid_nodes(x_lo, x_hi, n)
     d = (x_hi - x_lo) / (n - 1)
     inside = (x >= lo) & (x <= hi)
@@ -140,7 +144,12 @@ def weighted_norms_batch(G: np.ndarray, wv: Optional[np.ndarray], d: float,
 
 
 def config_digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+    return json_digest(json.dumps(obj, sort_keys=True))
+
+
+def json_digest(text: str) -> str:
+    """``config_digest`` of the config whose sorted-keys JSON is ``text``."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -219,12 +228,12 @@ def dyadic_decay(kernel: KernelSpec, phase: PolynomialPhase, p: float,
                  pv: PVConfig = PVConfig()) -> DecayFit:
     """Fitted decay of the dyadic-piece norm ratios for j = 1..j_max."""
     if j_max < 3:
-        raise ConfigError("need j_max >= 3 for a meaningful fit")
+        raise ConfigError(f"j_max: need j_max >= 3 for a meaningful fit, got {j_max}")
     x_lo, x_hi = window
-    if family.support[0] - 2.0 ** j_max < x_lo - 1e-9:
-        raise ConfigError(
-            f"window too small: piece {j_max} needs x down to "
-            f"{family.support[0] - 2.0 ** j_max}, window starts at {x_lo}")
+    reach = family.support[0] - (2.0 ** j_max if j_max < 1024 else math.inf)
+    if reach < x_lo - 1e-9:
+        raise ConfigError(f"j_max: window too small: piece {j_max} needs x down to "
+                          f"{reach}, window starts at {x_lo}")
     js, logs = [], []
     for j in range(1, j_max + 1):
         op = OperatorSpec("dyadic_piece", kernel, phase, pv, j=j)

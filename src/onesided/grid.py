@@ -21,6 +21,11 @@ Numerical contract
 * Grid nodes are built from the convex combination
   ``x_i = ((n-1-i) x_lo + i x_hi) / (n-1)`` so that the node set of the
   reflected window ``[-x_hi, -x_lo]`` is exactly ``-x_{n-1-i}``.
+* ``grid_nodes`` and ``cumulative_trapezoid`` work in place, with the
+  operations and order of the plain expressions (bit-identical), so a
+  grid costs two arrays and its running sums one.
+* A request whose estimated working set passes WORKING_BYTES_LIMIT
+  (4 GiB) is refused up front (``check_working_bytes``).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import ConfigError, DomainError, GridMismatchError
 
 __all__ = [
     "SampledFunction",
@@ -42,11 +47,26 @@ __all__ = [
     "resample",
 ]
 
+WORKING_BYTES_LIMIT = 4 * 2 ** 30
+
+
+def check_working_bytes(nbytes: int, what: str) -> None:
+    """ConfigError, stating the bytes, when ``what`` would hold more than the limit."""
+    if nbytes > WORKING_BYTES_LIMIT:
+        raise ConfigError(f"{what} would hold about {nbytes:.3g} bytes at once, "
+                          f"over the {WORKING_BYTES_LIMIT / 2 ** 30:g} GiB budget")
+
 
 def grid_node(x_lo: float, x_hi: float, n: int, i):
-    """Node ``i`` (an int or an index array) of the n-node grid of [x_lo, x_hi]."""
+    """Node ``i`` of the n-node grid of [x_lo, x_hi]: a float for an int
+    ``i``; a float64 index array is overwritten with its nodes."""
     m = float(n - 1)
-    return ((m - i) * x_lo + i * x_hi) / m
+    hi_part = i * x_hi
+    x = np.subtract(m, i, out=i if isinstance(i, np.ndarray) else None)
+    x *= x_lo
+    x += hi_part
+    x /= m
+    return x if isinstance(i, np.ndarray) else float(x)
 
 
 def grid_nodes(x_lo: float, x_hi: float, n: int) -> np.ndarray:
@@ -60,11 +80,15 @@ def trapezoid_cells(values: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def cumulative_trapezoid(values: np.ndarray, spacing: float) -> np.ndarray:
-    """Running cell sums with a leading zero: entry i integrates from node
-    0 to node i, so any interval integral is a difference of two entries."""
-    cells = trapezoid_cells(values, spacing)
-    zero = np.zeros(cells.shape[:-1] + (1,), dtype=cells.dtype)
-    return np.concatenate([zero, np.cumsum(cells, axis=-1)], axis=-1)
+    """Running cell sums with a leading zero, formed in the result: entry i
+    integrates from node 0 to node i, so an interval integral is a difference."""
+    out = np.empty(values.shape, dtype=np.result_type(spacing, values))
+    cells = np.add(values[..., :-1], values[..., 1:], out=out[..., 1:])
+    np.multiply(spacing, cells, out=cells)
+    cells /= 2.0
+    out[..., 0] = 0.0
+    np.cumsum(cells, axis=-1, out=cells)
+    return out
 
 
 def _cfsum(values: np.ndarray) -> complex:
@@ -136,10 +160,6 @@ class SampledFunction:
         t = (a - self.x_lo) / span
         return int(min(max(round(t * (self.n - 1)), 0), self.n - 1))
 
-    def cell_areas(self) -> np.ndarray:
-        """Trapezoid areas of the n-1 grid cells."""
-        return trapezoid_cells(self.values, self.spacing)
-
 
 @dataclass(frozen=True)
 class ExponentPair:
@@ -169,7 +189,7 @@ def integrate(f: SampledFunction, a: float, b: float) -> complex:
     ia, ib = f.snap_index(a), f.snap_index(b)
     if ib <= ia:
         return 0j
-    return _cfsum(f.cell_areas()[ia:ib])
+    return _cfsum(trapezoid_cells(f.values, f.spacing)[ia:ib])
 
 
 def lp_weighted_norm(f: SampledFunction, w: SampledFunction, p: float) -> float:

@@ -31,7 +31,6 @@ answer the experiments need.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import operators as _ops
 from .errors import ConfigError, DomainError, GridMismatchError, read
-from .grid import (ExponentPair, SampledFunction, cumulative_trapezoid,
+from .grid import (ExponentPair, SampledFunction, check_working_bytes, cumulative_trapezoid,
                    grid_node, grid_nodes, resample, trapezoid_cells)
 
 __all__ = [
@@ -68,8 +67,6 @@ __all__ = [
 ]
 
 DIVERGENCE_CEILING = 1.0e6  # default cap; estimators flag rather than raise
-# a search config whose estimated working set exceeds this is refused up front
-_SEARCH_BYTES_LIMIT = 4 * 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +156,22 @@ class WeightSpec:
         (estimators translate it into finite_flag=False); underflow to
         zero violates the positivity invariant and raises.
         """
-        x = grid_nodes(x_lo, x_hi, n)
         if self.form == "sampled":
             vals = resample(self.samples, x_lo, x_hi, n).values.real.copy()
         else:
+            # in place; 1.0 * and * exp(0 x) are exact identities, so skipped
             scale, alpha, c = self.canonical()
-            ax = np.abs(x)
+            x = grid_nodes(x_lo, x_hi, n)
+            vals = np.abs(x, out=None if c else x)
             if alpha != 0.0:
-                d = (x_hi - x_lo) / (n - 1)
-                ax = np.where(ax == 0.0, d / 2.0, ax)
+                vals[vals == 0.0] = (x_hi - x_lo) / (n - 1) / 2.0
             with np.errstate(over="ignore", under="ignore"):
-                vals = scale * ax ** alpha * np.exp(c * x)
+                vals **= alpha
+                if scale != 1.0:
+                    vals *= scale
+                if c != 0.0:
+                    x *= c
+                    vals *= np.exp(x, out=x)
         if np.any(np.isnan(vals)) or np.any(vals <= 0.0):
             raise DomainError(f"weight {self.label()} not strictly positive on the window")
         return vals
@@ -298,12 +300,8 @@ class TripleSearchConfig:
             raise ConfigError("degenerate search lattice")
         if self.ceiling <= 0:
             raise ConfigError("ceiling must be positive")
-        if self.working_bytes() > _SEARCH_BYTES_LIMIT:
-            raise ConfigError(
-                f"search would hold about {self.working_bytes() / 2 ** 30:.3g} GiB "
-                f"at once (n_grid={self.n_grid}, {self.n_anchor} anchors x "
-                f"{self.n_h ** 2} columns), over the "
-                f"{_SEARCH_BYTES_LIMIT / 2 ** 30:g} GiB budget")
+        check_working_bytes(self.working_bytes(), f"the search (n_grid={self.n_grid}, "
+                            f"{self.n_anchor} anchors x {self.n_h ** 2} columns)")
 
     def working_bytes(self) -> int:
         """Estimated bytes a search holds at once: about eight float64
@@ -356,9 +354,6 @@ class ConstantReport:
         return {"constant": self.constant, "witness": self.witness,
                 "finite_flag": self.finite_flag,
                 "resolution": self.resolution.to_json()}
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 import copy
 import json
+import math
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from onesided import cli, weights
+from onesided import cli, experiments, weights
 from onesided.cli import main
 from onesided.experiments import config_digest
 
@@ -82,6 +83,7 @@ MALFORMED = [
     (("interp", "verify"), {"g": {"values": ["x", 2, 3]}}, [], "g.values[0]"),
     (("suite", "run"), {"seed": "x"}, [], "seed"),
     (("weights", "estimate"), {}, ["--n", "64"], "--n"),
+    (("decay", "fit"), {"j_max": 1100}, [], "j_max"),       # 2.0 ** 1100 overflows
 ]
 
 
@@ -315,6 +317,48 @@ class TestInterpSweepDecay:
         assert ra != rb
 
 
+def two_encode_sidecar(cfg: dict, results: dict) -> str:
+    """The sidecar text with the config encoded twice, kept as the oracle."""
+    return json.dumps(dict(results, config=cfg, digest=config_digest(cfg)), sort_keys=True)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=12)
+
+
+class TestSidecar:
+    @pytest.mark.parametrize("command", [c for c in TINY if c != ("suite", "run")],
+                             ids="-".join)
+    def test_bytes_equal_two_encode_form(self, tmp_path, command):
+        # extra results sort before "config", between it and "digest", and
+        # after both, with non-finite values
+        handler, paths = cli._COMMANDS[command]
+        returned = []
+
+        def with_extras(cfg):
+            header, rows, results, status = handler(cfg)
+            results = dict(results, a_first=-math.inf, constant=math.inf,
+                           zz_last=[math.inf, math.nan, None])
+            returned.append(results)
+            return header, rows, results, status
+
+        path = write_cfg(tmp_path, "c.json", TINY[command])
+        with mock.patch.dict(cli._COMMANDS, {command: (with_extras, paths)}):
+            assert main([*command, "--config", path, "--out", str(tmp_path / "r")]) in (0, 3)
+        expected = two_encode_sidecar(TINY[command], returned[0]) + "\n"
+        assert (tmp_path / "r.json").read_bytes() == expected.encode()
+        assert b"Infinity" in expected.encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5),
+           st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=5))
+    def test_any_json_equals_two_encode_form(self, cfg, results):
+        assert cli._sidecar(cfg, results) == two_encode_sidecar(cfg, results)
+
+
 class TestCommandTable:
     def test_sweep_overrides_change_digest(self, tmp_path):
         path = write_cfg(tmp_path, "c.json", TINY["sweep", "coeffs"])
@@ -330,6 +374,17 @@ class TestCommandTable:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert all(" ".join(command) in err for command in cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", list(OVERRIDES), ids="-".join)
+    def test_oversized_grid_refused_up_front(self, tmp_path, capsys, command):
+        # refused from the family's count and n alone; the first allocation
+        # of the samples raises if it is ever reached
+        path = write_cfg(tmp_path, "c.json", TINY[command])
+        with mock.patch.object(experiments, "grid_nodes", side_effect=AssertionError):
+            assert main([*command, "--config", path, "--out", str(tmp_path / "r"),
+                         "--n", str(10 ** 18)]) == 2
+        err = capsys.readouterr().err
+        assert f"x {10 ** 18} samples" in err and "bytes" in err and "GiB budget" in err
 
     @pytest.mark.parametrize("command, change, flags, path", MALFORMED,
                              ids=[case[-1] for case in MALFORMED])

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onesided.errors import DomainError, GridMismatchError
-from onesided.grid import (ExponentPair, SampledFunction, grid_node, grid_nodes,
-                           integrate, lp_weighted_norm, resample)
+from onesided.grid import (ExponentPair, SampledFunction, cumulative_trapezoid,
+                           grid_node, grid_nodes, integrate, lp_weighted_norm,
+                           resample)
 
 
 def const(c, lo=0.0, hi=1.0, n=101):
@@ -180,3 +181,74 @@ class TestResample:
     def test_window_escape(self):
         with pytest.raises(DomainError):
             resample(const(1.0), -0.1, 1.0, 11)
+
+
+# ---------------------------------------------------------------------------
+# the in-place primitives against the expressions they replaced
+# ---------------------------------------------------------------------------
+
+def old_grid_nodes(x_lo, x_hi, n):
+    """grid_nodes as six out-of-place array expressions, kept as the oracle."""
+    i = np.arange(n, dtype=np.float64)
+    m = float(n - 1)
+    return ((m - i) * x_lo + i * x_hi) / m
+
+
+def old_cumulative_trapezoid(values, spacing):
+    """cumulative_trapezoid through a cell array and a concatenate, kept
+    as the oracle."""
+    cells = spacing * (values[..., :-1] + values[..., 1:]) / 2.0
+    zero = np.zeros(cells.shape[:-1] + (1,), dtype=cells.dtype)
+    return np.concatenate([zero, np.cumsum(cells, axis=-1)], axis=-1)
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads included."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@st.composite
+def windows(draw):
+    """(x_lo, x_hi, n): any window, a symmetric one, or one with a node at
+    exactly 0 (integer multiples of a power of two)."""
+    n = draw(st.integers(2, 2 ** 12))
+    kind = draw(st.sampled_from(["any", "symmetric", "zero-node"]))
+    if kind == "zero-node":
+        k, s = draw(st.integers(0, n - 1)), 2.0 ** draw(st.integers(-12, 12))
+        return -k * s, (n - 1 - k) * s, n
+    hi = draw(st.floats(1e-6, 1e3))
+    lo = -hi if kind == "symmetric" else hi - draw(st.floats(1e-6, 2e3))
+    return lo, hi, n
+
+
+class TestInPlaceAgainstOldExpressions:
+    @settings(max_examples=300, deadline=None)
+    @given(windows())
+    def test_grid_nodes(self, window):
+        lo, hi, n = window
+        for a, b in ((lo, hi), (-hi, -lo)):      # the window and its reflection
+            assert same_bits(grid_nodes(a, b, n), old_grid_nodes(a, b, n))
+
+    def test_zero_node_is_exact(self):
+        assert grid_nodes(-3.0, 5.0, 9)[3] == 0.0
+        assert grid_nodes(-8.0, 8.0, 2 ** 12 + 1)[2 ** 11] == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 2 ** 12), st.integers(1, 3), st.booleans(),
+           st.integers(-320, 308), st.floats(1e-6, 1e3), st.integers(0, 2 ** 32 - 1))
+    def test_cumulative_trapezoid(self, n, rows, complex_rows, exp10, spacing, seed):
+        # magnitudes up to 2e308 overflow cells and running sums to inf,
+        # and inf - inf or complex products with inf give nan
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = rng.uniform(-1.0, 2.0, (rows, n)) * 10.0 ** exp10
+            if complex_rows:
+                vals = vals + 1j * rng.uniform(-1.0, 2.0, (rows, n)) * 10.0 ** exp10
+            for v in (vals, vals[0]):            # 2-D rows and one 1-D row
+                assert same_bits(cumulative_trapezoid(v, spacing),
+                                 old_cumulative_trapezoid(v, spacing))
+
+    def test_cumulative_trapezoid_keeps_dtype(self):
+        for v in (np.arange(5), np.arange(5, dtype=np.float32), np.ones(5, complex)):
+            assert same_bits(cumulative_trapezoid(v, 0.5), old_cumulative_trapezoid(v, 0.5))

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from onesided import weights
+from onesided import grid, weights
 from onesided.errors import ConfigError, DomainError, GridMismatchError
 from onesided.grid import SampledFunction, cumulative_trapezoid, trapezoid_cells
+from test_grid import old_grid_nodes, same_bits, windows
 from onesided.weights import (TripleSearchConfig, WeightSpec, a1_constant,
                               ap_both_constant, ap_general_constant,
                               ap_minus_constant, ap_plus_constant, dilate,
@@ -154,7 +155,7 @@ class TestConfig:
         # the largest searches in use (the battery's and the benchmark's
         # 2^20-node bump) sit far below the budget
         big = TripleSearchConfig((-8.0, 8.0), n_anchor=65, n_h=16, n_grid=2 ** 20)
-        assert 16 * big.working_bytes() < weights._SEARCH_BYTES_LIMIT
+        assert 16 * big.working_bytes() < grid.WORKING_BYTES_LIMIT
 
     def test_h_min_below_spacing(self):
         c = cfg(h_min=1e-6, h_max=1.0)
@@ -483,6 +484,85 @@ class TestPowerBump:
         c = cfg(window=(-2.0, 2.0), n_grid=8193, ceiling=10.0)
         with pytest.raises(DomainError):
             power_bump_search(WeightSpec.power(1.5), 2.0, c, ceiling=10.0)
+
+    def test_step_peak_memory(self):
+        # one bisection step of the benchmark's 2^20-node bump holds the
+        # node values, their dual power and one running-sum array (25 MB);
+        # the out-of-place grid, realize and running sums peaked at 42 MB
+        c = TripleSearchConfig((-8.0, 8.0), n_grid=2 ** 20)
+        tracemalloc.start()
+        try:
+            ap_plus_constant(WeightSpec.power(0.9), 2.0, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+
+# ---------------------------------------------------------------------------
+# in-place realize against the expression it replaced
+# ---------------------------------------------------------------------------
+
+def old_realize(w: WeightSpec, x_lo: float, x_hi: float, n: int) -> np.ndarray:
+    """The closed-form branch of WeightSpec.realize as out-of-place array
+    expressions, kept as the oracle."""
+    x = old_grid_nodes(x_lo, x_hi, n)
+    scale, alpha, c = w.canonical()
+    ax = np.abs(x)
+    if alpha != 0.0:
+        d = (x_hi - x_lo) / (n - 1)
+        ax = np.where(ax == 0.0, d / 2.0, ax)
+    with np.errstate(over="ignore", under="ignore"):
+        vals = scale * ax ** alpha * np.exp(c * x)
+    if np.any(np.isnan(vals)) or np.any(vals <= 0.0):
+        raise DomainError(f"weight {w.label()} not strictly positive on the window")
+    return vals
+
+
+@st.composite
+def closed_weights(draw):
+    """Every closed form, with the exponents numpy special-cases and ones
+    that overflow or underflow on the window."""
+    scale = draw(st.sampled_from([1.0, 0.25, 3.0]) | st.floats(1e-3, 1e3))
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -1.0, 350.0, -350.0])
+                 | st.floats(-3.0, 3.0))
+    c = draw(st.sampled_from([0.0, 100.0, -800.0]) | st.floats(-5.0, 5.0))
+    return WeightSpec.product(scale, alpha, c)
+
+
+OVERFLOWS = [(WeightSpec.exponential(100.0), (0.0, 8.0, 257)),
+             (WeightSpec.power(-350.0), (-8.0, 8.0, 4097))]      # (d/2)^-350 at x = 0
+UNDERFLOWS = [(WeightSpec.exponential(-800.0), (0.0, 8.0, 257)),
+              (WeightSpec.power(350.0), (-8.0, 8.0, 4097))]
+
+
+class TestRealizeAgainstOldExpression:
+    @settings(max_examples=300, deadline=None)
+    @given(closed_weights(), windows())
+    @example(*OVERFLOWS[0])
+    @example(*OVERFLOWS[1])
+    @example(*UNDERFLOWS[0])
+    @example(*UNDERFLOWS[1])
+    def test_bit_identical(self, w, window):
+        outcomes = []
+        for realize in (w.realize, lambda *a: old_realize(w, *a)):
+            try:
+                # 0 * inf (an overflowing power times an underflowing
+                # exponential) is nan, which realize refuses
+                with np.errstate(invalid="ignore"):
+                    outcomes.append(realize(*window))
+            except DomainError:
+                outcomes.append(None)
+        new, old = outcomes
+        assert (new is None) == (old is None)
+        assert new is None or same_bits(new, old)
+
+    def test_overflow_and_underflow_cases(self):
+        for w, window in OVERFLOWS:
+            assert np.any(np.isposinf(w.realize(*window)))
+        for w, window in UNDERFLOWS:
+            with pytest.raises(DomainError):
+                w.realize(*window)
 
 
 # ---------------------------------------------------------------------------
