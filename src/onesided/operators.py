@@ -38,12 +38,15 @@ The phase picks one of three evaluation paths, by its terms alone:
   correlation per row costs O(n log n).  Node i + k enters row i through
   the two cells ending there, both weighted by the tap K(-k d); a row
   where no nonzero sample sits on a nonzero tap is set to exactly 0, as
-  the dense sum gives there.
+  the dense sum gives there.  FFT rounding is normwise, so a batch row
+  whose largest value does not stand well clear of it (_FFT_NOISE, plus
+  the phase's own rounding) is summed by the dense-filon code instead.
 * dense-filon: other phases linear in y (x^2 y, ...), the same closed
   form on an explicit O(n^2) matrix.
 * dense-subdivided: phases nonlinear in y (x y^2, ...).  e^{iP} is
-  computed once per (row, node) and shared by the two cells ending
-  there; a subdivided cell adds only its interior points.
+  computed once per (row, node), turned to each cell's right end
+  y_j + d by the exact difference of the two rounded phases; a
+  subdivided cell adds only its interior points.
 
 The dense paths sample the kernel once at the offsets k d and gather it
 by k = j - i.  They build the matrix in row chunks of _CHUNK_BYTES
@@ -99,6 +102,8 @@ __all__ = [
 _PHASE_RESOLUTION = math.pi / 8.0   # max phase increment per quadrature cell
 _CHUNK_BYTES = 8 << 20              # W per dense row chunk, times the subcell bound
 _SUBCELL_LIMIT = 2e9                # dense requests estimated above this are refused
+_FFT_NOISE = 1e-13                  # fft-chirp rounding allowed relative to a row's peak
+_EPS = float(np.finfo(np.float64).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +560,20 @@ def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
         reached |= (seen[:, np.minimum(i + run[-1] + 1, n)] >
                     seen[:, np.minimum(i + run[0], n)])
     out[:, rows][~reached] = 0.0
+    # FFT rounding is normwise: about eps d |F_q| |T| (2-norms) at every
+    # node of row q, however small the row's values.  A row where that
+    # is not small against its largest value, beside the phase's own
+    # rounding eps Phi, is summed densely, one row at a time so that it
+    # does not depend on the batch
+    M = float(max(abs(x[0]), abs(x[-1])))
+    try:
+        phi = sum(abs(v) * M ** (a + b) for (a, b), v in phase.terms)
+    except OverflowError:
+        phi = math.inf
+    scale = float(d * _EPS * np.linalg.norm(T) / (_FFT_NOISE + _EPS * phi))
+    for q in np.flatnonzero(reached.any(axis=1)):
+        if scale * math.sqrt(np.vdot(F[q], F[q]).real) > np.max(np.abs(out[q])):
+            out[q] = _apply_dense(F[q:q + 1], x, d, kernel, phase, lo, hi)[0]
     return out
 
 
@@ -672,25 +691,44 @@ def _subdivided_weights(W: np.ndarray, x: np.ndarray, d: float,
     trapezoid rule on the linear interpolant.  Leaves each cell's
     left-end weight in W[:, :-1] and returns its right-end weights.
 
-    e^{iP} is computed once per (row, node) and serves the two cells
-    ending there; only the r - 1 interior points of each cell are added,
-    cells grouped by r."""
+    e^{iP} is computed once per (row, node).  The subcells of cell
+    [y_j, y_j + d] end at y_j + d, which can round apart from the node
+    y_{j+1}, and a phase of size Phi moves by ~eps Phi between the two:
+    the node value is turned by the difference of the two rounded
+    phases (written where the right ends' sines go), exact and tiny, 0
+    where the points agree, so e^{iP} at y_j + d costs no full-size
+    sine.  Only the r - 1 interior points of each cell are added, cells
+    grouped by r."""
     xr = x[r0:r1, None]
     arg = phase.evaluate(xr, x[j0:j1])
     np.cos(arg, out=W.real)
     np.sin(arg, out=W.imag)
+    cellw = W[:, :-1]
+    ends = np.empty_like(cellw)
+    np.subtract(phase.evaluate(xr, x[j0:j1 - 1] + d), arg[:, 1:], out=ends.imag)
     del arg
-    dpdy = np.abs(phase.partial_y(xr, (x[j0:j1 - 1] + x[j0 + 1:j1]) / 2.0))
-    r = np.maximum(1.0, np.ceil(dpdy * d / _PHASE_RESOLUTION))
+    np.cos(ends.imag, out=ends.real)
+    np.sin(ends.imag, out=ends.imag)
+    ends *= W[:, 1:]
+    # r and end in place: freed chunk-sized temporaries can stay in the
+    # heap and raise a campaign's peak RSS (seen as +16 MB on osc_campaign)
+    r = phase.partial_y(xr, (x[j0:j1 - 1] + x[j0 + 1:j1]) / 2.0)
+    np.abs(r, out=r)
+    r *= d
+    r /= _PHASE_RESOLUTION
+    np.ceil(r, out=r)
+    np.maximum(1.0, r, out=r)
     q, c = np.nonzero(r > 1.0)
     band = (c >= q) & (c - q < hi - lo)     # k = j - i = lo + c - q
     q, c = q[band], c[band]
     counts = r[q, c].astype(np.int64)
     order = np.argsort(counts, kind="stable")
     groups = np.bincount(counts)
-    end = d / (2.0 * r)
-    cellw = W[:, :-1]
-    ends = W[:, 1:] * end
+    end = r
+    end *= 2.0
+    np.divide(d, end, out=end)
+    ends.real *= end
+    ends.imag *= end
     cellw.real *= end
     cellw.imag *= end
     stop = np.cumsum(groups)

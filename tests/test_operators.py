@@ -616,13 +616,25 @@ INTERIOR_ZERO_TAP = (
     np.array([[0.0] * 8 + [0.75 - 0.5j] + [0.0] * 8]), 0.0, 2.0,
     oscillating_log_kernel("plus"), PolynomialPhase.zero(), 1, None)
 
+# The nonzero samples (nodes 0-537) meet only taps below 6.5e-18 (the
+# support starts at 0.3 = 519.3 cells), while the taps of offsets
+# 538-595, up to 3.7e-4, meet only zeros: their FFT rounding would
+# swamp the whole dense sum (1.9e-2 relative).
+_rng = np.random.default_rng(7)
+TAPS_PAST_SAMPLES = (
+    np.concatenate([_rng.normal(size=538) + 1j * _rng.normal(size=538),
+                    np.zeros(58)])[None, :],
+    0.0, 0.34375, truncated_power_kernel("plus", 0.3, 2.0), PolynomialPhase.zero(), 1, None)
+
 
 class TestChirpAgainstDense:
     @settings(max_examples=200, deadline=None)
     @given(chirp_cases())
     @example(case=KERNEL_MISSES_SAMPLES)
+    @example(case=SAMPLE_ON_ZERO_TAP)
     @example(case=SAMPLE_ON_ZERO_TAP_WIDE)
     @example(case=INTERIOR_ZERO_TAP)
+    @example(case=TAPS_PAST_SAMPLES)
     def test_random_cases(self, case):
         """Equal to the dense sum within
         (CHIRP_REL_TOL + CHIRP_PHASE_EPS eps Phi) max|dense|, with Phi
@@ -652,10 +664,7 @@ class TestChirpAgainstDense:
     @pytest.mark.parametrize("case", [SAMPLE_ON_ZERO_TAP, SAMPLE_ON_ZERO_TAP_WIDE,
                                       INTERIOR_ZERO_TAP])
     def test_sample_on_zero_tap_is_exact_zero(self, case):
-        # the reach rule alone; SAMPLE_ON_ZERO_TAP's live node 0 still
-        # misses the relative bound of test_random_cases by normwise FFT
-        # error (7.6e-12 against 1e-12), which only a direct recompute of
-        # such nodes would mend
+        # the reach rule alone
         F, x_lo, x_hi, kernel, phase, eps_cells, band = case
         got = oscillatory_apply_batch(F, x_lo, x_hi, kernel, phase, PVConfig(eps_cells), band)
         zero = structural_zeros(F, x_lo, x_hi, kernel, eps_cells, band)
@@ -700,6 +709,20 @@ class TestChirpAgainstDense:
             assert np.array_equal(
                 oscillatory_apply_batch(F[5:8], -8.0, 8.0, K, P, PV1, band), full[5:8])
 
+    def test_swamped_row_summed_densely_alone(self):
+        # TAPS_PAST_SAMPLES next to a row of samples everywhere: only the
+        # first is summed densely, and each row keeps the bits it has alone
+        F, x_lo, x_hi, K, P, eps_cells, band = TAPS_PAST_SAMPLES
+        rng = np.random.default_rng(16)
+        G = np.vstack([F, rng.normal(size=F.shape) + 1j * rng.normal(size=F.shape)])
+        pv = PVConfig(eps_cells)
+        with mock.patch.object(operators, "_apply_dense", wraps=_apply_dense) as dense:
+            both = oscillatory_apply_batch(G, x_lo, x_hi, K, P, pv, band)
+        assert dense.call_count == 1
+        for q in (0, 1):
+            one = oscillatory_apply_batch(G[q:q + 1], x_lo, x_hi, K, P, pv, band)
+            assert np.array_equal(one[0], both[q])
+
 
 @st.composite
 def dense_cases(draw):
@@ -738,16 +761,30 @@ def dense_cases(draw):
 
 DENSE_REL_TOL = 1e-12
 
+# A cubic phase of size 3 * 6.875^3 ~ 975: e^{iP} at y_j + d and at the
+# node y_{j+1} it rounds apart from differ by ~eps Phi, which moves the
+# sum by 1.7e-12 relative if a cell's right end takes the node's value.
+CUBIC_PHASE_RIGHT_ENDS = (
+    np.array([[0.0] * 86 + [-0.25018774310332953 + 0.5161096668859839j,
+                            -0.0376289073508626 + 0.6652923054879747j,
+                            0.3691455929184013 + 1.1391647405827956j,
+                            -1.2727055668844023 - 0.7718496143541677j,
+                            -0.4658568843995383 - 2.1230637290870304j] + [0.0] * 65]),
+    2.375, 6.875, truncated_power_kernel("plus", 0.3, 2.0),
+    PolynomialPhase.monomial(0, 3, 3.0), 1, None, 16)
+
 
 class TestDenseAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(dense_cases())
+    @example(case=CUBIC_PHASE_RIGHT_ENDS)
     def test_random_cases(self, case):
         """Within DENSE_REL_TOL max|oracle| of the per-row code, whatever
         the chunking: the Filon cells are the oracle's bits and only BLAS
-        sums them in another order; subdivided cells share e^{iP} at the
-        nodes, where the oracle took y_j + d for y_{j+1}.  Structural
-        zeros are exactly 0 on both."""
+        sums them in another order; subdivided cells turn e^{iP} at the
+        node y_{j+1} to y_j + d, where the oracle evaluates it, by the
+        difference of the two rounded phases.  Structural zeros are
+        exactly 0 on both."""
         F, x_lo, x_hi, kernel, phase, eps_cells, band, chunk_bytes = case
         pv = PVConfig(eps_cells=eps_cells)
         with mock.patch.object(operators, "_CHUNK_BYTES", chunk_bytes):
