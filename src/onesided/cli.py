@@ -43,7 +43,7 @@ from .errors import ConfigError, DomainError, GridMismatchError, read
 from .experiments import (CSV_COLUMNS, STANDARD_N, STANDARD_SEED, STANDARD_WINDOW,
                           OperatorSpec, TestFunctionFamily, campaign_row,
                           coefficient_sweep, decay_rows, dyadic_decay,
-                          generate_family, json_digest)
+                          family_member, json_digest)
 from .grid import SampledFunction, grid_nodes
 from .interpolate import InterpolationEndpoints, verify_on_multiplier
 from .operators import (KernelSpec, PolynomialPhase, PVConfig,
@@ -109,7 +109,7 @@ def _member(obj: dict, path: str, window: tuple, n: int) -> np.ndarray:
     fam = read(obj, "family", TestFunctionFamily.from_json, path=path)
     if not 0 <= index < fam.count:
         raise ConfigError(f"{path}.index: index {index} outside family of {fam.count}")
-    return generate_family(fam, window[0], window[1], n)[index]
+    return family_member(fam, index, window[0], window[1], n)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,9 @@ __all__ = [
     "STANDARD_WINDOW", "STANDARD_N", "STANDARD_P", "STANDARD_SEED",
     "STANDARD_COUNT",
     "TestFunctionFamily", "OperatorSpec", "NormRatioReport", "DecayFit",
-    "generate_family", "norm_ratio", "coefficient_sweep", "dyadic_decay",
-    "weighted_norms_batch", "write_campaign_csv", "config_digest", "json_digest",
+    "generate_family", "family_member", "norm_ratio", "coefficient_sweep",
+    "dyadic_decay", "weighted_norms_batch", "write_campaign_csv", "config_digest",
+    "json_digest",
 ]
 
 # Reproducibility anchor: every acceptance number is produced at this
@@ -90,34 +91,44 @@ def generate_family(family: TestFunctionFamily, x_lo: float, x_hi: float,
     Member i depends only on (seed, i), so a longer family with the
     same seed extends this one member for member.
     """
+    return _members(family, range(family.count), x_lo, x_hi, n)
+
+
+def family_member(family: TestFunctionFamily, index: int, x_lo: float,
+                  x_hi: float, n: int) -> np.ndarray:
+    """Row ``index`` of ``generate_family`` alone, bit for bit."""
+    return _members(family, [index], x_lo, x_hi, n)[0]
+
+
+def _members(family: TestFunctionFamily, indices, x_lo: float, x_hi: float,
+             n: int) -> np.ndarray:
     lo, hi = family.support
     if lo < x_lo or hi > x_hi:
         raise ConfigError(f"support {family.support} outside window [{x_lo}, {x_hi}]")
-    # 16 complex (count, n) blocks: the samples, the apply's output and its
+    # 16 complex (rows, n) blocks: the samples, the apply's output and its
     # FFT temporaries, measured at 9-13
-    check_working_bytes(16 * 16 * family.count * n,
-                        f"a family of {family.count} x {n} samples and its apply")
+    check_working_bytes(16 * 16 * len(indices) * n,
+                        f"a family of {len(indices)} x {n} samples and its apply")
     x = grid_nodes(x_lo, x_hi, n)
     d = (x_hi - x_lo) / (n - 1)
     inside = (x >= lo) & (x <= hi)
-    out = np.zeros((family.count, n), dtype=np.complex128)
-    width = hi - lo
-    for i in range(family.count):
+    out = np.zeros((len(indices), n), dtype=np.complex128)
+    for q, i in enumerate(indices):
         rng = np.random.default_rng([family.seed, i])
         if family.kind == "random-bump-sums":
             vals = np.zeros(n)
             for _ in range(int(rng.integers(1, 9))):
                 c = rng.uniform(lo, hi)
-                w = rng.uniform(0.1, max(0.2, 0.4 * width))
+                w = rng.uniform(0.1, max(0.2, 0.4 * (hi - lo)))
                 a = rng.uniform(-1.0, 1.0)
                 vals += a * np.maximum(0.0, 1.0 - np.abs(x - c) / w)
-            out[i] = vals * inside
+            out[q] = vals * inside
         elif family.kind == "modulated-gaussians":
             c = rng.uniform(lo, hi)
             sigma = rng.uniform(0.1, 0.5)
             omega = rng.uniform(0.0, math.pi / (4.0 * d))
             prof = np.exp(-((x - c) ** 2) / (2.0 * sigma ** 2))
-            out[i] = np.exp(1j * omega * x) * prof * inside
+            out[q] = np.exp(1j * omega * x) * prof * inside
         else:  # haar-like-steps
             nseg = int(rng.integers(4, 17))
             cuts = np.sort(rng.uniform(lo, hi, nseg - 1))
@@ -126,7 +137,7 @@ def generate_family(family: TestFunctionFamily, x_lo: float, x_hi: float,
             vals = np.zeros(n)
             for s, (e0, e1) in zip(signs, zip(edges[:-1], edges[1:])):
                 vals += s * ((x >= e0) & (x < e1))
-            out[i] = vals * inside
+            out[q] = vals * inside
     return out
 
 

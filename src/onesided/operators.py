@@ -49,24 +49,27 @@ The phase picks one of three evaluation paths, by its terms alone:
   subdivided cell adds only its interior points.
 
 The dense paths sample the kernel once at the offsets k d and gather it
-by k = j - i.  They build the matrix in row chunks of _CHUNK_BYTES
-(8 MiB) of complex entries divided by the subcell bound, so a call's
-temporaries stay at a few such chunks whatever n and the batch size.
-That bound -- d / (pi/8) times a triangle bound on |dP/dy| over the
-window, 1 for a phase linear in y -- times the band's cells is the
-request's cost: above _SUBCELL_LIMIT (2e9 subcells, one to a few
+by k = j - i.  They build the matrix only over the cells that end on
+the hull of the batch's nonzero nodes, for the rows whose band meets
+them, in row chunks of _CHUNK_BYTES (8 MiB) of complex entries divided
+by the chunk's own subcell bound, so a call's temporaries stay at a few
+such chunks whatever n and the batch size.  That bound -- d / (pi/8)
+times a triangle bound on |dP/dy| over the chunk's rows and nodes, 1
+for a phase linear in y -- over all the cells built, times their count,
+is the request's cost: above _SUBCELL_LIMIT (2e9 subcells, one to a few
 minutes on two cores) the request is refused up front with a
 ConfigError that states the estimate.
 
 Everything here is pure and deterministic (fixed summation order), so
 concurrent evaluation of family members is safe.  On the fft-chirp path
 a row's output does not depend on the other rows of its batch, bit for
-bit; on the dense paths it does only up to rounding, because BLAS sums
-a matrix-vector product apart from a matrix-matrix one.
+bit; on the dense paths it does only through BLAS's summation order,
+which follows the product's shape (the batch's size and sample hull).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -595,16 +598,17 @@ def _apply_plan(F: np.ndarray, x_lo: float, x_hi: float, kernel: KernelSpec,
     return _apply_dense(F, x, d, kernel, phase, lo_c, hi_c)
 
 
-def _subcell_bound(x: np.ndarray, d: float, phase: PolynomialPhase) -> float:
-    """Upper bound on the subcells of any cell: 1 for a phase linear in
-    y (closed-form cells), else d / (pi/8) times the triangle bound
-    sum |a_ab| b M^(a+b-1) of |dP/dy| on the window's square, M the
-    largest |x|; inf when that overflows."""
+def _subcell_bound(x: np.ndarray, d: float, phase: PolynomialPhase, y=None) -> float:
+    """Upper bound on the subcells of any cell of rows x over nodes y (x
+    by default): 1 for a phase linear in y (closed-form cells), else
+    d / (pi/8) times the triangle bound sum |a_ab| b Mx^a My^(b-1) of
+    |dP/dy|, Mx and My the largest |x| and |y|; inf when that overflows."""
     if phase.y_degree_at_most_one():
         return 1
-    M = max(abs(x[0]), abs(x[-1]))
+    Mx = max(abs(x[0]), abs(x[-1]))
+    My = Mx if y is None else max(abs(y[0]), abs(y[-1]))
     try:
-        slope = sum(abs(v) * b * M ** (a + b - 1) for (a, b), v in phase.terms if b)
+        slope = sum(abs(v) * b * Mx ** a * My ** (b - 1) for (a, b), v in phase.terms if b)
         return max(1, math.ceil(slope * d / _PHASE_RESOLUTION))
     except OverflowError:
         return math.inf
@@ -626,15 +630,27 @@ def _apply_dense(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
     Row i has the cells [j, j + 1] with k = j - i in [lo, hi) and
     j < n - 1.  A cell's left end takes the tap K(-k d), its right end
     K(-(k + 1) d); taps off the band are 0, which zeroes the off-band
-    cells of a chunk."""
+    cells of a chunk.  Only the cells [a - 1, b] that end on the hull [a, b]
+    of the batch's nonzero nodes are built; other rows are 0, as in the full sum."""
     m, n = F.shape
     out = np.zeros((m, n), dtype=np.complex128)
+    nonzero = np.flatnonzero(np.any(F != 0, axis=0))
+    a, b = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (n, -1)
     live = n - 1 - lo                 # rows i with a cell in their band
-    if hi <= lo or live <= 0:
+    r_lo, r_hi = max(0, a - hi), min(live, b - lo + 1)    # ... that meets [a - 1, b]
+    if hi <= lo or r_hi <= r_lo:
         return out
-    i = np.arange(live)
-    cells = int(np.sum(np.minimum(i + hi, n - 1) - i - lo))
-    sub = _subcell_bound(x, d, phase)
+    end = min(n - 1, b + 1)           # cells j < end
+
+    def chunk(r0, c):                 # rows [r0, r1) over nodes [j0, j1): bound, bytes
+        r1 = min(r0 + c, r_hi)
+        j0, j1 = max(r0 + lo, a - 1), min(r1 - 1 + hi, end) + 1
+        sub = _subcell_bound(x[r0:r1], d, phase, x[j0:j1])
+        return r1, j0, j1, sub, 16 * (r1 - r0) * (j1 - j0) * sub
+
+    i = np.arange(r_lo, r_hi)
+    cells = int(np.sum(np.minimum(i + hi, end) - np.maximum(i + lo, a - 1)))
+    sub = chunk(r_lo, r_hi - r_lo)[3]
     if cells * sub > _SUBCELL_LIMIT:
         raise ConfigError(f"the dense apply needs about {cells * sub:.3g} subcells "
                           f"({cells} cells x {sub} per cell), over the limit "
@@ -648,15 +664,11 @@ def _apply_dense(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
         A, B = phase.linear_parts(x[:live])
         m0, m1 = _filon_moments(B * d)
         dm0, dm1 = d * m0, d * m1
-    entries = _CHUNK_BYTES // (16 * sub)
-    span = min(hi, n - 1) - lo        # a chunk of c rows spans c + span nodes
-    Ft = F.T
-    r0 = 0
-    while r0 < live:
-        c = max(1, (math.isqrt(span * span + 4 * entries) - span) // 2,
-                entries // (n - r0 - lo))
-        r1 = min(r0 + c, live)
-        j0, j1 = r0 + lo, min(r1 - 1 + hi, n - 1) + 1
+    r0 = r_lo
+    while r0 < r_hi:
+        # the most rows (at least one) whose W, times its own subcell bound, fits
+        c = 1 + bisect.bisect(range(2, r_hi - r0 + 1), _CHUNK_BYTES, key=lambda c: chunk(r0, c)[4])
+        r1, j0, j1 = chunk(r0, c)[:3]
         W = np.empty((r1 - r0, j1 - j0), dtype=np.complex128)
         cellw = W[:, :-1]             # cell [j, j + 1] weighs node j here ...
         if linear:
@@ -677,7 +689,7 @@ def _apply_dense(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
         ends.imag *= tr
         W[:, -1] = 0.0
         W[:, 1:] += ends
-        out[:, r0:r1] = (W @ Ft[j0:j1]).T
+        out[:, r0:r1] = (W @ F.T[j0:j1]).T
         r0 = r1
     return out
 
@@ -719,7 +731,7 @@ def _subdivided_weights(W: np.ndarray, x: np.ndarray, d: float,
     np.ceil(r, out=r)
     np.maximum(1.0, r, out=r)
     q, c = np.nonzero(r > 1.0)
-    band = (c >= q) & (c - q < hi - lo)     # k = j - i = lo + c - q
+    band = (c - q >= lo - j0 + r0) & (c - q < hi - j0 + r0)    # k = j - i = c - q + j0 - r0
     q, c = q[band], c[band]
     counts = r[q, c].astype(np.int64)
     order = np.argsort(counts, kind="stable")

@@ -165,7 +165,9 @@ class WeightSpec:
             vals = np.abs(x, out=None if c else x)
             if alpha != 0.0:
                 vals[vals == 0.0] = (x_hi - x_lo) / (n - 1) / 2.0
-            with np.errstate(over="ignore", under="ignore"):
+            # inf x 0 where the power overflows and the exponential
+            # underflows is NaN, which the check below turns into DomainError
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 vals **= alpha
                 if scale != 1.0:
                     vals *= scale

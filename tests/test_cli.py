@@ -222,6 +222,20 @@ class TestOperatorCommands:
         lines = (tmp_path / "res.csv").read_text().splitlines()
         assert lines[0] == "x,re,im" and len(lines) == 258
 
+    def test_apply_builds_only_its_member(self, tmp_path):
+        # the member alone, bit for bit the family's row; the whole
+        # family is never generated
+        cfg = {"operator": dict({"kind": "singular", "pv": {"eps_cells": 1}}, **KERNEL),
+               "grid": {"window": [-4.0, 4.0], "n": 257},
+               "input": {"family": FAMILY, "index": 4}}
+        F = experiments.generate_family(experiments.TestFunctionFamily.from_json(FAMILY),
+                                        -4.0, 4.0, 257)
+        with mock.patch.object(experiments, "generate_family", side_effect=AssertionError):
+            assert cli._member(cfg["input"], "input", (-4.0, 4.0), 257).tobytes() == \
+                F[4].tobytes()
+            assert main(["operators", "apply", "--config", write_cfg(tmp_path, "c.json", cfg),
+                         "--out", str(tmp_path / "res")]) == 0
+
     def test_apply_index_out_of_range(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {
             "operator": dict({"kind": "singular"}, **KERNEL),

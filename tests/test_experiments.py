@@ -5,8 +5,8 @@ from onesided.errors import ConfigError, DomainError
 from onesided.experiments import (CSV_COLUMNS, OperatorSpec,
                                   TestFunctionFamily, campaign_row,
                                   coefficient_sweep, config_digest,
-                                  dyadic_decay, generate_family, norm_ratio,
-                                  write_campaign_csv)
+                                  dyadic_decay, family_member, generate_family,
+                                  norm_ratio, write_campaign_csv)
 from onesided.operators import (PolynomialPhase, PVConfig, dyadic_band_cells,
                                 oscillating_log_kernel, oscillatory_apply_batch)
 from onesided.weights import WeightSpec
@@ -53,6 +53,17 @@ class TestFamilies:
         fam = TestFunctionFamily("random-bump-sums", 4, 1, (-9.0, 2.0))
         with pytest.raises(ConfigError):
             generate_family(fam, -8.0, 8.0, 257)
+        with pytest.raises(ConfigError):
+            family_member(fam, 0, -8.0, 8.0, 257)
+
+    @pytest.mark.parametrize("kind", ["random-bump-sums", "modulated-gaussians",
+                                      "haar-like-steps"])
+    def test_member_alone_bit_identical(self, kind):
+        fam = TestFunctionFamily(kind, 6, 11, (-2.0, 1.5))
+        F = generate_family(fam, -3.0, 3.0, 513)
+        for i in range(fam.count):
+            one = family_member(fam, i, -3.0, 3.0, 513)
+            assert one.dtype == F.dtype and one.tobytes() == F[i].tobytes()
 
     def test_kind_validation(self):
         with pytest.raises(ConfigError):

@@ -726,11 +726,14 @@ class TestChirpAgainstDense:
 
 @st.composite
 def dense_cases(draw):
-    """A batch with runs of zeros, a window, a phase of one of the two
-    dense kinds -- linear in y with a non-affine B(x) (x^2 y type) or
-    nonlinear in y (x y^2 / y^3 type) -- either kernel on either side, an
-    eps, maybe a band, and a chunk budget from one row per chunk up to
-    the whole matrix (so several chunks and a partial last one)."""
+    """A batch with runs of zeros, maybe all its rows zero outside one
+    shared hull (empty, or touching node 0 or node n - 1), a window, a
+    phase of one of the two dense kinds -- linear in y with a non-affine
+    B(x) (x^2 y type) or nonlinear in y (x y^2 / y^3 type) -- either
+    kernel on either side, an eps, maybe a band (ending before the hull
+    or starting past it for some rows), and a chunk budget from one row
+    per chunk up to the whole matrix (so several chunks and a partial
+    last one)."""
     n = draw(st.integers(2, 160))
     x_lo = draw(st.floats(-5.0, 4.0))
     x_hi = x_lo + draw(st.floats(0.1, 7.0))
@@ -742,6 +745,10 @@ def dense_cases(draw):
         for seg in np.split(np.arange(n), cuts):
             if draw(st.booleans()):
                 row[seg] = 0.0
+    if draw(st.booleans()):
+        a = draw(st.just(0) | st.integers(0, n))
+        b = draw(st.just(n) | st.integers(a, n))
+        F[:, :a] = F[:, b:] = 0.0
     c = [draw(st.floats(-3.0, 3.0)) for _ in range(4)]
     if draw(st.booleans()):
         coeffs = {(2, 1): c[0] or 1.0, (1, 1): c[1], (0, 1): c[2], (3, 0): c[3]}
@@ -774,10 +781,27 @@ CUBIC_PHASE_RIGHT_ENDS = (
     PolynomialPhase.monomial(0, 3, 3.0), 1, None, 16)
 
 
+def shared_hull(a, b, band, side, phase):
+    """Three rows on [-2, 2], n = 129, zero outside the nodes [a, b), in
+    chunks of two rows' worth of entries."""
+    rng = np.random.default_rng(17)
+    F = rng.normal(size=(3, 129)) + 1j * rng.normal(size=(3, 129))
+    F[:, :a] = F[:, b:] = 0.0
+    return F, -2.0, 2.0, oscillating_log_kernel(side), phase, 1, band, 16 * 2 * 129
+
+
+X2Y, XY2 = PolynomialPhase.monomial(2, 1, 10.0), PolynomialPhase.monomial(1, 2, 3.0)
+
+
 class TestDenseAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(dense_cases())
     @example(case=CUBIC_PHASE_RIGHT_ENDS)
+    @example(case=shared_hull(60, 60, None, "plus", XY2))          # no samples
+    @example(case=shared_hull(60, 61, None, "minus", X2Y))         # one node
+    @example(case=shared_hull(0, 40, (5, 30), "plus", X2Y))        # from node 0
+    @example(case=shared_hull(90, 129, (3, 20), "minus", XY2))     # to node n - 1
+    @example(case=shared_hull(50, 70, (80, 100), "plus", XY2))     # bands past the hull
     def test_random_cases(self, case):
         """Within DENSE_REL_TOL max|oracle| of the per-row code, whatever
         the chunking: the Filon cells are the oracle's bits and only BLAS
@@ -845,6 +869,31 @@ class TestDenseAgainstOracle:
                 mock.patch.object(KernelSpec, "evaluate", side_effect=AssertionError):
             with pytest.raises(ConfigError, match=r"1\.07e\+10 subcells"):
                 oscillatory_apply_batch(F, -8.0, 8.0, KP, P, PV1)
+
+    def test_refusal_counts_the_cells_built(self):
+        # the same request on a batch with four nonzero nodes builds ~1e4
+        # cells, ~1.3e7 subcells: it passes the refusal and reaches the
+        # subdivided cells, which raise before any work
+        F = np.zeros((1, 4096), dtype=complex)
+        F[0, 2000:2004] = 1.0
+        P = PolynomialPhase.monomial(1, 2, 1e3)
+        with mock.patch.object(operators, "_subdivided_weights", side_effect=StopIteration):
+            with pytest.raises(StopIteration):
+                oscillatory_apply_batch(F, -8.0, 8.0, KP, P, PV1)
+
+    @pytest.mark.parametrize("P", [PolynomialPhase.monomial(2, 1, 10.0),
+                                   PolynomialPhase.monomial(1, 2, 1.0)])
+    def test_builds_only_the_sample_hull(self, P):
+        # a [-2, 2]-supported batch on [-8, 8]: ~1/4 of the band's cells
+        # meet the samples' hull, and the chunks build few more
+        n = 1025
+        F = generate_family(TestFunctionFamily("modulated-gaussians", 8, 5, (-2.0, 2.0)),
+                            -8.0, 8.0, n)
+        with mock.patch.object(operators, "_toeplitz", wraps=_toeplitz) as tap:
+            oscillatory_apply_batch(F, -8.0, 8.0, KP, P, PV1)
+        built = sum((r1 - r0) * (j1 - j0) for _, _, r0, r1, j0, j1 in
+                    (call.args for call in tap.call_args_list[::2]))
+        assert built <= (n - 1) * (n - 2) // 2 / 3
 
     def test_refusal_spares_the_campaign_sizes(self):
         # the benchmark's sweeps: x^2 y at n = 4096 (one subcell per

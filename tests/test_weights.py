@@ -564,6 +564,13 @@ class TestRealizeAgainstOldExpression:
             with pytest.raises(DomainError):
                 w.realize(*window)
 
+    def test_inf_times_zero_raises_domain_error(self):
+        # x^-350 underflows to 0 on (25, 40) where e^{800 x} overflows:
+        # the nan product reaches the caller as DomainError, not as an
+        # "invalid value" RuntimeWarning
+        with pytest.raises(DomainError):
+            WeightSpec.product(1.0, -350.0, 800.0).realize(25.0, 40.0, 257)
+
 
 # ---------------------------------------------------------------------------
 # exact interval sums against the per-interval math.fsum oracle
