@@ -111,33 +111,34 @@ def _members(family: TestFunctionFamily, indices, x_lo: float, x_hi: float,
                         f"a family of {len(indices)} x {n} samples and its apply")
     x = grid_nodes(x_lo, x_hi, n)
     d = (x_hi - x_lo) / (n - 1)
-    inside = (x >= lo) & (x <= hi)
+    inside = np.flatnonzero((x >= lo) & (x <= hi))    # members vanish elsewhere
+    x = x[inside]
     out = np.zeros((len(indices), n), dtype=np.complex128)
     for q, i in enumerate(indices):
         rng = np.random.default_rng([family.seed, i])
         if family.kind == "random-bump-sums":
-            vals = np.zeros(n)
+            vals = np.zeros(x.size)
             for _ in range(int(rng.integers(1, 9))):
                 c = rng.uniform(lo, hi)
                 w = rng.uniform(0.1, max(0.2, 0.4 * (hi - lo)))
                 a = rng.uniform(-1.0, 1.0)
                 vals += a * np.maximum(0.0, 1.0 - np.abs(x - c) / w)
-            out[q] = vals * inside
+            out[q, inside] = vals
         elif family.kind == "modulated-gaussians":
             c = rng.uniform(lo, hi)
             sigma = rng.uniform(0.1, 0.5)
             omega = rng.uniform(0.0, math.pi / (4.0 * d))
             prof = np.exp(-((x - c) ** 2) / (2.0 * sigma ** 2))
-            out[q] = np.exp(1j * omega * x) * prof * inside
+            out[q, inside] = np.exp(1j * omega * x) * prof
         else:  # haar-like-steps
             nseg = int(rng.integers(4, 17))
             cuts = np.sort(rng.uniform(lo, hi, nseg - 1))
             edges = np.concatenate([[lo], cuts, [hi]])
             signs = rng.choice([-1.0, 1.0], nseg)
-            vals = np.zeros(n)
+            vals = np.zeros(x.size)
             for s, (e0, e1) in zip(signs, zip(edges[:-1], edges[1:])):
                 vals += s * ((x >= e0) & (x < e1))
-            out[q] = vals * inside
+            out[q, inside] = vals
     return out
 
 
@@ -186,13 +187,23 @@ def norm_ratio(op: OperatorSpec, w: Optional[WeightSpec], p: float,
     the lowest index on ties, so reports are deterministic functions of
     (config, seed).
     """
+    return _norm_ratio(op, w, p, family, window, n, *_family_norms(w, p, family, window, n))
+
+
+def _family_norms(w: Optional[WeightSpec], p: float, family, window: tuple, n: int) -> tuple:
+    """F, the realized weight wv (None for w = 1) and ||f||_{L^p(w)}, shared by a campaign."""
     x_lo, x_hi = window
-    d = (x_hi - x_lo) / (n - 1)
     F = generate_family(family, x_lo, x_hi, n)
-    G = op.apply_batch(F, x_lo, x_hi)
     wv = None if w is None else w.realize(x_lo, x_hi, n)
-    nf = weighted_norms_batch(F, wv, d, p)
-    ng = weighted_norms_batch(G, wv, d, p)
+    return F, wv, weighted_norms_batch(F, wv, (x_hi - x_lo) / (n - 1), p)
+
+
+def _norm_ratio(op: OperatorSpec, w: Optional[WeightSpec], p: float, family, window: tuple,
+                n: int, F: np.ndarray, wv, nf: np.ndarray) -> NormRatioReport:
+    """``norm_ratio`` given ``_family_norms``."""
+    x_lo, x_hi = window
+    G = op.apply_batch(F, x_lo, x_hi)
+    ng = weighted_norms_batch(G, wv, (x_hi - x_lo) / (n - 1), p)
     ok = nf > 0.0
     ratios = np.where(ok, ng / np.where(ok, nf, 1.0), -math.inf)
     if not np.any(ok):
@@ -213,14 +224,12 @@ def coefficient_sweep(kernel: KernelSpec, monomial: tuple, coeffs: Sequence[floa
                       pv: PVConfig = PVConfig()) -> list:
     """norm_ratio of T^+ with phase a x^k y^l for each coefficient a."""
     k, l = monomial
-    reports = []
-    for a in coeffs:
-        if a == 0.0:
-            raise ConfigError("sweep coefficients must be nonzero")
-        op = OperatorSpec("oscillatory", kernel,
-                          PolynomialPhase.monomial(k, l, float(a)), pv)
-        reports.append(norm_ratio(op, w, p, family, window, n))
-    return reports
+    if any(a == 0.0 for a in coeffs):
+        raise ConfigError("sweep coefficients must be nonzero")
+    shared = _family_norms(w, p, family, window, n)
+    return [_norm_ratio(OperatorSpec("oscillatory", kernel,
+                                     PolynomialPhase.monomial(k, l, float(a)), pv),
+                        w, p, family, window, n, *shared) for a in coeffs]
 
 
 @dataclass(frozen=True)
@@ -245,10 +254,10 @@ def dyadic_decay(kernel: KernelSpec, phase: PolynomialPhase, p: float,
     if reach < x_lo - 1e-9:
         raise ConfigError(f"j_max: window too small: piece {j_max} needs x down to "
                           f"{reach}, window starts at {x_lo}")
-    js, logs = [], []
+    js, logs, shared = [], [], _family_norms(w, p, family, window, n)
     for j in range(1, j_max + 1):
         op = OperatorSpec("dyadic_piece", kernel, phase, pv, j=j)
-        rep = norm_ratio(op, w, p, family, window, n)
+        rep = _norm_ratio(op, w, p, family, window, n, *shared)
         js.append(j)
         logs.append(math.log2(max(rep.best_ratio, 1e-300)))
     slope, intercept = np.polyfit(np.asarray(js, dtype=float),

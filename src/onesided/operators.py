@@ -35,12 +35,12 @@ The phase picks one of three evaluation paths, by its terms alone:
   any added b y or g(x).  Bluestein's factorisation
   e^{i b1 x y} = e^{i b1 x^2/2} e^{i b1 y^2/2} e^{-i b1 (x-y)^2/2}
   makes the Filon matrix diagonal x Toeplitz x diagonal, so one FFT
-  correlation per row costs O(n log n).  Node i + k enters row i through
-  the two cells ending there, both weighted by the tap K(-k d); a row
-  where no nonzero sample sits on a nonzero tap is set to exactly 0, as
-  the dense sum gives there.  FFT rounding is normwise, so a batch row
-  whose largest value does not stand well clear of it (_FFT_NOISE, plus
-  the phase's own rounding) is summed by the dense-filon code instead.
+  correlation per row, over its own sample hull (h nodes) and the rows
+  that reach it, costs O((h + L) log(h + L)) for a band of L taps; the
+  two cell ends each drop one end tap, an O(h) correction.  A row where
+  no nonzero sample sits on a nonzero tap is exactly 0, as in the dense
+  sum.  A batch row whose largest value does not stand well clear of the
+  normwise FFT rounding (_FFT_NOISE, plus the phase's) is summed densely.
 * dense-filon: other phases linear in y (x^2 y, ...), the same closed
   form on an explicit O(n^2) matrix.
 * dense-subdivided: phases nonlinear in y (x y^2, ...).  e^{iP} is
@@ -509,14 +509,6 @@ def _affine_y_coefficient(phase: PolynomialPhase) -> Optional[tuple]:
     return c.get((0, 1), 0.0), c.get((1, 1), 0.0)
 
 
-def _correlate(S: np.ndarray, taps: np.ndarray, size: int) -> np.ndarray:
-    """C[q, i] = sum_r taps[r] S[q, i + r] (zero past the end of S) for
-    i < S.shape[1], by FFT; size >= S.shape[1] + taps.size - 1 keeps the
-    circular product free of wrap-around."""
-    H = np.fft.fft(taps.conj(), size).conj()
-    return np.fft.ifft(np.fft.fft(S, size) * H)[:, :S.shape[1]]
-
-
 def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
                  phase: PolynomialPhase, b0: float, b1: float,
                  lo: int, hi: int) -> np.ndarray:
@@ -525,9 +517,14 @@ def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
     With k = j - i and e^{i B(x_i) y_j} = e^{i(b1 x_i^2/2)} e^{i(b0 y_j
     + b1 y_j^2/2)} e^{-i b1 (k d)^2/2}, row i of the matrix is a row
     factor times the chirped samples G correlated with the Toeplitz taps
-    T[k] = K(-k d) e^{-i b1 (k d)^2/2}.  Cell [j, j+1] of row i weighs
-    its left sample by d m0 and its right sample by d m1 e^{-i B d},
-    over the band k in [lo, hi) (cells end at the last node)."""
+    T[t] = K(-k d) e^{-i b1 (k d)^2/2}, k = lo + t.  Cell [j, j+1] of row
+    i weighs its left sample by d m0 and its right sample by d m1 e^{-i B d},
+    over the band k in [lo, hi) (cells end at the last node).  Both come
+    from C[i] = sum_{t <= L} T[t] G[i + lo + t]: right ends less T[0] G[i + lo],
+    left ends less T[L] G[i + lo + L] and T[n - 1 - i - lo] G[n - 1] (no cell
+    starts at the last node).  Each row is correlated over its own sample
+    hull [a, b]: the corrections cost O(b - a), and the FFT size and bits
+    depend on the row alone."""
     m, n = F.shape
     out = np.zeros((m, n), dtype=np.complex128)
     kd = np.arange(lo, min(hi, n - 1) + 1) * d
@@ -539,30 +536,48 @@ def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
     first, last = int(cells[0]), int(cells[-1])
     kd, K = kd[first:last + 2], K[first:last + 2]
     lo, hi = lo + first, lo + last + 1
-    live = n - 1 - lo                 # rows i with a cell in their band
-    A, B = phase.linear_parts(x)
+    L, live = hi - lo, n - 1 - lo     # live: rows i with a cell in their band
+    A, B = phase.linear_parts(x[:live])
     m0, m1 = _filon_moments(B * d)
+    w0 = d * np.exp(1j * (A + 0.5 * b1 * x[:live] * x[:live]))    # the row factor ...
+    w0, w1 = w0 * m0, w0 * (m1 * np.exp(-1j * B * d))            # ... at either end
     T = K * np.exp(-0.5j * b1 * kd * kd)
-    G = F * np.exp(1j * (b0 * x + 0.5 * b1 * x * x))
-    size = 1 << (n - 2 * lo + hi - 2).bit_length()   # >= n - 2 lo + hi - 1
-    right = _correlate(G[:, lo + 1:], T[1:], size)[:, :live]
-    G[:, -1] = 0.0                    # the last node is no cell's left end
-    left = _correlate(G[:, lo:], T[:-1], size)[:, :live]
-    rows = slice(0, live)
-    out[:, rows] = d * np.exp(1j * (A[rows] + 0.5 * b1 * x[rows] * x[rows])) * (
-        m0[rows] * left + m1[rows] * np.exp(-1j * B[rows] * d) * right)
-    # a row where no nonzero sample sits on a nonzero tap is exactly 0 in
-    # the dense sum, FFT round-off is not; count each run of consecutive
-    # nonzero taps off prefix sums
-    seen = np.zeros((m, n + 1), dtype=np.int64)
-    np.cumsum(F != 0, axis=1, out=seen[:, 1:])
+    chirp = np.exp(1j * (b0 * x + 0.5 * b1 * x * x))
     taps = lo + np.flatnonzero(K)
-    i = np.arange(live)
-    reached = np.zeros((m, live), dtype=bool)
-    for run in np.split(taps, np.flatnonzero(np.diff(taps) > 1) + 1):
-        reached |= (seen[:, np.minimum(i + run[-1] + 1, n)] >
-                    seen[:, np.minimum(i + run[0], n)])
-    out[:, rows][~reached] = 0.0
+    runs = np.split(taps, np.flatnonzero(np.diff(taps) > 1) + 1)
+    nonzero = F != 0
+    ends = np.argmax(nonzero, axis=1), n - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    hulls, reached_any = {}, np.zeros(m, dtype=bool)     # hulls: (a, b) -> its rows
+    for q in np.flatnonzero(nonzero.any(axis=1) & (ends[1] >= lo)).tolist():
+        hulls.setdefault((int(ends[0][q]), int(ends[1][q])), []).append(q)
+    for (a, b), qs in hulls.items():
+        i0, i1 = max(0, a - lo - L), min(live - 1, b - lo)    # the rows that reach [a, b]
+        t0, t1 = max(0, a - lo - i1), min(L, b - lo - i0)     # ... and the taps they meet
+        R, size = i1 - i0 + 1, 1 << (i1 - i0 + b - a).bit_length()
+        G = F[qs, a:b + 1] * chirp[a:b + 1]
+        # node j sits at j - a of the circular buffer, row i reads from node
+        # i + lo + t0 on: size >= R + b - a keeps the wrap-around off the taps
+        C = np.fft.fft(G, size)
+        C *= np.fft.fft(T[t0:t1 + 1].conj(), size).conj()
+        C = np.fft.ifft(C)[:, (np.arange(R) + i0 + lo + t0 - a) % size]
+        C *= w0[i0:i1 + 1] + w1[i0:i1 + 1]
+        for w, t in ((w1, 0), (w0, L)):
+            s = i0 + lo + t - a       # row i0 + r meets node a + r + s on tap t
+            r0, r1 = max(0, -s), min(R, b - a + 1 - s)
+            if r0 < r1:
+                C[:, r0:r1] -= w[i0 + r0:i0 + r1] * T[t] * G[:, r0 + s:r1 + s]
+        if b == n - 1:                # the rows with n - 1 - i - lo < L
+            i = np.arange(max(i0, n - lo - L), i1 + 1)
+            C[:, R - i.size:] -= w0[i] * T[n - 1 - lo - i] * G[:, -1:]
+        # a row where no nonzero sample sits on a nonzero tap is exactly 0 in the dense
+        # sum, FFT round-off is not: count each run of nonzero taps off prefix sums
+        seen = np.pad(np.cumsum(nonzero[qs, a:b + 1], axis=1), ((0, 0), (1, 0)))
+        j = np.arange(i0, i1 + 1) - a  # row i meets node i + k, hull entry j + k, on tap k
+        reached = np.any([seen[:, np.clip(j + run[-1] + 1, 0, b - a + 1)] >
+                          seen[:, np.clip(j + run[0], 0, b - a + 1)] for run in runs], axis=0)
+        C[~reached] = 0.0
+        out[qs, i0:i1 + 1] = C
+        reached_any[qs] = reached.any(axis=1)
     # FFT rounding is normwise: about eps d |F_q| |T| (2-norms) at every
     # node of row q, however small the row's values.  A row where that
     # is not small against its largest value, beside the phase's own
@@ -574,7 +589,7 @@ def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
     except OverflowError:
         phi = math.inf
     scale = float(d * _EPS * np.linalg.norm(T) / (_FFT_NOISE + _EPS * phi))
-    for q in np.flatnonzero(reached.any(axis=1)):
+    for q in np.flatnonzero(reached_any):
         if scale * math.sqrt(np.vdot(F[q], F[q]).real) > np.max(np.abs(out[q])):
             out[q] = _apply_dense(F[q:q + 1], x, d, kernel, phase, lo, hi)[0]
     return out

@@ -1,6 +1,10 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from onesided import experiments
 from onesided.errors import ConfigError, DomainError
 from onesided.experiments import (CSV_COLUMNS, OperatorSpec,
                                   TestFunctionFamily, campaign_row,
@@ -190,8 +194,21 @@ class TestSweep:
         assert max(ratios) - min(ratios) <= 1e-12
 
     def test_zero_coefficient_rejected(self):
-        with pytest.raises(ConfigError):
-            coefficient_sweep(KP, (1, 1), [0.0], None, 2.0, FAM, *GRID)
+        # before any member is generated, wherever the zero sits
+        with mock.patch.object(experiments, "generate_family", side_effect=AssertionError):
+            for coeffs in ([0.0], [1.0, 0.0]):
+                with pytest.raises(ConfigError):
+                    coefficient_sweep(KP, (1, 1), coeffs, None, 2.0, FAM, *GRID)
+
+    def test_family_shared_across_coefficients(self):
+        # one family, weight and norm per sweep; each report is norm_ratio's
+        w = WeightSpec.exponential(1.0)
+        with mock.patch.object(experiments, "generate_family", wraps=generate_family) as gen:
+            reps = coefficient_sweep(KP, (1, 1), [1e-3, 1.0, 1e3], w, 2.0, FAM, *GRID)
+        assert gen.call_count == 1
+        for a, rep in zip([1e-3, 1.0, 1e3], reps):
+            op = OperatorSpec("oscillatory", KP, PolynomialPhase.monomial(1, 1, a), PVConfig())
+            assert rep == norm_ratio(op, w, 2.0, FAM, *GRID)
 
 
 class TestDecay:
@@ -206,6 +223,17 @@ class TestDecay:
         with pytest.raises(ConfigError):
             dyadic_decay(KP, PolynomialPhase.monomial(1, 1, 1.0), 2.0, None,
                          fam, 2, (-40.0, 2.0), 1025)
+
+    def test_family_shared_across_pieces(self):
+        fam = TestFunctionFamily("random-bump-sums", 6, 3, (0.0, 1.0))
+        P, w = PolynomialPhase.monomial(1, 1, 1.0), WeightSpec.exponential(1.0)
+        with mock.patch.object(experiments, "generate_family", wraps=generate_family) as gen:
+            fit = dyadic_decay(KP, P, 2.0, w, fam, 3, (-10.0, 2.0), 2049)
+        assert gen.call_count == 1
+        for j, lg in zip(fit.j_values, fit.log2_ratios):
+            rep = norm_ratio(OperatorSpec("dyadic_piece", KP, P, PVConfig(), j=j), w, 2.0,
+                             fam, (-10.0, 2.0), 2049)
+            assert lg == math.log2(rep.best_ratio)
 
     def test_fit_fields(self):
         fam = TestFunctionFamily("random-bump-sums", 6, 3, (0.0, 1.0))
