@@ -3,20 +3,16 @@ one-sided oscillatory singular integrals, and interpolation with change
 of measures, with desk-scale verification campaigns."""
 
 from .errors import ConfigError, DomainError, GridMismatchError
-from .grid import (ExponentPair, SampledFunction, grid_nodes, integrate,
-                   lp_weighted_norm, resample)
+from .grid import ExponentPair, SampledFunction, grid_nodes, resample
 from .interpolate import (InterpolationEndpoints, MultiplierReport,
-                          interpolate_weights, verify_on_multiplier,
-                          weighted_decay_combination)
-from .operators import (KernelSpec, OperatorResult, PolynomialPhase, PVConfig,
-                        dyadic_piece, kernel_cancellation_sup, m_minus, m_plus,
-                        m_plus_min, normalize_phase, oscillating_log_kernel,
-                        oscillatory_one_sided, scaling_identity_check,
-                        singular_one_sided, truncated_power_kernel)
+                          interpolate_weights, verify_on_multiplier)
+from .operators import (KernelSpec, PolynomialPhase, PVConfig, kernel_cancellation_sup,
+                        m_minus, m_plus, normalize_phase, oscillating_log_kernel,
+                        scaling_identity_check, truncated_power_kernel)
 from .weights import (BumpSearchResult, ConstantReport, TripleSearchConfig,
                       WeightSpec, a1_constant, ap_both_constant,
                       ap_general_constant, ap_minus_constant, ap_plus_constant,
-                      dilate, dual_weight, factor_weight, gamma_fourpoint_constant,
+                      dilate, dual_weight, gamma_fourpoint_constant,
                       power_bump_search, reflect, rh_infty_constant,
                       rh_plus_constant, weight_power, weight_product)
 from .experiments import (DecayFit, NormRatioReport, OperatorSpec,

@@ -83,8 +83,10 @@ def _grid(obj: dict, path: str):
 
 
 def _pv(obj: dict, path: str) -> PVConfig:
-    return PVConfig(read(obj, "eps_cells", int, 1, path),
-                    read(obj, "refine_checks", int, 0, path))
+    if "refine_checks" in obj:   # read() would pass over the unknown key
+        raise ConfigError(f"{path}.refine_checks: not supported; no command "
+                          "refines the principal-value truncation")
+    return PVConfig(read(obj, "eps_cells", int, 1, path))
 
 
 def _operator(obj: dict, path: str) -> OperatorSpec:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, read
-from .grid import check_working_bytes, grid_nodes
+from .grid import ExponentPair, check_working_bytes, grid_nodes
 from .operators import KernelSpec, OperatorSpec, PolynomialPhase, PVConfig
 from .weights import WeightSpec
 
@@ -192,6 +192,7 @@ def norm_ratio(op: OperatorSpec, w: Optional[WeightSpec], p: float,
 
 def _family_norms(w: Optional[WeightSpec], p: float, family, window: tuple, n: int) -> tuple:
     """F, the realized weight wv (None for w = 1) and ||f||_{L^p(w)}, shared by a campaign."""
+    ExponentPair(p)
     x_lo, x_hi = window
     F = generate_family(family, x_lo, x_hi, n)
     wv = None if w is None else w.realize(x_lo, x_hi, n)

@@ -1,5 +1,4 @@
-"""Sampled functions on uniform 1-D grids, trapezoid quadrature, and
-weighted L^p norms.
+"""Sampled functions on uniform 1-D grids and trapezoid quadrature.
 
 Everything downstream (weight-class estimators, one-sided operators,
 norm-ratio experiments) runs on the carrier defined here: a function
@@ -12,12 +11,8 @@ Numerical contract
 * Quadrature is composite trapezoid on the native grid.  It is exact on
   piecewise-linear data, which matches the representation; higher-order
   rules gain nothing on sampled inputs.
-* Integration endpoints snap to the nearest grid node (no partial
-  cells), so splitting an integral at an interior node loses nothing:
-  the cell partition is exact and only the final float addition rounds.
-* ``integrate`` and ``lp_weighted_norm`` sum cells with ``math.fsum``
-  (correctly rounded, summation-order independent), which makes
-  mirror-image computations bit-identical.
+* Interval integrals run between grid nodes (no partial cells), so the
+  cell partition is exact and only the float additions round.
 * Grid nodes are built from the convex combination
   ``x_i = ((n-1-i) x_lo + i x_hi) / (n-1)`` so that the node set of the
   reflected window ``[-x_hi, -x_lo]`` is exactly ``-x_{n-1-i}``.
@@ -35,15 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GridMismatchError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "SampledFunction",
     "ExponentPair",
     "grid_node",
     "grid_nodes",
-    "integrate",
-    "lp_weighted_norm",
     "resample",
 ]
 
@@ -89,13 +82,6 @@ def cumulative_trapezoid(values: np.ndarray, spacing: float) -> np.ndarray:
     out[..., 0] = 0.0
     np.cumsum(cells, axis=-1, out=cells)
     return out
-
-
-def _cfsum(values: np.ndarray) -> complex:
-    """Correctly rounded sum of a complex array (fsum per component)."""
-    if np.iscomplexobj(values):
-        return complex(math.fsum(values.real), math.fsum(values.imag))
-    return complex(math.fsum(values), 0.0)
 
 
 @dataclass(frozen=True)
@@ -151,15 +137,6 @@ class SampledFunction:
         x = grid_nodes(x_lo, x_hi, n)
         return SampledFunction(x_lo, x_hi, n, np.asarray(fn(x), dtype=np.complex128))
 
-    def snap_index(self, a: float) -> int:
-        """Index of the grid node nearest to ``a`` (must be inside the window)."""
-        span = self.x_hi - self.x_lo
-        tol = 1e-9 * max(span, 1.0)
-        if a < self.x_lo - tol or a > self.x_hi + tol:
-            raise DomainError(f"point {a} outside window [{self.x_lo}, {self.x_hi}]")
-        t = (a - self.x_lo) / span
-        return int(min(max(round(t * (self.n - 1)), 0), self.n - 1))
-
 
 @dataclass(frozen=True)
 class ExponentPair:
@@ -176,34 +153,6 @@ class ExponentPair:
             object.__setattr__(self, "p_conj", conj)
         if abs(1.0 / self.p + 1.0 / self.p_conj - 1.0) > 1e-12:
             raise DomainError(f"1/p + 1/p' = 1 violated for p={self.p}, p'={self.p_conj}")
-
-
-def integrate(f: SampledFunction, a: float, b: float) -> complex:
-    """Composite-trapezoid value of the integral of ``f`` over [a, b].
-
-    Endpoints snap to the nearest grid nodes; callers choose
-    grid-aligned endpoints when they need exact interval arithmetic.
-    """
-    if a > b:
-        raise DomainError(f"need a <= b, got a={a}, b={b}")
-    ia, ib = f.snap_index(a), f.snap_index(b)
-    if ib <= ia:
-        return 0j
-    return _cfsum(trapezoid_cells(f.values, f.spacing)[ia:ib])
-
-
-def lp_weighted_norm(f: SampledFunction, w: SampledFunction, p: float) -> float:
-    """The weighted norm (integral of |f|^p w over the window)^(1/p)."""
-    if p < 1.0:
-        raise DomainError(f"need p >= 1, got {p}")
-    if not f.same_grid(w):
-        raise GridMismatchError(
-            f"grids differ: [{f.x_lo},{f.x_hi}]x{f.n} vs [{w.x_lo},{w.x_hi}]x{w.n}")
-    if not w.is_real or np.any(w.values.real < 0):
-        raise DomainError("weight must be real and nonnegative")
-    integrand = np.abs(f.values) ** p * w.values.real
-    total = math.fsum(trapezoid_cells(integrand, f.spacing))
-    return float(total ** (1.0 / p))
 
 
 def resample(f: SampledFunction, x_lo: float, x_hi: float, n: int) -> SampledFunction:

@@ -18,13 +18,12 @@ rather than estimated maximal/singular norms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .grid import SampledFunction
 from .weights import WeightSpec, weight_power, weight_product
 
@@ -33,7 +32,6 @@ __all__ = [
     "MultiplierReport",
     "interpolate_weights",
     "verify_on_multiplier",
-    "weighted_decay_combination",
 ]
 
 
@@ -83,10 +81,6 @@ class MultiplierReport:
     passed: bool
     p: float
 
-    def to_json_str(self) -> str:
-        return json.dumps({"exact_norm": self.exact_norm, "c_bound": self.c_bound,
-                           "pass": self.passed, "p": self.p}, sort_keys=True)
-
 
 def multiplier_norm(g: SampledFunction, u: WeightSpec, v: WeightSpec,
                     p: float) -> float:
@@ -110,18 +104,3 @@ def verify_on_multiplier(g: SampledFunction, e: InterpolationEndpoints,
     p, u, v, c_bound = interpolate_weights(exact)
     norm = multiplier_norm(g, u, v, p)
     return MultiplierReport(norm, c_bound, norm <= c_bound * (1.0 + tol), p)
-
-
-def weighted_decay_combination(unweighted_norms, weighted_norms, theta: float):
-    """Interpolated per-piece bounds c_j = a_j^theta b_j^{1-theta}: the
-    quantitative skeleton turning unweighted geometric decay plus a
-    weighted uniform bound into weighted geometric decay."""
-    a = np.asarray(unweighted_norms, dtype=float)
-    b = np.asarray(weighted_norms, dtype=float)
-    if a.shape != b.shape:
-        raise ConfigError("norm sequences must have equal length")
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise ConfigError("norm sequences must be positive")
-    if not 0.0 < theta < 1.0:
-        raise ConfigError("theta must lie in (0, 1)")
-    return a ** theta * b ** (1.0 - theta)

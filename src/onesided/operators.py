@@ -4,9 +4,8 @@ polynomial phase, and their dyadic decomposition.
 
 ``OperatorSpec.apply_batch`` is the one operator dispatch: the only code
 that picks an evaluator by operator kind, the dyadic band and the
-empty-piece rule included.  ``m_plus``, ``m_minus``,
-``singular_one_sided``, ``oscillatory_one_sided`` and ``dyadic_piece``
-apply a spec to one ``SampledFunction``.
+empty-piece rule included.  ``m_plus`` and ``m_minus`` apply a spec to
+one ``SampledFunction``.
 
 The one-sided maximal and minimal functions follow F. Riesz's rising-sun
 lemma: the best forward average from a node is the steepest chord to
@@ -14,10 +13,7 @@ the running sums right of it, which ends on their upper (lower) convex
 hull, so one monotone-stack pass costs O(n) per row.
 
 Principal values are realized by epsilon-truncation at a whole number of
-grid cells; the honest discrete analogue of the epsilon -> 0+ limit is
-the Cauchy behaviour of those truncations, so operators optionally
-report a convergence estimate obtained by halving epsilon on refined
-grids.  Infinite upper limits are replaced by the window edge; norm
+grid cells.  Infinite upper limits are replaced by the window edge; norm
 experiments keep the data supported well inside the window so the
 discarded tail is exactly zero.
 
@@ -77,23 +73,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, read
-from .grid import SampledFunction, cumulative_trapezoid, grid_nodes, resample
+from .grid import SampledFunction, cumulative_trapezoid, grid_nodes
 
 __all__ = [
     "KernelSpec",
     "PolynomialPhase",
     "PVConfig",
-    "OperatorResult",
     "OperatorSpec",
     "oscillating_log_kernel",
     "truncated_power_kernel",
     "m_plus",
     "m_minus",
-    "m_plus_min",
-    "singular_one_sided",
-    "oscillatory_one_sided",
     "oscillatory_apply_batch",
-    "dyadic_piece",
     "dyadic_band_cells",
     "kernel_cancellation_sup",
     "normalize_phase",
@@ -308,10 +299,6 @@ class PolynomialPhase:
         return max((b for (_, b), _ in self.terms), default=0)
 
     @property
-    def total_degree(self) -> int:
-        return max((a + b for (a, b), _ in self.terms), default=0)
-
-    @property
     def leading_coefficient(self) -> float:
         return self.coeffs.get((self.k, self.l), 0.0)
 
@@ -353,13 +340,6 @@ class PolynomialPhase:
         return PolynomialPhase(tuple(
             ((a, b), v * (-1.0) ** (a + b)) for (a, b), v in self.terms))
 
-    def add_x_polynomial(self, coeffs: dict) -> "PolynomialPhase":
-        """P + g(x) for a polynomial g in x alone (modulus-invariance tests)."""
-        c = self.coeffs
-        for a, v in coeffs.items():
-            c[(a, 0)] = c.get((a, 0), 0.0) + v
-        return PolynomialPhase.from_coeffs(c)
-
     def to_json(self) -> dict:
         return {"phase": {"coeffs": [[a, b, v] for (a, b), v in self.terms]}}
 
@@ -373,26 +353,13 @@ class PolynomialPhase:
 
 @dataclass(frozen=True)
 class PVConfig:
-    """Epsilon-truncation policy: eps = eps_cells * spacing, plus the
-    number of eps-halvings (on refined grids) used for the convergence
-    report."""
+    """Epsilon-truncation policy: eps = eps_cells * spacing."""
 
     eps_cells: int = 1
-    refine_checks: int = 0
 
     def __post_init__(self):
         if self.eps_cells < 1:
             raise ConfigError("eps_cells must be >= 1")
-        if self.refine_checks < 0:
-            raise ConfigError("refine_checks must be >= 0")
-
-
-@dataclass(frozen=True)
-class OperatorResult:
-    """An operator output plus principal-value diagnostics."""
-
-    function: SampledFunction
-    pv_convergence: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +427,6 @@ def backward_extremal_averages(values: np.ndarray, spacing: float) -> np.ndarray
     """Row-wise sup over h of backward averages of |values|: the mirror
     image of forward_extremal_averages, bit for bit."""
     return forward_extremal_averages(values[..., ::-1], spacing)[..., ::-1]
-
-
-def m_plus_min(f: SampledFunction) -> SampledFunction:
-    """One-sided minimal function inf_{h>0} (1/h) int_x^{x+h} |f|."""
-    return f.with_values(forward_extremal_averages(f.values, f.spacing, minimum=True))
 
 
 # ---------------------------------------------------------------------------
@@ -876,8 +838,7 @@ class OperatorSpec:
         return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.pv, band)
 
     def to_json(self) -> dict:
-        obj = {"kind": self.kind, "pv": {"eps_cells": self.pv.eps_cells,
-                                         "refine_checks": self.pv.refine_checks}}
+        obj = {"kind": self.kind, "pv": {"eps_cells": self.pv.eps_cells}}
         if self.kernel is not None:
             obj.update(self.kernel.to_json())
         if self.phase is not None:
@@ -892,20 +853,6 @@ def _apply_one(op: OperatorSpec, f: SampledFunction) -> SampledFunction:
     return f.with_values(op.apply_batch(f.values[None, :], f.x_lo, f.x_hi)[0])
 
 
-def _refined_convergence(op: OperatorSpec, f: SampledFunction) -> OperatorResult:
-    """op f with its pv_convergence: the largest nodewise change of op f
-    over pv.refine_checks halvings of the spacing (and so of eps), read
-    on the nodes of f; None when no halving is asked for."""
-    out = _apply_one(op, f)
-    conv, prev = None, out.values
-    for level in range(1, op.pv.refine_checks + 1):
-        f2 = resample(f, f.x_lo, f.x_hi, (f.n - 1) * 2 ** level + 1)
-        cur = _apply_one(op, f2).values[::2 ** level]
-        conv = max(conv or 0.0, float(np.max(np.abs(cur - prev))))
-        prev = cur
-    return OperatorResult(out, conv)
-
-
 def m_plus(f: SampledFunction) -> SampledFunction:
     """One-sided maximal function sup_{h>0} (1/h) int_x^{x+h} |f|."""
     return _apply_one(OperatorSpec("m_plus"), f)
@@ -914,26 +861,6 @@ def m_plus(f: SampledFunction) -> SampledFunction:
 def m_minus(f: SampledFunction) -> SampledFunction:
     """Mirror image of m_plus (backward averages)."""
     return _apply_one(OperatorSpec("m_minus"), f)
-
-
-def oscillatory_one_sided(f: SampledFunction, kernel: KernelSpec,
-                          phase: PolynomialPhase, pv: PVConfig) -> OperatorResult:
-    """p.v. integral of e^{iP(x,y)} K(x-y) f(y) over the kernel's side,
-    truncated at eps = eps_cells * spacing and at the window edge."""
-    return _refined_convergence(OperatorSpec("oscillatory", kernel, phase, pv), f)
-
-
-def singular_one_sided(f: SampledFunction, kernel: KernelSpec,
-                       pv: PVConfig) -> OperatorResult:
-    """One-sided Calderon-Zygmund integral: the oscillatory operator
-    with phase 0 (same code path, hence bit-identical by construction)."""
-    return _refined_convergence(OperatorSpec("singular", kernel, pv=pv), f)
-
-
-def dyadic_piece(f: SampledFunction, kernel: KernelSpec,
-                 phase: PolynomialPhase, j: int, pv: PVConfig) -> OperatorResult:
-    """The piece T_j of the dyadic decomposition T = T_0 + sum_j T_j."""
-    return OperatorResult(_apply_one(OperatorSpec("dyadic_piece", kernel, phase, pv, j), f))
 
 
 # ---------------------------------------------------------------------------

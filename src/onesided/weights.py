@@ -57,7 +57,6 @@ __all__ = [
     "rh_plus_constant",
     "rh_infty_constant",
     "dual_weight",
-    "factor_weight",
     "weight_product",
     "dilate",
     "reflect",
@@ -234,12 +233,6 @@ def weight_product(w1: WeightSpec, w2: WeightSpec) -> WeightSpec:
     other = w2 if w1.form == "sampled" else w1
     vals = other.realize(sf.x_lo, sf.x_hi, sf.n)
     return WeightSpec.sampled(sf.with_values(sf.values.real * vals))
-
-
-def factor_weight(w1: WeightSpec, w2: WeightSpec, p: float) -> WeightSpec:
-    """The product w1 * w2^{1-p} from the A_1-factorization of A_p^+."""
-    ExponentPair(p)
-    return weight_product(w1, weight_power(w2, 1.0 - p))
 
 
 def dilate(w: WeightSpec, lam: float) -> WeightSpec:

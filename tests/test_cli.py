@@ -72,6 +72,7 @@ MALFORMED = [
     (("sweep", "coeffs"), {"p": "abc"}, [], "p"),
     (("sweep", "coeffs"), {"monomial": [1, "y"]}, [], "monomial[1]"),
     (("sweep", "coeffs"), {"pv": {"eps_cells": "x"}}, [], "pv.eps_cells"),
+    (("sweep", "coeffs"), {"pv": {"eps_cells": 1, "refine_checks": 2}}, [], "pv.refine_checks"),
     (("sweep", "coeffs"),
      {"kernel": {k: v for k, v in KERNEL["kernel"].items() if k != "side"}}, [],
      "kernel.side"),
@@ -406,6 +407,13 @@ class TestCommandTable:
         cfg = write_cfg(tmp_path, "c.json", dict(TINY[command], **change))
         assert main([*command, "--config", cfg, "--out", str(tmp_path / "res"), *flags]) == 2
         assert f"config error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, p", [(("sweep", "coeffs"), 0), (("decay", "fit"), 0.5)],
+                             ids=["sweep-p0", "decay-p0.5"])
+    def test_exponent_outside_range_exit_2(self, tmp_path, capsys, command, p):
+        cfg = write_cfg(tmp_path, "c.json", dict(TINY[command], p=p))
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "res")]) == 2
+        assert "need p in (1, inf)" in capsys.readouterr().err
 
 
 def _leaves(obj, keys=(), label=""):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from onesided.errors import ConfigError, DomainError, GridMismatchError
+from onesided.errors import DomainError, GridMismatchError
 from onesided.grid import SampledFunction
 from onesided.interpolate import (InterpolationEndpoints, interpolate_weights,
-                                  multiplier_norm, verify_on_multiplier,
-                                  weighted_decay_combination)
+                                  multiplier_norm, verify_on_multiplier)
 from onesided.weights import WeightSpec
 
 ONE = WeightSpec.constant(1.0)
@@ -101,44 +100,7 @@ class TestMultiplierVerification:
             rep = verify_on_multiplier(g, e)
             assert rep.passed, (rep.exact_norm, rep.c_bound)
 
-    def test_report_serializes(self):
-        g = SampledFunction(0.0, 1.0, 17, np.ones(17, dtype=complex))
-        rep = verify_on_multiplier(g, endpoints())
-        assert '"pass": true' in rep.to_json_str()
-
     def test_multiplier_norm_is_sup(self):
         g = SampledFunction(0.0, 1.0, 11,
                             np.array([0, 1, -3, 2, 0.5, 0, 1, 1, 2, -1, 0]) + 0j)
         assert multiplier_norm(g, ONE, ONE, 2.0) == 3.0
-
-
-class TestDecayCombination:
-    def test_trivial(self):
-        out = weighted_decay_combination((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.5)
-        assert np.allclose(out, 1.0, rtol=0, atol=0)
-
-    def test_exponent_arithmetic(self):
-        un = [2.0 ** -j for j in range(6)]
-        out = weighted_decay_combination(un, np.ones(6), 0.5)
-        assert np.allclose(out, [2.0 ** (-j / 2.0) for j in range(6)], rtol=1e-15)
-
-    def test_slope_identity(self):
-        # log2 of the output is theta * log2(unweighted) + (1-theta) *
-        # log2(weighted); with constant weighted input the slope scales
-        # by exactly theta
-        rng = np.random.default_rng(1)
-        un = np.exp(rng.normal(size=9))
-        theta = 0.37
-        out = weighted_decay_combination(un, np.full(9, 2.5), theta)
-        j = np.arange(9.0)
-        s_in = np.polyfit(j, np.log2(un), 1)[0]
-        s_out = np.polyfit(j, np.log2(out), 1)[0]
-        assert s_out == pytest.approx(theta * s_in, abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            weighted_decay_combination((1.0,), (1.0, 2.0), 0.5)
-        with pytest.raises(ConfigError):
-            weighted_decay_combination((1.0, -1.0), (1.0, 1.0), 0.5)
-        with pytest.raises(ConfigError):
-            weighted_decay_combination((1.0,), (1.0,), 1.5)

@@ -11,19 +11,27 @@ from onesided.experiments import TestFunctionFamily, generate_family
 from onesided.grid import SampledFunction, cumulative_trapezoid, grid_nodes
 from onesided import operators
 from onesided.operators import (_EPS, _FFT_NOISE, _PHASE_RESOLUTION, KernelSpec,
-                                PolynomialPhase, PVConfig, _affine_y_coefficient,
-                                _apply_dense, _filon_moments, _toeplitz,
-                                dyadic_band_cells, dyadic_piece,
+                                OperatorSpec, PolynomialPhase, PVConfig,
+                                _affine_y_coefficient, _apply_dense, _filon_moments,
+                                _toeplitz, dyadic_band_cells,
                                 forward_extremal_averages,
                                 kernel_cancellation_sup, m_minus, m_plus,
-                                m_plus_min, normalize_phase,
-                                oscillating_log_kernel,
-                                oscillatory_apply_batch, oscillatory_one_sided,
-                                scaling_identity_check,
-                                singular_one_sided, truncated_power_kernel)
+                                normalize_phase, oscillating_log_kernel,
+                                oscillatory_apply_batch, scaling_identity_check,
+                                truncated_power_kernel)
 
 KP = oscillating_log_kernel("plus")
 PV1 = PVConfig(eps_cells=1)
+
+
+def apply_one(op: OperatorSpec, f: SampledFunction) -> np.ndarray:
+    """``op`` on f, through the dispatch the campaigns use, as a one-row batch."""
+    return op.apply_batch(f.values[None, :], f.x_lo, f.x_hi)[0]
+
+
+def minimal(f: SampledFunction) -> np.ndarray:
+    """The one-sided minimal function inf_{h>0} (1/h) int_x^{x+h} |f|."""
+    return forward_extremal_averages(f.values, f.spacing, minimum=True)
 
 
 def gaussian(lo=-4.0, hi=4.0, n=1025, width=3.0):
@@ -112,7 +120,7 @@ class TestMaximal:
         f = SampledFunction(0.0, 1.0, 33, np.full(33, -2.5 + 0j))
         assert np.allclose(m_plus(f).values.real, 2.5, rtol=0, atol=0)
         assert np.allclose(m_minus(f).values.real, 2.5, rtol=0, atol=0)
-        assert np.allclose(m_plus_min(f).values.real, 2.5, rtol=0, atol=0)
+        assert np.allclose(minimal(f), 2.5, rtol=0, atol=0)
 
     def test_indicator_closed_form_plus(self):
         f = indicator(0.0, 1.0)
@@ -146,7 +154,7 @@ class TestMaximal:
     def test_min_below_max(self):
         rng = np.random.default_rng(5)
         f = SampledFunction(0.0, 1.0, 257, rng.normal(size=257) + 0j)
-        assert np.all(m_plus_min(f).values.real <= m_plus(f).values.real + 1e-15)
+        assert np.all(minimal(f) <= m_plus(f).values.real + 1e-15)
 
     def test_minus_is_reflection(self):
         rng = np.random.default_rng(6)
@@ -157,7 +165,7 @@ class TestMaximal:
 
     def test_exponential_minimal_bracket(self):
         f = SampledFunction.from_callable(np.exp, -4.0, 4.0, 2049)
-        got = m_plus_min(f).values.real
+        got = minimal(f)
         ex = np.exp(f.nodes())
         hi = ex * (math.exp(f.spacing) - 1.0) / f.spacing
         assert np.all(got >= ex * (1 - 1e-12)) and np.all(got <= hi + 1e-12)
@@ -315,16 +323,15 @@ class TestHullAgainstScan:
 class TestSingular:
     def test_zero_input(self):
         f = SampledFunction(-4.0, 4.0, 257, np.zeros(257, dtype=complex))
-        out = singular_one_sided(f, KP, PV1).function
-        assert np.all(out.values == 0.0)
+        assert np.all(apply_one(OperatorSpec("singular", KP, pv=PV1), f) == 0.0)
 
     def test_closed_form_indicator(self):
         # T~+ chi_[1,2](0) = -int_1^2 sin(ln y)/(2y) dy
         #                  = -(cos(ln 1) - cos(ln 2))/2, u = ln y
         f = indicator(1.0, 2.0 + 2.0 / 4096)   # nodes at exactly 1 and 2+cell
-        out = singular_one_sided(f, KP, PV1).function
+        out = apply_one(OperatorSpec("singular", KP, pv=PV1), f)
         exact = -(math.cos(0.0) - math.cos(math.log(2.0))) / 2.0
-        got = out.values[f.snap_index(0.0)]
+        got = out[(f.n - 1) // 2]                # the node x = 0
         # jump cells contribute O(spacing) each
         assert abs(got - exact) <= 5.0 * f.spacing
 
@@ -334,10 +341,10 @@ class TestSingular:
         f = SampledFunction(-4.0, 4.0, n, rng.normal(size=n) + 1j * rng.normal(size=n))
         g = f.with_values(rng.normal(size=n) + 1j * rng.normal(size=n))
         a, b = 1.7 - 0.3j, -0.8 + 2.1j
-        Tf = singular_one_sided(f, KP, PV1).function.values
-        Tg = singular_one_sided(g, KP, PV1).function.values
-        Tfg = singular_one_sided(f.with_values(a * f.values + b * g.values),
-                                 KP, PV1).function.values
+        Tf = apply_one(OperatorSpec("singular", KP, pv=PV1), f)
+        Tg = apply_one(OperatorSpec("singular", KP, pv=PV1), g)
+        Tfg = apply_one(OperatorSpec("singular", KP, pv=PV1),
+                        f.with_values(a * f.values + b * g.values))
         assert np.max(np.abs(Tfg - (a * Tf + b * Tg))) <= 1e-12
 
     def test_oscillatory_linearity(self):
@@ -347,54 +354,47 @@ class TestSingular:
         f = SampledFunction(-4.0, 4.0, n, rng.normal(size=n) + 1j * rng.normal(size=n))
         g = f.with_values(rng.normal(size=n) + 0j)
         a, b = 0.6 + 1.1j, -2.0
-        Tf = oscillatory_one_sided(f, KP, P, PV1).function.values
-        Tg = oscillatory_one_sided(g, KP, P, PV1).function.values
-        Tfg = oscillatory_one_sided(f.with_values(a * f.values + b * g.values),
-                                    KP, P, PV1).function.values
+        Tf = apply_one(OperatorSpec("oscillatory", KP, P, PV1), f)
+        Tg = apply_one(OperatorSpec("oscillatory", KP, P, PV1), g)
+        Tfg = apply_one(OperatorSpec("oscillatory", KP, P, PV1),
+                        f.with_values(a * f.values + b * g.values))
         assert np.max(np.abs(Tfg - (a * Tf + b * Tg))) <= 1e-12
 
     def test_minus_side_reflection(self):
         rng = np.random.default_rng(9)
         f = SampledFunction(-4.0, 4.0, 513, rng.normal(size=513) + 0j)
         Km = oscillating_log_kernel("minus")
-        lhs = singular_one_sided(f, Km, PV1).function.values
-        rhs = singular_one_sided(f.reflected(), Km.reflected(),
-                                 PV1).function.values[::-1]
+        lhs = apply_one(OperatorSpec("singular", Km, pv=PV1), f)
+        rhs = apply_one(OperatorSpec("singular", Km.reflected(), pv=PV1),
+                        f.reflected())[::-1]
         assert np.array_equal(lhs, rhs)
 
     def test_eps_cells_guard(self):
         f = gaussian(n=65)
         with pytest.raises(ConfigError):
-            singular_one_sided(f, KP, PVConfig(eps_cells=65))
-
-    def test_pv_convergence_reported(self):
-        f = gaussian(n=257)
-        res = singular_one_sided(f, KP, PVConfig(eps_cells=1, refine_checks=2))
-        assert res.pv_convergence is not None and res.pv_convergence >= 0.0
-        res0 = singular_one_sided(f, KP, PV1)
-        assert res0.pv_convergence is None
+            apply_one(OperatorSpec("singular", KP, pv=PVConfig(eps_cells=65)), f)
 
 
 class TestOscillatory:
     def test_zero_phase_is_singular_bitwise(self):
         f = gaussian()
-        a = singular_one_sided(f, KP, PV1).function.values
-        b = oscillatory_one_sided(f, KP, PolynomialPhase.zero(), PV1).function.values
+        a = apply_one(OperatorSpec("singular", KP, pv=PV1), f)
+        b = apply_one(OperatorSpec("oscillatory", KP, PolynomialPhase.zero(), PV1), f)
         assert np.array_equal(a, b)
 
     def test_constant_phase_factor(self):
         f = gaussian()
-        base = singular_one_sided(f, KP, PV1).function.values
-        got = oscillatory_one_sided(f, KP, PolynomialPhase.monomial(0, 0, 0.7),
-                                    PV1).function.values
+        base = apply_one(OperatorSpec("singular", KP, pv=PV1), f)
+        got = apply_one(OperatorSpec("oscillatory", KP,
+                                     PolynomialPhase.monomial(0, 0, 0.7), PV1), f)
         assert np.max(np.abs(got - np.exp(0.7j) * base)) <= 1e-12
 
     def test_modulus_invariant_under_x_polynomials(self):
         f = gaussian()
         P = PolynomialPhase.monomial(1, 1, 1.0)
-        P2 = P.add_x_polynomial({0: 1.0, 2: 0.5})
-        a = np.abs(oscillatory_one_sided(f, KP, P, PV1).function.values)
-        b = np.abs(oscillatory_one_sided(f, KP, P2, PV1).function.values)
+        P2 = PolynomialPhase.from_coeffs({(1, 1): 1.0, (0, 0): 1.0, (2, 0): 0.5})
+        a = np.abs(apply_one(OperatorSpec("oscillatory", KP, P, PV1), f))
+        b = np.abs(apply_one(OperatorSpec("oscillatory", KP, P2, PV1), f))
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def _dense_oracle(self, f, coeff, R=96):
@@ -424,7 +424,7 @@ class TestOscillatory:
         f = gaussian(-2.0, 2.0, 129, width=1.0)
         coeff = 30.0
         P = PolynomialPhase.monomial(1, 2, coeff)
-        got = oscillatory_one_sided(f, KP, P, PV1).function.values
+        got = apply_one(OperatorSpec("oscillatory", KP, P, PV1), f)
         oracle = self._dense_oracle(f, coeff)
         err = np.max(np.abs(got - oracle))
         naive = self._dense_oracle(f, coeff, R=1)
@@ -445,7 +445,7 @@ class TestOscillatory:
         batch = oscillatory_apply_batch(F, -4.0, 4.0, KP, P, PV1)
         for q in range(3):
             f = SampledFunction(-4.0, 4.0, n, F[q])
-            single = oscillatory_one_sided(f, KP, P, PV1).function.values
+            single = apply_one(OperatorSpec("oscillatory", KP, P, PV1), f)
             assert np.max(np.abs(batch[q] - single)) <= 1e-12
 
 
@@ -1081,7 +1081,7 @@ class TestDyadic:
         P = PolynomialPhase.monomial(1, 1, 1.0)
         k0 = dyadic_band_cells(f.spacing, 0, 1)[1]
         for J in (1, 3, 5):
-            total = sum(dyadic_piece(f, KP, P, j, PV1).function.values
+            total = sum(apply_one(OperatorSpec("dyadic_piece", KP, P, PV1, j), f)
                         for j in range(J + 1))
             ranged = oscillatory_apply_batch(f.values[None, :], f.x_lo, f.x_hi,
                                              KP, P, PV1, (1, k0 * 2 ** J))[0]
@@ -1090,8 +1090,8 @@ class TestDyadic:
     def test_pieces_no_singularity(self):
         f = gaussian(-8.0, 8.0, 1025)
         P = PolynomialPhase.monomial(1, 1, 1.0)
-        a = dyadic_piece(f, KP, P, 2, PVConfig(eps_cells=1)).function.values
-        b = dyadic_piece(f, KP, P, 2, PVConfig(eps_cells=9)).function.values
+        a = apply_one(OperatorSpec("dyadic_piece", KP, P, PVConfig(eps_cells=1), 2), f)
+        b = apply_one(OperatorSpec("dyadic_piece", KP, P, PVConfig(eps_cells=9), 2), f)
         assert np.array_equal(a, b)
 
     def test_pointwise_bound(self):
@@ -1104,17 +1104,18 @@ class TestDyadic:
                                 (rng.normal(size=n) * (np.abs(x) < 2)) + 0j)
             M = m_plus(f).values.real
             for j in (1, 2, 3):
-                T = np.abs(dyadic_piece(f, KP, P, j, PV1).function.values)
+                T = np.abs(apply_one(OperatorSpec("dyadic_piece", KP, P, PV1, j), f))
                 assert np.all(T <= 2.0 * KP.size_const * M + 1e-12)
 
     def test_empty_range_is_zero(self):
         f = gaussian(-2.0, 2.0, 129)
-        res = dyadic_piece(f, KP, PolynomialPhase.zero(), 8, PV1)
-        assert np.all(res.function.values == 0.0)
+        op = OperatorSpec("dyadic_piece", KP, PolynomialPhase.zero(), PV1, 8)
+        assert np.all(apply_one(op, f) == 0.0)
 
     def test_rejects_negative_j(self):
         with pytest.raises(DomainError):
-            dyadic_piece(gaussian(), KP, PolynomialPhase.zero(), -1, PV1)
+            apply_one(OperatorSpec("dyadic_piece", KP, PolynomialPhase.zero(), PV1, -1),
+                      gaussian())
 
 
 # ---------------------------------------------------------------------------
@@ -1124,7 +1125,7 @@ class TestDyadic:
 class TestPhase:
     def test_degrees(self):
         P = PolynomialPhase.from_coeffs({(2, 1): 8.0, (1, 1): 2.0, (0, 3): 0.0})
-        assert P.k == 2 and P.l == 1 and P.total_degree == 3
+        assert P.k == 2 and P.l == 1
         assert P.leading_coefficient == 8.0
 
     def test_serialization(self):
@@ -1182,5 +1183,3 @@ class TestPVConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             PVConfig(eps_cells=0)
-        with pytest.raises(ConfigError):
-            PVConfig(refine_checks=-1)

@@ -16,9 +16,9 @@ from test_grid import old_grid_nodes, same_bits, windows
 from onesided.weights import (TripleSearchConfig, WeightSpec, a1_constant,
                               ap_both_constant, ap_general_constant,
                               ap_minus_constant, ap_plus_constant, dilate,
-                              dual_weight, factor_weight, gamma_fourpoint_constant,
+                              dual_weight, gamma_fourpoint_constant,
                               power_bump_search, reflect, rh_infty_constant,
-                              rh_plus_constant, weight_power)
+                              rh_plus_constant, weight_power, weight_product)
 
 ONE = WeightSpec.constant(1.0)
 EX = WeightSpec.exponential(1.0)
@@ -83,14 +83,16 @@ class TestCatalog:
         d = dual_weight(w, 2.0)
         assert np.allclose(d.samples.values.real, 1.0 / s.values.real, rtol=1e-15)
 
+    # the A_1 factorization of A_p^+: w1 w2^{1-p} with w1 in A_1^+, w2 in A_1^-
+
     def test_factor_examples(self):
-        assert factor_weight(ONE, ONE, 2.0).canonical() == (1.0, 0.0, 0.0)
+        assert weight_product(ONE, weight_power(ONE, -1.0)).canonical() == (1.0, 0.0, 0.0)
         # e^x in A_1^+, e^{-x} in A_1^-, p = 2 -> e^{2x}
-        w = factor_weight(EX, WeightSpec.exponential(-1.0), 2.0)
+        w = weight_product(EX, weight_power(WeightSpec.exponential(-1.0), -1.0))
         assert w.form == "exponential" and w.params[0] == 2.0
 
     def test_factor_membership(self):
-        w = factor_weight(EX, WeightSpec.exponential(-1.0), 2.0)
+        w = weight_product(EX, weight_power(WeightSpec.exponential(-1.0), -1.0))
         rep = ap_plus_constant(w, 2.0, cfg())
         assert rep.finite_flag and rep.constant <= 1.0 + 1e-9
 
@@ -98,7 +100,7 @@ class TestCatalog:
         a = WeightSpec.sampled(SampledFunction(0.0, 1.0, 11, np.ones(11) + 0j))
         b = WeightSpec.sampled(SampledFunction(0.0, 1.0, 12, np.ones(12) + 0j))
         with pytest.raises(GridMismatchError):
-            factor_weight(a, b, 2.0)
+            weight_product(a, weight_power(b, -1.0))
 
     def test_dilate_examples(self):
         assert dilate(EX, 1.0).canonical() == EX.canonical()
