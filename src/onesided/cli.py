@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -53,15 +54,16 @@ from .weights import (TripleSearchConfig, WeightSpec, a1_constant,
                       ap_minus_constant, ap_plus_constant, gamma_fourpoint_constant,
                       power_bump_search, rh_infty_constant, rh_plus_constant)
 
+# each estimator's keyword parameters are the config fields it takes
 _ESTIMATORS = {
-    "ap_plus": lambda w, c, p=2.0, **k: ap_plus_constant(w, p, c),
-    "ap_minus": lambda w, c, p=2.0, **k: ap_minus_constant(w, p, c),
-    "ap_both": lambda w, c, p=2.0, **k: ap_both_constant(w, p, c),
-    "ap_general": lambda w, c, p=2.0, side="plus", **k: ap_general_constant(w, p, side, c),
-    "a1": lambda w, c, side="plus", **k: a1_constant(w, side, c),
-    "rh_plus": lambda w, c, r=1.2, variant=4, **k: rh_plus_constant(w, r, variant, c),
-    "rh_infty": lambda w, c, **k: rh_infty_constant(w, c),
-    "gamma_fourpoint": lambda w, c, p=2.0, **k: gamma_fourpoint_constant(w, p, c),
+    "ap_plus": lambda w, c, p=2.0: ap_plus_constant(w, p, c),
+    "ap_minus": lambda w, c, p=2.0: ap_minus_constant(w, p, c),
+    "ap_both": lambda w, c, p=2.0: ap_both_constant(w, p, c),
+    "ap_general": lambda w, c, p=2.0, side="plus": ap_general_constant(w, p, side, c),
+    "a1": lambda w, c, side="plus": a1_constant(w, side, c),
+    "rh_plus": lambda w, c, r=1.2, variant=4: rh_plus_constant(w, r, variant, c),
+    "rh_infty": lambda w, c: rh_infty_constant(w, c),
+    "gamma_fourpoint": lambda w, c, p=2.0: gamma_fourpoint_constant(w, p, c),
 }
 _ESTIMATOR_ARGS = (("p", float), ("r", float), ("variant", int), ("side", str))
 _STANDARD_GRID = (STANDARD_WINDOW, STANDARD_N)
@@ -125,7 +127,11 @@ def _weights_estimate(cfg: dict):
                           f"expected one of {sorted(_ESTIMATORS)}")
     w = read(cfg, "weight", WeightSpec.from_json)
     search = read(cfg, "search", TripleSearchConfig.from_json)
+    takes = inspect.signature(_ESTIMATORS[name]).parameters
     kw = {k: read(cfg, k, kind) for k, kind in _ESTIMATOR_ARGS if k in cfg}
+    for k in kw:
+        if k not in takes:
+            raise ConfigError(f"{k}: {name} takes no {k}")
     report = _ESTIMATORS[name](w, search, **kw)
     return (["command", "estimator", "weight", "p", "constant", "finite_flag", "witness"],
             [["weights estimate", name, w.label(), repr(kw.get("p", "")),

@@ -9,8 +9,15 @@ one ``SampledFunction``.
 
 The one-sided maximal and minimal functions follow F. Riesz's rising-sun
 lemma: the best forward average from a node is the steepest chord to
-the running sums right of it, which ends on their upper (lower) convex
-hull, so one monotone-stack pass costs O(n) per row.
+the running sums c right of it, which ends on their upper (lower) convex
+hull, so one monotone-stack pass costs O(n) per row.  It walks only the
+live span [Q, P) between the flat ends c[:Q + 1] == c[0] and c[P:] ==
+c[n - 1]: every chord from the suffix is flat, so its tangent is n - 1;
+from the prefix the inf's chord to the next node is flat and none is
+steeper, and the sup's tangents lie on the one chain the stack holds
+after node Q, guessed from where its edges cross the prefix line and
+kept only if the walk's own comparisons confirm every step, else walked.
+The output is the full pass's, bit for bit.
 
 Principal values are realized by epsilon-truncation at a whole number of
 grid cells.  Infinite upper limits are replaced by the window edge; norm
@@ -366,14 +373,14 @@ class PVConfig:
 # maximal / minimal operators
 # ---------------------------------------------------------------------------
 
-def _steepest_chords(c: list, d: float) -> list:
-    """For every node i < n - 1 the node j > i with the steepest chord
-    (c[j] - c[i]) / ((j - i) d): the tangent point from (i, c[i]) to the
-    upper convex hull of the points right of it, which a right-to-left
-    monotone stack holds.  Slopes are compared as quotients, so the
+def _steepest_chords(c: list, d: float, stack: list, lo: int) -> list:
+    """For nodes i = stack[-1] - 1 down to lo (index i - lo) the j > i with
+    the steepest chord (c[j] - c[i]) / ((j - i) d): the tangent from (i, c[i])
+    to the upper hull right of it, which the right-to-left monotone ``stack``
+    holds (left as after node lo).  Slopes are compared as quotients, so the
     comparison cannot overflow where the quotients are finite."""
-    tangent, stack = [0] * (len(c) - 1), [len(c) - 1]
-    for i in range(len(c) - 2, -1, -1):
+    tangent = [0] * stack[-1]
+    for i in range(stack[-1] - 1, lo - 1, -1):
         ci, top = c[i], stack[-1]
         q = (c[top] - ci) / ((top - i) * d)
         while len(stack) > 1:
@@ -385,7 +392,34 @@ def _steepest_chords(c: list, d: float) -> list:
             top, q = below, q_below
         tangent[i] = top
         stack.append(i)
+    del tangent[:lo]
     return tangent
+
+
+def _chain_stops(V: np.ndarray, cv: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Where the walk from each (i, 0) stops on the concave chain V (values
+    cv): past each edge whose line crosses 0 at or right of i."""
+    with np.errstate(all="ignore"):
+        cross = V[:-1] - cv[:-1] * np.diff(V) / np.diff(cv)
+    return np.searchsorted(-cross, -i, side="right")
+
+
+def _flat_prefix_chords(c: np.ndarray, d: float, V: np.ndarray, q: int):
+    """Tangents of the nodes i < q (c[:q + 1] == 0, V the stack after node
+    q, top first) if the walk's own comparisons confirm _chain_stops, else None."""
+    i = np.arange(q - 1, -1, -1)
+    k = np.maximum.accumulate(_chain_stops(V, c[V], i))
+    start = np.concatenate(([0], k[:-1]))     # where the walk from i + 1 stopped
+    size = np.minimum(k + 1, len(V) - 1) - start + 1
+    t = np.repeat(np.arange(q), size)         # each node's steps along V
+    first = np.cumsum(size) - size
+    m = np.arange(t.size) - first[t] + start[t]
+    with np.errstate(all="ignore"):
+        s = (c[V[m]] - c[i[t]]) / ((V[m] - i[t]) * d)
+    step = t[1:] == t[:-1]
+    ok = np.all(0.0 <= s[first]) and np.array_equal(
+        (s[:-1] <= s[1:])[step], (m[:-1] < k[t[:-1]])[step])
+    return V[k[::-1]] if ok else None
 
 
 def forward_extremal_averages(values: np.ndarray, spacing: float,
@@ -398,7 +432,9 @@ def forward_extremal_averages(values: np.ndarray, spacing: float,
 
     Rising sun: the best h ends on the convex hull of the running sums
     (upper for the sup, lower for the inf), found by one O(n) stack pass
-    per row; its average is then rounded as a scan over every h would.
+    per row, walked only between the flat ends of the running sums (the
+    module docstring's span rule); its average is then rounded as a scan
+    over every h would.
     """
     a = np.abs(np.asarray(values))
     if a.ndim not in (1, 2):
@@ -407,14 +443,29 @@ def forward_extremal_averages(values: np.ndarray, spacing: float,
         raise DomainError("values must be finite")
     rows = np.atleast_2d(a)
     (m, n), d = rows.shape, float(spacing)
+    if not 0.0 < d < math.inf:
+        raise DomainError(f"spacing must be finite and > 0, got {spacing}")
     cum = cumulative_trapezoid(rows, spacing)
     out = rows.astype(np.float64, copy=False)   # np.abs made a fresh array
     if n > 1:
         # one row of Python floats at a time and in-place arithmetic keep
         # the peak memory at a few (m, n) arrays
-        j = np.empty((m, n - 1), dtype=np.int64)
+        j = np.repeat(np.arange(1, n)[None], m, axis=0)   # the inf's flat prefix
         for r, c in enumerate(-cum if minimum else cum):
-            j[r] = _steepest_chords(c.tolist(), d)
+            sums = cum[r]   # never decrease, so bisection finds their flat ends
+            q = int(np.searchsorted(sums, 0.0, side="right")) - 1
+            p = int(np.searchsorted(sums, sums[-1])) if math.isfinite(sums[-1]) else n - 1
+            j[r, p:] = n - 1
+            if q >= p:          # all flat
+                continue
+            cl = c[q:p + 1].tolist()    # c.tolist(), the flat ends copied from their ends
+            cl[:0] = cl[:1] * q
+            cl += cl[-1:] * (n - 1 - p)
+            stack = [n - 1, p] if p < n - 1 else [n - 1]
+            j[r, q:p] = _steepest_chords(cl, d, stack, q)
+            if q and not minimum:
+                k = _flat_prefix_chords(c, d, np.array(stack[::-1]), q)
+                j[r, :q] = _steepest_chords(cl, d, stack, 0) if k is None else k
         avg = np.take_along_axis(cum, j, axis=1)
         avg -= cum[:, :-1]
         j -= np.arange(n - 1)
@@ -735,13 +786,8 @@ def _subdivided_weights(W: np.ndarray, x: np.ndarray, d: float,
     return ends
 
 
-def oscillatory_apply_batch(F: np.ndarray, x_lo: float, x_hi: float,
-                            kernel: KernelSpec, phase: PolynomialPhase,
-                            pv: PVConfig,
-                            band_cells: Optional[tuple] = None) -> np.ndarray:
-    """Apply the one-sided oscillatory operator to a batch of sampled
-    functions (rows of F).  Direction follows kernel.side; the minus
-    side is evaluated as the exact mirror image of the plus side."""
+def _checked_batch(F: np.ndarray, x_lo: float, x_hi: float) -> np.ndarray:
+    """F as an array, once it is a finite 2-D batch of >= 2 nodes on x_lo < x_hi."""
     F = np.asarray(F)
     if F.ndim != 2 or F.shape[1] < 2:
         raise DomainError(f"F must be 2-D with at least 2 nodes, got shape {F.shape}")
@@ -749,6 +795,17 @@ def oscillatory_apply_batch(F: np.ndarray, x_lo: float, x_hi: float,
         raise DomainError("F must be finite")
     if not x_lo < x_hi:
         raise DomainError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
+    return F
+
+
+def oscillatory_apply_batch(F: np.ndarray, x_lo: float, x_hi: float,
+                            kernel: KernelSpec, phase: PolynomialPhase,
+                            pv: PVConfig,
+                            band_cells: Optional[tuple] = None) -> np.ndarray:
+    """Apply the one-sided oscillatory operator to a batch of sampled
+    functions (rows of F).  Direction follows kernel.side; the minus
+    side is evaluated as the exact mirror image of the plus side."""
+    F = _checked_batch(F, x_lo, x_hi)
     if band_cells is not None and band_cells[0] < 0:
         raise DomainError(f"band cells must start at >= 0, got {band_cells}")
     if kernel.side == "minus":
@@ -819,6 +876,7 @@ class OperatorSpec:
         """The operator on every row of F, sampled on [x_lo, x_hi].  A
         dyadic piece whose band starts at or past the last node is empty
         and gives zeros."""
+        F = _checked_batch(F, x_lo, x_hi)
         d = (x_hi - x_lo) / (F.shape[1] - 1)
         if self.kind == "identity":
             return F.copy()

@@ -85,6 +85,8 @@ MALFORMED = [
     (("suite", "run"), {"seed": "x"}, [], "seed"),
     (("weights", "estimate"), {}, ["--n", "64"], "--n"),
     (("decay", "fit"), {"j_max": 1100}, [], "j_max"),       # 2.0 ** 1100 overflows
+    (("weights", "estimate"), {"estimator": "a1", "p": 0.0}, [], "p"),   # a1 takes no p
+    (("weights", "estimate"), {"estimator": "rh_infty", "p": -3.0, "r": 0.2}, [], "p"),
 ]
 
 
@@ -402,7 +404,8 @@ class TestCommandTable:
         assert f"x {10 ** 18} samples" in err and "bytes" in err and "GiB budget" in err
 
     @pytest.mark.parametrize("command, change, flags, path", MALFORMED,
-                             ids=[case[-1] for case in MALFORMED])
+                             ids=[f"{change['estimator']}-{path}" if "estimator" in change
+                                  else path for _, change, _, path in MALFORMED])
     def test_malformed_exit_2_with_path(self, tmp_path, capsys, command, change, flags, path):
         cfg = write_cfg(tmp_path, "c.json", dict(TINY[command], **change))
         assert main([*command, "--config", cfg, "--out", str(tmp_path / "res"), *flags]) == 2

@@ -215,6 +215,26 @@ def scan_extremal_averages(values, spacing, minimum=False):
     return out
 
 
+def oracle_extremal_averages(values, spacing, minimum=False):
+    """forward_extremal_averages with the stack walk over every node of every
+    row: the span rule's bit-exact oracle."""
+    a = np.abs(np.asarray(values))
+    rows = np.atleast_2d(a)
+    (m, n), d = rows.shape, float(spacing)
+    cum = cumulative_trapezoid(rows, spacing)
+    out = rows.astype(np.float64, copy=False)   # np.abs made a fresh array
+    if n > 1:
+        j = np.empty((m, n - 1), dtype=np.int64)
+        for r, c in enumerate(-cum if minimum else cum):
+            j[r] = operators._steepest_chords(c.tolist(), d, [n - 1], 0)
+        avg = np.take_along_axis(cum, j, axis=1)
+        avg -= cum[:, :-1]
+        j -= np.arange(n - 1)
+        avg /= j * d
+        (np.minimum if minimum else np.maximum)(out[:, :-1], avg, out=out[:, :-1])
+    return out.reshape(a.shape)
+
+
 NEAR_TIE_EPS = 4
 
 
@@ -269,6 +289,88 @@ def extremal_rows(draw):
     return vals, draw(st.sampled_from([1.0, 0.5, 0.1, 1.0 / 3.0, 16.0 / 255.0]))
 
 
+@st.composite
+def flanked_rows(draw):
+    """extremal_rows with a run of zeros (a flat end of the running sums)
+    or of the row's end value added at either end."""
+    vals, d = draw(extremal_rows())
+    ends = [np.repeat(end * draw(st.sampled_from([0.0, 1.0])), draw(st.integers(0, 300)),
+                      axis=-1) for end in (vals[..., :1], vals[..., -1:])]
+    return np.concatenate([ends[0], vals, ends[1]], axis=-1), draw(
+        st.sampled_from([d, 1.0e-3, 37.0]))
+
+
+# a row whose intercept guess the walk's comparisons reject: the chain's
+# edges cross the prefix line within rounding of a node
+GUESS_REJECTED = (np.array([0.0, 0.0, 0.0, 0.0, 1.5, 0.75, 0.0]), 0.1)
+
+
+class TestSpanAgainstOracle:
+    """The live-span rule against the walk over every node: equal bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(flanked_rows())
+    @example((np.zeros(7), 0.5))                                   # all flat
+    @example((np.array([1.5, -2.0]), 1.0))                         # n = 2
+    @example((np.array([0.0, 3.0]), 1.0))
+    @example((np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 0.25))     # only node 0
+    @example((np.array([0.0, 0.0, 0.0, 0.0, 0.0, -2.0]), 0.25))    # only node n - 1
+    @example((np.r_[np.zeros(5), np.ones(8)], 1.0))                 # exact ties on the chain
+    @example((np.r_[np.zeros(6), np.full(9, 0.3), np.zeros(4)], 0.1))
+    @example((np.array([1e300, 1.0, 1.0, 1.0]), 1.0))             # absorbed flat suffix
+    @example((np.array([1.0, 2.0, 5e-324, 5e-324, 5e-324]), 0.5))  # cells underflow to 0
+    @example(GUESS_REJECTED)
+    def test_random_rows(self, case):
+        vals, d = case
+        for minimum in (False, True):
+            got = forward_extremal_averages(vals, d, minimum)
+            assert got.shape == np.shape(vals)
+            assert np.array_equal(got, oracle_extremal_averages(vals, d, minimum))
+
+    def test_absorbed_flat_suffix(self):
+        # the running sums stop moving where the values do not
+        vals = np.array([1e300, 1.0, 1.0, 1.0])
+        assert np.array_equal(forward_extremal_averages(vals, 1.0)[1:], [1.0, 1.0, 1.0])
+        assert np.array_equal(forward_extremal_averages(vals, 1.0, minimum=True)[1:],
+                              [0.0, 0.0, 1.0])
+
+    def test_overflowing_sums(self):
+        # running sums that reach inf get no flat suffix: the walk covers
+        # them, NaN where inf - inf
+        for vals in (np.full(6, 1e308), np.r_[np.zeros(3), np.full(6, 1e308), np.zeros(3)],
+                     np.r_[1.0, np.full(5, 1.7e308)]):
+            for d, minimum in ((1.0, False), (1.0, True), (1e307, False)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = forward_extremal_averages(vals, d, minimum)
+                    want = oracle_extremal_averages(vals, d, minimum)
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def _walks(self, vals, d):
+        with mock.patch.object(operators, "_steepest_chords",
+                               wraps=operators._steepest_chords) as walk:
+            got = forward_extremal_averages(vals, d)
+        assert np.array_equal(got, oracle_extremal_averages(vals, d))
+        return walk.call_count
+
+    def test_rejected_guess_walks_the_prefix(self):
+        assert self._walks(*GUESS_REJECTED) == 2      # the live span, then the prefix
+
+    def test_wrong_guess_is_caught(self):
+        # every stop moved by one: the comparisons reject it and the prefix
+        # is walked, with the same bits
+        x = grid_nodes(-8.0, 8.0, 513)
+        rows = np.exp(-x ** 2) * (np.abs(x) < 2.0) + (np.abs(x - 3.0) < 0.5)
+        stops = operators._chain_stops
+
+        def off_by_one(V, cv, i):
+            k = stops(V, cv, i)
+            return np.where(k < len(V) - 1, k + 1, k - 1)
+
+        assert self._walks(rows, 1 / 32) == 1
+        with mock.patch.object(operators, "_chain_stops", off_by_one):
+            assert self._walks(rows, 1 / 32) == 2
+
+
 class TestHullAgainstScan:
     @settings(max_examples=150, deadline=None)
     @given(extremal_rows())
@@ -314,6 +416,11 @@ class TestHullAgainstScan:
         for vals in (np.float64(1.0), np.ones((2, 3, 4))):
             with pytest.raises(DomainError):
                 forward_extremal_averages(vals, 0.1)
+
+    @pytest.mark.parametrize("spacing", [-0.5, 0.0, math.nan, math.inf])
+    def test_rejects_bad_spacing(self, spacing):
+        with pytest.raises(DomainError):
+            forward_extremal_averages(np.array([1.0, 2.0, 3.0, 0.5]), spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -1053,6 +1160,21 @@ class TestApplyBoundary:
         with pytest.raises(DomainError):
             oscillatory_apply_batch(np.ones((1, 9), dtype=complex), *window, KP,
                                     PolynomialPhase.zero(), PV1)
+
+    @pytest.mark.parametrize("op", [
+        OperatorSpec("identity"), OperatorSpec("m_plus"), OperatorSpec("m_minus"),
+        OperatorSpec("singular", KP),
+        OperatorSpec("oscillatory", KP, PolynomialPhase.monomial(1, 1, 2.0)),
+        OperatorSpec("dyadic_piece", KP, PolynomialPhase.zero(), PV1, j=0)],
+        ids=lambda op: op.kind)
+    @pytest.mark.parametrize("F, window", [
+        (np.ones((2, 1)), (0.0, 1.0)), (np.ones(9), (0.0, 1.0)),
+        (np.ones((2, 9)), (1.0, 0.0)), (np.ones((2, 9)), (0.0, 0.0)),
+        (np.ones((2, 9)), (math.nan, 1.0)), (np.full((2, 9), math.nan), (0.0, 1.0))],
+        ids=["one-node", "1-D", "reversed", "empty", "nan-window", "nan-F"])
+    def test_apply_batch_rejects_every_kind(self, op, F, window):
+        with pytest.raises(DomainError):
+            op.apply_batch(F, *window)
 
     def test_rejects_negative_band_start(self):
         with pytest.raises(DomainError):
