@@ -373,7 +373,7 @@ class PVConfig:
 # maximal / minimal operators
 # ---------------------------------------------------------------------------
 
-def _steepest_chords(c: list, d: float, stack: list, lo: int) -> list:
+def _steepest_chords(c: list, d: float, stack: list, lo: int) -> np.ndarray:
     """For nodes i = stack[-1] - 1 down to lo (index i - lo) the j > i with
     the steepest chord (c[j] - c[i]) / ((j - i) d): the tangent from (i, c[i])
     to the upper hull right of it, which the right-to-left monotone ``stack``
@@ -393,7 +393,7 @@ def _steepest_chords(c: list, d: float, stack: list, lo: int) -> list:
         tangent[i] = top
         stack.append(i)
     del tangent[:lo]
-    return tangent
+    return np.fromiter(tangent, np.int64, len(tangent))
 
 
 def _chain_stops(V: np.ndarray, cv: np.ndarray, i: np.ndarray) -> np.ndarray:

@@ -16,12 +16,11 @@ estimators reuse identical lattices, which turns the analytic identities
 (duality power law, dilation invariance, reflection symmetry) into
 near-bit-level test assertions.  Interval integrals are prefix
 differences of running trapezoid sums, except in ``ap_general_constant``
-and ``gamma_fourpoint_constant``: there every finite cell is an integer
-multiple of one power of two, so a running Python-int sum over the cells
-is exact, and each interval is one prefix difference rounded once.  That
-correctly rounded result does not depend on where the interval sits, so
-the duality law (acceptance criterion 2) and the exact reflection tests
-hold to the last bit.
+and ``gamma_fourpoint_constant``: there error-free extraction splits the
+cells into levels whose running sums are exact, and each interval's sum
+is rounded once, correctly.  That result does not depend on where the
+interval sits, so the duality law (acceptance criterion 2) and the exact
+reflection tests hold to the last bit.
 
 A search never raises on divergence: values above the configured
 ceiling (or overflow to non-finite) are reported with
@@ -33,8 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import lshift
 from typing import Optional
 
 import numpy as np
@@ -431,46 +428,61 @@ def _integrals(vals: np.ndarray, d: float, lat: _Lattice, lo: str, hi: str,
     return out
 
 
-_SUM_BLOCK = 4096   # cells turned into Python ints at a time by _exact_sums
-
-
 def _exact_sums(cells: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Correctly rounded sum of the nonnegative ``cells[s:e]`` for every
     pair (s, e) with s <= e; +inf where the sum passes the float range or
     the interval holds a non-finite cell.
 
-    A finite cell is its 53-bit mantissa times 2^(e - 53), hence an integer
-    multiple of 2^scale, with scale the lowest such exponent among the
-    nonzero cells.  One running Python int therefore sums the cells
-    exactly (a long accumulator).  It is recorded only at the distinct
-    endpoints, walking the cells a block at a time, so no per-cell Python
-    object outlives its block.  Each interval is one prefix difference
-    rounded once, by int true division or int-to-float conversion, which
-    CPython rounds correctly (half-even); their OverflowError is +inf.
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008) splits the cells into levels: hi = (sigma + r) - sigma, with sigma
+    = 2^e > 2^(bitlen(n) + 1) max|r|, has exact running sums, and r - hi is
+    exact, the next level's r.  Read at the interval ends, they give each
+    interval its level sums exactly; carrying each level into the one above
+    leaves a nonoverlapping expansion, rounded once as math.fsum rounds its
+    partials (half-even).  Where sigma would overflow a level works at 2^-s,
+    and an interval rounds at the scale of its top nonzero level.
     """
     marks, where = np.unique(np.concatenate([starts, ends]), return_inverse=True)
     finite = np.isfinite(cells)
-    low = np.min(cells, initial=math.inf, where=finite & (cells > 0))
-    scale = math.frexp(low)[1] - 53 if low < math.inf else 0
-    bounds = list(range(0, len(cells), _SUM_BLOCK)) + [len(cells)]
-    stops = np.searchsorted(marks, bounds, side="right").tolist()
-    prefix, running = [0] * stops[0], 0       # prefix[k]: cells before marks[k]
-    for b0, b1, m0, m1 in zip(bounds[:-1], bounds[1:], stops[:-1], stops[1:]):
-        mant, expo = np.frexp(np.where(finite[b0:b1], cells[b0:b1], 0.0))
-        units = np.ldexp(mant, 53).astype(np.int64)
-        shifts = np.where(units != 0, expo - 53 - scale, 0)
-        acc = list(accumulate(map(lshift, units.tolist(), shifts.tolist()),
-                              initial=running))
-        prefix += [acc[m - b0] for m in marks[m0:m1].tolist()]
-        running = acc[-1]
+    r = np.where(finite, cells, 0.0)
+    h = np.zeros(len(cells) + 1)      # h[1:] takes a level's hi, then h its running sums
+    b = len(cells).bit_length() + 1
+    levels = []                        # (e, s, running sums at the marks, scaled by 2^-s)
+    while (top := max(r.max(initial=0.0), -r.min(initial=0.0))) > 0.0:
+        e = math.frexp(top)[1] + b
+        s = max(0, e - 1023)
+        sigma, hi = 2.0 ** (e - s), np.ldexp(r, -s, out=h[1:])
+        hi += sigma
+        hi -= sigma
+        if s:   # only cells that extract nothing lose bits at 2^-s; they stay whole in r
+            r = np.where(hi == 0.0, r, np.ldexp(np.ldexp(r, -s) - hi, s))
+        else:
+            r -= hi
+        np.cumsum(h, out=h)
+        levels.append((e, s, h[marks]))
     k = len(starts)
-    out = np.empty(k)
-    for t, (a, b) in enumerate(zip(where[:k].tolist(), where[k:].tolist())):
-        total = prefix[b] - prefix[a]
-        try:
-            out[t] = total / (1 << -scale) if scale < 0 else float(total << scale)
-        except OverflowError:
-            out[t] = math.inf
+    sums = [(e, s, v[where[k:]] - v[where[:k]]) for e, s, v in levels]
+    for (e, s, up), (_, s_low, low) in zip(sums[-2::-1], sums[:0:-1]):   # bottom up
+        sigma = 3.0 * 2.0 ** (e - 2 - s)     # 1.5 sigma: the carry is a multiple of 2^(e-53)
+        carry = np.ldexp(low, s_low - s) + sigma - sigma
+        low -= np.ldexp(carry, s - s_low)    # |low| <= 2^(e-54) now
+        up += carry
+    t, sign, below = np.zeros(k, dtype=np.int64), np.zeros(k), []
+    for _, s, v in reversed(sums):
+        below.append(sign)                   # sign of the expansion below this level
+        t = np.where(v != 0.0, s, t)
+        sign = np.where(v != 0.0, np.sign(v), sign)
+    hi, lo, tail = np.zeros(k), np.zeros(k), np.zeros(k)
+    for (_, s, v), under in zip(sums, reversed(below)):
+        y = np.ldexp(v, s - t)
+        x, hi = hi, np.where(lo == 0.0, hi + y, hi)
+        tail = np.where(lo == 0.0, under, tail)
+        lo = np.where(lo == 0.0, y - (hi - x), lo)
+    y = 2.0 * lo                             # a half-ulp lo goes the tail's way
+    x = hi + y
+    hi = np.where((lo * tail > 0.0) & (x - hi == y), x, hi)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(hi, t)
     bad = np.flatnonzero(~finite)
     out[np.searchsorted(bad, ends) > np.searchsorted(bad, starts)] = math.inf
     return out
@@ -673,13 +685,16 @@ _RH_VARIANT_CELLS = {1: (0, 1), 2: (0, 2, 3), 3: (0, 2, 3, 4), 4: (0, 1, 2)}
 
 def _local_maximal(vals: np.ndarray, d: float, lat: _Lattice) -> np.ndarray:
     """M^-(w chi_(a,b))(b) at every ok entry: the largest average of
-    ``vals`` over (b - j, b) for j = 1 .. b - a cells."""
+    ``vals`` over (b - j, b) for j = 1 .. b - a cells, taken per column
+    for blocks of anchors that hold at most about n_grid averages."""
     cum = cumulative_trapezoid(vals, d)
     b, k = lat.at("b"), lat.offsets["b"]
     out = np.full(lat.ok.shape, np.nan)
-    for i, c in zip(*np.nonzero(lat.ok)):
-        j = np.arange(1, k[c] + 1)
-        out[i, c] = np.max((cum[b[i, c]] - cum[b[i, c] - j]) / (j * d))
+    for c, kc in enumerate(k.tolist()):
+        rows, j, step = np.flatnonzero(lat.ok[:, c]), np.arange(1, kc + 1), len(cum) // kc
+        for i in (rows[r0:r0 + step] for r0 in range(0, len(rows), step)):
+            bi = b[i, c]
+            out[i, c] = np.max((cum[bi, None] - cum[bi[:, None] - j]) / (j * d), axis=1)
     return out
 
 

@@ -3,7 +3,6 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -623,12 +622,11 @@ _cell = st.one_of(
     st.just(math.inf))
 
 
-def _check_sums(cells, pairs, block):
+def _check_sums(cells, pairs):
     arr = np.asarray(cells, dtype=float)
     starts = np.asarray([min(a, b) for a, b in pairs], dtype=np.int64)
     ends = np.asarray([max(a, b) for a, b in pairs], dtype=np.int64)
-    with mock.patch.object(weights, "_SUM_BLOCK", block):
-        got = weights._exact_sums(arr, starts, ends)
+    got = weights._exact_sums(arr, starts, ends)
     for g, s, e in zip(got.tolist(), starts.tolist(), ends.tolist()):
         want = _fsum_positive(cells[s:e])
         exact = (sum(map(Fraction, cells[s:e]), Fraction(0))
@@ -641,25 +639,38 @@ def _check_sums(cells, pairs, block):
 
 class TestExactSums:
     @settings(max_examples=300, deadline=None)
-    @given(cells=st.lists(_cell, min_size=0, max_size=40), data=st.data(),
-           block=st.sampled_from([1, 2, 3, 4096]))
-    @example(cells=FSUM_RAISES_IN_BAND, data=None, block=4096)
-    @example(cells=FSUM_ROUNDS_IN_BAND, data=None, block=1)
-    @example(cells=HALF_EVEN_TIE_TO_INF, data=None, block=2)
-    @example(cells=[5e-324] * 7 + [0.0] * 5, data=None, block=3)
-    def test_bit_identical_to_fsum(self, cells, data, block):
+    @given(cells=st.lists(_cell, min_size=0, max_size=40), data=st.data())
+    @example(cells=FSUM_RAISES_IN_BAND, data=None)
+    @example(cells=FSUM_ROUNDS_IN_BAND, data=None)
+    @example(cells=HALF_EVEN_TIE_TO_INF, data=None)
+    @example(cells=[5e-324] * 7 + [0.0] * 5, data=None)
+    # one extraction level; two; five, down to the subnormals
+    @example(cells=[0.5, 1.0, 0.25, 0.0, 3.0], data=None)
+    @example(cells=[1.0 + 2.0 ** -52, 2.0 ** -40, 3.0], data=None)
+    @example(cells=[1.0, 2.0 ** -60, 2.0 ** -120, 5e-324, 2.0 ** -1000], data=None)
+    # levels 1 + 2 sum to just under a half-ulp tie; level 3 carries it past
+    @example(cells=[1.0, 1.5 * 2.0 ** -53, 1.5 * 2.0 ** -53 - 2.0 ** -100]
+             + [2.0 ** -101 - 2.0 ** -106] * 3, data=None)
+    # the top level's sigma would pass DBL_MAX, so it works at 2^-s
+    @example(cells=[1e308, 1e308, 5e-324, 5.0], data=None)
+    # subnormal-only intervals between ~1e308 cells
+    @example(cells=[1e308, 5e-324, 3 * 5e-324, 2.0 ** -1060, 1e308], data=None)
+    # a half-ulp tie at 2^1023 that only the subnormal below breaks upwards
+    @example(cells=[2.0 ** 1023, 2.0 ** 970, 5e-324], data=None)
+    def test_bit_identical_to_fsum(self, cells, data):
         n = len(cells)
         pairs = [(0, n), (0, 0), (n, n)]                 # full and empty intervals
         if data is not None:
             idx = st.integers(0, n)
             pairs += data.draw(st.lists(st.tuples(idx, idx), max_size=12))
-        _check_sums(cells, pairs, block)
+        else:                                            # explicit examples: every interval
+            pairs += [(a, b) for a in range(n + 1) for b in range(a, n + 1)]
+        _check_sums(cells, pairs)
 
     def test_runs_of_zeros_and_inf_cells(self):
         cells = [0.0] * 9 + [1.5, math.inf, 2.0 ** -1074, 0.0, 0.0, 3.0, math.inf, 0.0]
         pairs = [(a, b) for a in range(len(cells) + 1) for b in range(a, len(cells) + 1)]
-        for block in (1, 4, 4096):
-            _check_sums(cells, pairs, block)
+        _check_sums(cells, pairs)
 
     def test_fsum_overflow_band(self):
         # inside the band the exact sums stay correctly rounded (DBL_MAX);
@@ -718,3 +729,64 @@ class TestExactEstimatorsAgainstOracle:
         new = peak()
         monkeypatch.setattr(weights, "_integrals", oracle_integrals)
         assert new <= peak()
+
+
+# ---------------------------------------------------------------------------
+# blocked local maximal against the per-entry loop
+# ---------------------------------------------------------------------------
+
+def oracle_local_maximal(vals: np.ndarray, d: float, lat) -> np.ndarray:
+    """M^-(w chi_(a,b))(b) one ok entry at a time: the per-entry loop of
+    ``weights._local_maximal`` before it was blocked, kept as the oracle."""
+    cum = cumulative_trapezoid(vals, d)
+    b, k = lat.at("b"), lat.offsets["b"]
+    out = np.full(lat.ok.shape, np.nan)
+    for i, c in zip(*np.nonzero(lat.ok)):
+        j = np.arange(1, k[c] + 1)
+        out[i, c] = np.max((cum[b[i, c]] - cum[b[i, c] - j]) / (j * d))
+    return out
+
+
+@st.composite
+def local_maximal_cases(draw):
+    """Node values, some +inf or with running sums that overflow (NaN
+    averages), on a variant-1 lattice whose lengths include 1 cell, where
+    one block holds every anchor, and n_grid - 1 cells, one anchor a block."""
+    n = draw(st.integers(4, 200))
+    value = st.floats(1e-300, 1e300) | st.sampled_from([1e-8, 1.0, 1e308, math.inf])
+    vals = np.asarray(draw(st.lists(value, min_size=n, max_size=n)))
+    ks = np.asarray(draw(st.lists(st.integers(1, n - 1), max_size=6)) + [1, n - 1])
+    c = TripleSearchConfig((-1.0, 1.0), n_anchor=draw(st.integers(2, 40)), n_h=1,
+                           h_min=0.5, n_grid=n)
+    return vals, c.spacing, weights._Lattice(c, {"a": 0 * ks, "b": ks})
+
+
+class TestLocalMaximalAgainstLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(local_maximal_cases())
+    def test_bit_identical(self, case):
+        with np.errstate(all="ignore"):
+            assert same_bits(weights._local_maximal(*case), oracle_local_maximal(*case))
+
+    def test_bit_identical_on_benchmark_lattice(self):
+        c = TripleSearchConfig((-8.0, 8.0), n_anchor=65, n_h=16, h_min=0.05, n_grid=8192)
+        ks = weights._length_cells(c)
+        lat = weights._Lattice(c, {"a": 0 * ks, "b": ks})
+        for w in CATALOG + (WeightSpec.exponential(-1.0), WeightSpec.power(1.5),
+                            _spike_train(4096)):
+            wv = w.realize(*c.window, c.n_grid)
+            assert same_bits(weights._local_maximal(wv, c.spacing, lat),
+                             oracle_local_maximal(wv, c.spacing, lat))
+
+    @pytest.mark.parametrize("n_grid", [2 ** 17, 2 ** 18])
+    def test_peak_memory_within_search_budget(self, n_grid):
+        # a block holds about n_grid averages; the longest column's whole
+        # anchors x length block would be 65 x n_grid / 2
+        c = TripleSearchConfig((-8.0, 8.0), n_grid=n_grid)
+        tracemalloc.start()
+        try:
+            rh_plus_constant(POW_HALF, 1.2, 1, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < c.working_bytes()
