@@ -122,6 +122,13 @@ class SampledFunction:
     def is_real(self) -> bool:
         return bool(np.all(self.values.imag == 0.0))
 
+    def check_covers(self, x_lo: float, x_hi: float) -> None:
+        """DomainError unless [x_lo, x_hi] lies in the window (up to 1e-9 relative)."""
+        tol = 1e-9 * max(self.x_hi - self.x_lo, 1.0)
+        if x_lo < self.x_lo - tol or x_hi > self.x_hi + tol:
+            raise DomainError(f"target window [{x_lo}, {x_hi}] escapes source "
+                              f"[{self.x_lo}, {self.x_hi}]")
+
     def same_grid(self, other: "SampledFunction") -> bool:
         return self.x_lo == other.x_lo and self.x_hi == other.x_hi and self.n == other.n
 
@@ -157,10 +164,7 @@ class ExponentPair:
 
 def resample(f: SampledFunction, x_lo: float, x_hi: float, n: int) -> SampledFunction:
     """Linear interpolation of ``f`` onto a new grid inside its window."""
-    tol = 1e-9 * max(f.x_hi - f.x_lo, 1.0)
-    if x_lo < f.x_lo - tol or x_hi > f.x_hi + tol:
-        raise DomainError(
-            f"target window [{x_lo}, {x_hi}] escapes source [{f.x_lo}, {f.x_hi}]")
+    f.check_covers(x_lo, x_hi)
     if x_lo == f.x_lo and x_hi == f.x_hi and n == f.n:
         return SampledFunction(x_lo, x_hi, n, f.values.copy())
     x_new = grid_nodes(x_lo, x_hi, n)

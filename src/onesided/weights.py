@@ -15,8 +15,9 @@ the true supremum.  All interval estimators share one lattice evaluator
 estimators reuse identical lattices, which turns the analytic identities
 (duality power law, dilation invariance, reflection symmetry) into
 near-bit-level test assertions.  Interval integrals are prefix
-differences of running trapezoid sums, except in ``ap_general_constant``
-and ``gamma_fourpoint_constant``: there error-free extraction splits the
+differences of running trapezoid sums, formed block by block and kept
+only at the lattice points, except in ``ap_general_constant`` and
+``gamma_fourpoint_constant``: there error-free extraction splits the
 cells into levels whose running sums are exact, and each interval's sum
 is rounded once, correctly.  That result does not depend on where the
 interval sits, so the duality law (acceptance criterion 2) and the exact
@@ -39,7 +40,7 @@ import numpy as np
 from . import operators as _ops
 from .errors import ConfigError, DomainError, GridMismatchError, read
 from .grid import (ExponentPair, SampledFunction, check_working_bytes, cumulative_trapezoid,
-                   grid_node, grid_nodes, resample, trapezoid_cells)
+                   grid_node, trapezoid_cells)
 
 __all__ = [
     "WeightSpec",
@@ -63,6 +64,7 @@ __all__ = [
 ]
 
 DIVERGENCE_CEILING = 1.0e6  # default cap; estimators flag rather than raise
+_BLOCK_NODES = 2 ** 14      # grid nodes realized and summed at a time by _lattice_integrals
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +154,37 @@ class WeightSpec:
         (estimators translate it into finite_flag=False); underflow to
         zero violates the positivity invariant and raises.
         """
+        return next(self._node_blocks(x_lo, x_hi, n, n))
+
+    def _node_blocks(self, x_lo: float, x_hi: float, n: int, size: int):
+        """``realize``'s node values ``size`` at a time, by its operations (so its bits)."""
         if self.form == "sampled":
-            vals = resample(self.samples, x_lo, x_hi, n).values.real.copy()
-        else:
-            # in place; 1.0 * and * exp(0 x) are exact identities, so skipped
-            scale, alpha, c = self.canonical()
-            x = grid_nodes(x_lo, x_hi, n)
-            vals = np.abs(x, out=None if c else x)
-            if alpha != 0.0:
-                vals[vals == 0.0] = (x_hi - x_lo) / (n - 1) / 2.0
-            # inf x 0 where the power overflows and the exponential
-            # underflows is NaN, which the check below turns into DomainError
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                vals **= alpha
-                if scale != 1.0:
-                    vals *= scale
-                if c != 0.0:
-                    x *= c
-                    vals *= np.exp(x, out=x)
-        if np.any(np.isnan(vals)) or np.any(vals <= 0.0):
-            raise DomainError(f"weight {self.label()} not strictly positive on the window")
-        return vals
+            s = self.samples
+            s.check_covers(x_lo, x_hi)
+            x_old = None if (x_lo, x_hi, n) == (s.x_lo, s.x_hi, s.n) else s.nodes()
+        for start in range(0, n, size):
+            x = np.arange(start, min(start + size, n), dtype=np.float64)   # nodes, by grid_node
+            if self.form == "sampled":
+                vals = (s.values.real[start:start + size].copy() if x_old is None
+                        else np.interp(grid_node(x_lo, x_hi, n, x), x_old, s.values.real))
+            else:
+                # in place; 1.0 * and * exp(0 x) are exact identities, so skipped
+                scale, alpha, c = self.canonical()
+                vals = np.abs(grid_node(x_lo, x_hi, n, x), out=None if c else x)
+                if alpha != 0.0:
+                    vals[vals == 0.0] = (x_hi - x_lo) / (n - 1) / 2.0
+                # inf x 0 where the power overflows and the exponential
+                # underflows is NaN, which the check below turns into DomainError
+                with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                    vals **= alpha
+                    if scale != 1.0:
+                        vals *= scale
+                    if c != 0.0:
+                        x *= c
+                        vals *= np.exp(x, out=x)
+            if np.any(np.isnan(vals)) or np.any(vals <= 0.0):
+                raise DomainError(f"weight {self.label()} not strictly positive on the window")
+            yield vals
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
@@ -298,8 +310,8 @@ class TripleSearchConfig:
     def working_bytes(self) -> int:
         """Estimated bytes a search holds at once: about eight float64
         arrays over the grid (node values, dual power, cells, running
-        sums) and ten over the largest lattice, the three-point form's
-        anchors x n_h^2 columns."""
+        sums; the Sawyer and RH variant 2-5 sums hold a few blocks) and ten
+        over the largest lattice, the three-point form's anchors x n_h^2 columns."""
         return 8 * (8 * self.n_grid + 10 * self.n_anchor * self.n_h ** 2)
 
     @property
@@ -406,25 +418,14 @@ class _Lattice:
         return self.anchors[:, None] + self.offsets[name][None, :]
 
 
-def _integrals(vals: np.ndarray, d: float, lat: _Lattice, lo: str, hi: str,
-               exact: bool = False) -> np.ndarray:
-    """Trapezoid integral of ``vals`` from point ``lo`` to point ``hi`` at
-    every entry; NaN where the entry is not ok.
-
-    The default takes prefix differences of the running cell sums.  With
-    ``exact`` each distinct interval gets the correctly rounded sum of its
-    cells (``_exact_sums``), which is independent of where the interval
-    sits.
-    """
+def _integrals(vals: np.ndarray, d: float, lat: _Lattice, lo: str, hi: str) -> np.ndarray:
+    """Correctly rounded trapezoid integral of ``vals`` from point lo to hi
+    at every entry (NaN where not ok): ``_exact_sums`` once per distinct
+    interval, so it does not depend on where the interval sits."""
     i, j = lat.at(lo)[lat.ok], lat.at(hi)[lat.ok]
-    out = np.full(lat.ok.shape, np.nan)
-    if exact:
-        n = len(vals)
-        keys, inv = np.unique(i * n + j, return_inverse=True)
-        out[lat.ok] = _exact_sums(trapezoid_cells(vals, d), keys // n, keys % n)[inv]
-    else:
-        cum = cumulative_trapezoid(vals, d)
-        out[lat.ok] = cum[j] - cum[i]
+    out, n = np.full(lat.ok.shape, np.nan), len(vals)
+    keys, inv = np.unique(i * n + j, return_inverse=True)
+    out[lat.ok] = _exact_sums(trapezoid_cells(vals, d), keys // n, keys % n)[inv]
     return out
 
 
@@ -488,8 +489,38 @@ def _exact_sums(cells: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
     return out
 
 
-def _averages(vals: np.ndarray, d: float, lat: _Lattice, lo: str, hi: str) -> np.ndarray:
-    return _integrals(vals, d, lat, lo, hi) / ((lat.offsets[hi] - lat.offsets[lo]) * d)
+def _lattice_integrals(w: WeightSpec, cfg: TripleSearchConfig, lat: _Lattice, intervals):
+    """For each (e, lo, hi) in ``intervals``: w^e at the anchors and its integral
+    from point lo to hi at every entry (NaN where not ok), summed _BLOCK_NODES
+    nodes at a time in one whole-grid cumsum's order (so its bits), kept at the points."""
+    k, n, d, size = len(intervals), cfg.n_grid, cfg.spacing, _BLOCK_NODES
+    pt = {name: lat.at(name)[lat.ok] for _, *ends in intervals for name in ends}
+    at = np.concatenate([pt[name] for _, *ends in intervals for name in ends]).reshape(k, -1)
+    anchors, runs = lat.anchors, [[0, len(pts)] for pts in (lat.anchors, *at)]
+    if n > size:    # block b reads pts[run[b]:run[b + 1]] of the sorted points, as offsets
+        order = np.argsort(at, axis=1)
+        at = np.take_along_axis(at, order, 1)
+        runs = [[0, *np.searchsorted(pts, range(size, n, size)).tolist(), len(pts)]
+                for pts in (anchors, *at)]
+        anchors, at = anchors % size, at % size
+    vals, sums, prev, carry = np.empty((k, len(anchors))), np.empty(at.shape), [0.0] * k, [0.0] * k
+    with np.errstate(all="ignore"):
+        for b, block in enumerate(w._node_blocks(*cfg.window, n, size)):
+            a0, a1 = runs[0][b:b + 2]
+            for q, (e, _, _) in enumerate(intervals):
+                v = block if e == 1.0 else block ** e
+                cum = trapezoid_cells(np.concatenate(([prev[q]], v)), d)  # cells into each node
+                cum[0] = cum[0] + carry[q] if b else 0.0
+                np.cumsum(cum, out=cum)
+                prev[q], carry[q] = v[-1], cum[-1]
+                p0, p1 = runs[q + 1][b:b + 2]
+                vals[q, a0:a1], sums[q, p0:p1] = v[anchors[a0:a1]], cum[at[q, p0:p1]]
+        if n > size:
+            np.put_along_axis(sums, order, sums.copy(), 1)
+        out, m = np.full((k,) + lat.ok.shape, np.nan), at.shape[1] // 2
+        for row, s in zip(out, sums):
+            row[lat.ok] = s[m:] - s[:m]
+    return vals, out
 
 
 def _witness(lat: _Lattice, cfg: TripleSearchConfig, fields: Optional[dict] = None):
@@ -559,13 +590,14 @@ def _sawyer_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig,
     Column 0 is the h -> 0+ limit w(a) w(a)^{(1-p')(p-1)} = 1, so the
     estimate is >= 1 (up to rounding), matching the class lower bound.
     """
-    wv, sv, d = _realize_pair(w, p, cfg)
+    dual = 1.0 - ExponentPair(p).p_conj
     ks = np.concatenate([[0], _length_cells(cfg)])
     lat = _Lattice(cfg, {"w0": w_start * ks, "w1": (w_start + 1) * ks,
                          "a": 0 * ks, "h": ks})
+    (wv, sv), (iw, is_) = _lattice_integrals(w, cfg, lat, [(1.0, "w0", "w1"), (dual, "a", "h")])
     with np.errstate(all="ignore"):
-        avg_w = np.where(ks > 0, _averages(wv, d, lat, "w0", "w1"), wv[lat.anchors, None])
-        avg_s = np.where(ks > 0, _averages(sv, d, lat, "a", "h"), sv[lat.anchors, None])
+        avg_w = np.where(ks > 0, iw / (ks * cfg.spacing), wv[:, None])
+        avg_s = np.where(ks > 0, is_ / (ks * cfg.spacing), sv[:, None])
         vals = avg_w * avg_s ** (p - 1.0)
     witness = _witness(lat, cfg, {"a": ("a", None), "h": (None, "h")})
     return _report(vals, witness, cfg, lat.ok)
@@ -618,8 +650,8 @@ def ap_general_constant(w: WeightSpec, p: float, side: str,
     lat = _Lattice(cfg, {"a": -k1, "b": 0 * k1, "c": k2})
     w_at, s_at = (("a", "b"), ("b", "c")) if side == "plus" else (("b", "c"), ("a", "b"))
     with np.errstate(all="ignore"):
-        vals = (_integrals(wv, d, lat, *w_at, exact=True)
-                * _integrals(sv, d, lat, *s_at, exact=True) ** (p - 1.0)
+        vals = (_integrals(wv, d, lat, *w_at)
+                * _integrals(sv, d, lat, *s_at) ** (p - 1.0)
                 / ((k1 + k2) * d) ** p)
     witness = _witness(lat, cfg, {"a": ("b", "a"), "b": ("b", None), "c": ("b", "c")})
     return _report(vals, witness, cfg, lat.ok)
@@ -636,8 +668,8 @@ def gamma_fourpoint_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig) -
     wv, sv, d = _realize_pair(w, p, cfg)
     lat = _gamma_lattice(cfg, strict=True)
     with np.errstate(all="ignore"):
-        vals = (_integrals(wv, d, lat, "a", "b", exact=True)
-                * _integrals(sv, d, lat, "c", "d", exact=True) ** (p - 1.0)
+        vals = (_integrals(wv, d, lat, "a", "b")
+                * _integrals(sv, d, lat, "c", "d") ** (p - 1.0)
                 / (lat.offsets["b"] * d) ** p)
     return _report(vals, _witness(lat, cfg), cfg, lat.ok,
                    "gamma lattice admits no 4-point configuration")
@@ -692,9 +724,10 @@ def _local_maximal(vals: np.ndarray, d: float, lat: _Lattice) -> np.ndarray:
     out = np.full(lat.ok.shape, np.nan)
     for c, kc in enumerate(k.tolist()):
         rows, j, step = np.flatnonzero(lat.ok[:, c]), np.arange(1, kc + 1), len(cum) // kc
+        back = np.lib.stride_tricks.sliding_window_view(cum[::-1], kc)  # cum[b - j] by j
         for i in (rows[r0:r0 + step] for r0 in range(0, len(rows), step)):
             bi = b[i, c]
-            out[i, c] = np.max((cum[bi, None] - cum[bi[:, None] - j]) / (j * d), axis=1)
+            out[i, c] = np.max((cum[bi, None] - back[len(cum) - bi]) / (j * d), axis=1)
     return out
 
 
@@ -717,23 +750,21 @@ def rh_plus_constant(w: WeightSpec, r: float, variant: int,
         raise DomainError(f"need 1 < r < inf, got {r}")
     if variant not in (1, 2, 3, 4, 5):
         raise ConfigError(f"variant must be 1..5, got {variant}")
-    lo, hi = cfg.window
-    wv = w.realize(lo, hi, cfg.n_grid)
-    d = cfg.spacing
     if variant == 5:
         lat = _gamma_lattice(cfg, strict=False)
     else:
         ks = _length_cells(cfg)
         lat = _Lattice(cfg, {name: c * ks for name, c in
                              zip("abcd", _RH_VARIANT_CELLS[variant])})
-    rhs_at = list(lat.offsets)[-2:]       # (b, c) or (c, d)
+    rhs = list(lat.offsets)[-2:]       # (a, b), (b, c) or (c, d)
+    _, (ir, iw) = _lattice_integrals(w, cfg, lat, [(r, "a", "b"), (1.0, *rhs)])
     with np.errstate(all="ignore"):
-        wr = wv ** r
         if variant == 1:
-            vals = _integrals(wr, d, lat, "a", "b") / (
-                _local_maximal(wv, d, lat) ** (r - 1.0) * _integrals(wv, d, lat, "a", "b"))
+            wv = w.realize(*cfg.window, cfg.n_grid)     # the local maximal's whole grid
+            vals = ir / (_local_maximal(wv, cfg.spacing, lat) ** (r - 1.0) * iw)
         else:
-            vals = _averages(wr, d, lat, "a", "b") / _averages(wv, d, lat, *rhs_at) ** r
+            lr, lw = ((lat.offsets[hi] - lat.offsets[lo]) * cfg.spacing for lo, hi in ("ab", rhs))
+            vals = ir / lr / (iw / lw) ** r
     return _report(vals, _witness(lat, cfg), cfg, lat.ok,
                    "variant lattice admits no configuration")
 

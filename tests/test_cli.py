@@ -208,7 +208,7 @@ class TestWeightsCommands:
             "estimator": "ap_plus", "p": 2.0,
             "weight": {"form": "constant", "params": [1.0]},
             "search": dict(SEARCH, n_grid=10 ** 12)})
-        with mock.patch.object(weights, "grid_nodes", side_effect=AssertionError):
+        with mock.patch.object(weights, "grid_node", side_effect=AssertionError):
             assert main(["weights", "estimate", "--config", cfg]) == 2
         assert "GiB" in capsys.readouterr().err
 

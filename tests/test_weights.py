@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from onesided import grid, weights
 from onesided.errors import ConfigError, DomainError, GridMismatchError
-from onesided.grid import SampledFunction, cumulative_trapezoid, trapezoid_cells
+from onesided.grid import (ExponentPair, SampledFunction, cumulative_trapezoid, resample,
+                           trapezoid_cells)
 from test_grid import old_grid_nodes, same_bits, windows
 from onesided.weights import (TripleSearchConfig, WeightSpec, a1_constant,
                               ap_both_constant, ap_general_constant,
@@ -487,17 +489,19 @@ class TestPowerBump:
             power_bump_search(WeightSpec.power(1.5), 2.0, c, ceiling=10.0)
 
     def test_step_peak_memory(self):
-        # one bisection step of the benchmark's 2^20-node bump holds the
-        # node values, their dual power and one running-sum array (25 MB);
-        # the out-of-place grid, realize and running sums peaked at 42 MB
-        c = TripleSearchConfig((-8.0, 8.0), n_grid=2 ** 20)
-        tracemalloc.start()
-        try:
-            ap_plus_constant(WeightSpec.power(0.9), 2.0, c)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
+        # one bisection step of the benchmark's 2^20-node bump streams the
+        # grid in blocks and keeps only the lattice points; holding the
+        # whole grid's node values, dual power and running sums peaked at
+        # 26 MB.  The bound holds at 2^22 nodes too: nothing grows with n.
+        for n_grid in (2 ** 20, 2 ** 22):
+            c = TripleSearchConfig((-8.0, 8.0), n_grid=n_grid)
+            tracemalloc.start()
+            try:
+                ap_plus_constant(WeightSpec.power(0.9), 2.0, c)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6, n_grid
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +591,10 @@ def _fsum_positive(cells: list) -> float:
 
 
 def oracle_integrals(vals: np.ndarray, d: float, lat, lo: str, hi: str,
-                     exact: bool = False) -> np.ndarray:
+                     exact: bool = True) -> np.ndarray:
     """The estimators' interval integrals with the exact form done by
-    summing the cells of each distinct interval with ``math.fsum``."""
+    summing the cells of each distinct interval with ``math.fsum``, and
+    the float form as prefix differences of whole-grid running sums."""
     i, j = lat.at(lo)[lat.ok], lat.at(hi)[lat.ok]
     out = np.full(lat.ok.shape, np.nan)
     if exact:
@@ -790,3 +795,160 @@ class TestLocalMaximalAgainstLoop:
         finally:
             tracemalloc.stop()
         assert peak < c.working_bytes()
+
+
+# ---------------------------------------------------------------------------
+# block-streamed running sums against the whole-grid prefix differences
+# ---------------------------------------------------------------------------
+
+def oracle_realize(w: WeightSpec, x_lo: float, x_hi: float, n: int) -> np.ndarray:
+    """The whole-grid realize: sampled weights through ``resample``, closed
+    forms by ``old_realize``."""
+    if w.form != "sampled":
+        with np.errstate(invalid="ignore"):     # inf x 0 is NaN, which it refuses
+            return old_realize(w, x_lo, x_hi, n)
+    return resample(w.samples, x_lo, x_hi, n).values.real.copy()
+
+
+def oracle_averages(vals, d, lat, lo, hi):
+    return oracle_integrals(vals, d, lat, lo, hi, exact=False) / (
+        (lat.offsets[hi] - lat.offsets[lo]) * d)
+
+
+def oracle_sawyer_constant(w: WeightSpec, p: float, cfg, w_start: int):
+    """``weights._sawyer_constant`` on the whole realized grid, kept as the oracle."""
+    lo, hi = cfg.window
+    wv = oracle_realize(w, lo, hi, cfg.n_grid)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        sv = wv ** (1.0 - ExponentPair(p).p_conj)
+    d = cfg.spacing
+    ks = np.concatenate([[0], weights._length_cells(cfg)])
+    lat = weights._Lattice(cfg, {"w0": w_start * ks, "w1": (w_start + 1) * ks,
+                                 "a": 0 * ks, "h": ks})
+    with np.errstate(all="ignore"):
+        avg_w = np.where(ks > 0, oracle_averages(wv, d, lat, "w0", "w1"), wv[lat.anchors, None])
+        avg_s = np.where(ks > 0, oracle_averages(sv, d, lat, "a", "h"), sv[lat.anchors, None])
+        vals = avg_w * avg_s ** (p - 1.0)
+    witness = weights._witness(lat, cfg, {"a": ("a", None), "h": (None, "h")})
+    return weights._report(vals, witness, cfg, lat.ok)
+
+
+def oracle_rh_plus_constant(w: WeightSpec, r: float, variant: int, cfg):
+    """``rh_plus_constant`` with its integrals on the whole realized grid,
+    kept as the oracle."""
+    lo, hi = cfg.window
+    wv = oracle_realize(w, lo, hi, cfg.n_grid)
+    d = cfg.spacing
+    if variant == 5:
+        lat = weights._gamma_lattice(cfg, strict=False)
+    else:
+        ks = weights._length_cells(cfg)
+        lat = weights._Lattice(cfg, {name: c * ks for name, c in
+                                     zip("abcd", weights._RH_VARIANT_CELLS[variant])})
+    rhs_at = list(lat.offsets)[-2:]
+    with np.errstate(all="ignore"):
+        wr = wv ** r
+        if variant == 1:
+            vals = oracle_integrals(wr, d, lat, "a", "b", exact=False) / (
+                weights._local_maximal(wv, d, lat) ** (r - 1.0)
+                * oracle_integrals(wv, d, lat, "a", "b", exact=False))
+        else:
+            vals = oracle_averages(wr, d, lat, "a", "b") / oracle_averages(wv, d, lat, *rhs_at) ** r
+    return weights._report(vals, weights._witness(lat, cfg), cfg, lat.ok,
+                           "variant lattice admits no configuration")
+
+
+def _streamed_and_whole(p: float, r: float):
+    """(name, estimator, oracle) for every estimator on the streamed sums."""
+    runs = [("ap_plus", lambda w, c: ap_plus_constant(w, p, c),
+             lambda w, c: oracle_sawyer_constant(w, p, c, -1)),
+            ("ap_both", lambda w, c: ap_both_constant(w, p, c),
+             lambda w, c: oracle_sawyer_constant(w, p, c, 0))]
+    for v in range(1, 6):
+        runs.append((f"rh_plus-v{v}", lambda w, c, v=v: rh_plus_constant(w, r, v, c),
+                     lambda w, c, v=v: oracle_rh_plus_constant(w, r, v, c)))
+    return runs
+
+
+def _outcome(run, w, c):
+    """A report's bits, witness, flag and resolution, or the error's type and message."""
+    try:
+        rep = run(w, c)
+    except (ConfigError, DomainError) as exc:
+        return type(exc), str(exc)
+    return (np.float64(rep.constant).view(np.int64), rep.witness, rep.finite_flag,
+            rep.resolution)
+
+
+def _check_streamed(w, window, block, p=2.0, r=1.2, n_anchor=9, n_h=5):
+    lo, hi, n = window
+    c = TripleSearchConfig((lo, hi), n_anchor=n_anchor, n_h=n_h,
+                           h_min=2.0 * (hi - lo) / (n - 1), n_grid=n)
+    with mock.patch.object(weights, "_BLOCK_NODES", block or weights._BLOCK_NODES):
+        for name, run, oracle in _streamed_and_whole(p, r):
+            assert _outcome(run, w, c) == _outcome(oracle, w, c), (name, block)
+
+
+BASE_WINDOWS = [(-8.0, 8.0), (-3.7, 5.3), (0.0, 8.0), (0.5, 8.0)]
+
+
+@st.composite
+def streamed_windows(draw):
+    """(lo, hi, n) from the symmetric, narrowed and one-sided windows, or
+    their reflections, with a node at 0 when n is odd on a symmetric one."""
+    lo, hi = draw(st.sampled_from(BASE_WINDOWS))
+    if draw(st.booleans()):
+        lo, hi = -hi, -lo
+    return lo, hi, draw(st.integers(16, 300))
+
+
+@st.composite
+def sampled_weights(draw, window):
+    """A sampled weight on (-9, 9), resampled onto the window, or one on
+    the window's own grid (resample's same-grid shortcut)."""
+    lo, hi, n = window
+    if draw(st.booleans()):
+        lo, hi, n = -9.0, 9.0, draw(st.integers(2, 64))
+    vals = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return WeightSpec.sampled(SampledFunction(lo, hi, n, np.asarray(vals)))
+
+
+class TestStreamedSumsAgainstWholeGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(window=streamed_windows(), data=st.data(),
+           block=st.sampled_from([1, 7, 1000, None]),
+           p=st.sampled_from([1.5, 2.0, 3.0]), r=st.sampled_from([1.2, 3.0]))
+    def test_reports_match(self, window, data, block, p, r):
+        w = data.draw(closed_weights() | sampled_weights(window))
+        _check_streamed(w, window, block, p, r)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, None])
+    def test_overflows_and_underflows(self, block):
+        # +inf nodes give flagged reports; nodes that underflow to 0 after
+        # the first block give the DomainError the whole grid gives
+        for w, (lo, hi, _) in OVERFLOWS + UNDERFLOWS:
+            _check_streamed(w, (lo, hi, 257), block)
+            _check_streamed(w, (-hi, -lo, 257), block)
+
+    @pytest.mark.parametrize("n", [2048, 2049, 8192, 12345])
+    def test_larger_grids(self, n):
+        for w in (POW_HALF, WeightSpec.power(-0.9), MIXED, _spike_train(4096)):
+            for block in (1000, 4097, None):
+                _check_streamed(w, (-8.0, 8.0, n), block)
+        for w, (lo, hi, _) in OVERFLOWS + UNDERFLOWS:
+            _check_streamed(w, (lo, hi, n), 4097)
+            _check_streamed(w, (-hi, -lo, n), None)
+
+    def test_several_default_blocks(self):
+        n = 3 * weights._BLOCK_NODES + 5
+        for w in (POW_HALF, WeightSpec.exponential(-1.0)):
+            _check_streamed(w, (-8.0, 8.0, n), None, n_anchor=33, n_h=8)
+
+    def test_invalid_node_in_a_later_block(self):
+        # e^{-95 x} underflows to 0 past x = 7.84, in the second default block
+        n = 2 * weights._BLOCK_NODES
+        w = WeightSpec.exponential(-95.0)
+        assert np.all(w.realize(0.0, 7.8, weights._BLOCK_NODES) > 0.0)
+        _check_streamed(w, (0.0, 8.0, n), None)
+        with pytest.raises(DomainError, match="not strictly positive"):
+            ap_plus_constant(w, 2.0, TripleSearchConfig((0.0, 8.0), n_grid=n))
