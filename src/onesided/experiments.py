@@ -235,12 +235,15 @@ def coefficient_sweep(kernel: KernelSpec, monomial: tuple, coeffs: Sequence[floa
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Least-squares fit of log2 best_ratio against the dyadic index."""
+    """Least-squares fit of log2 best_ratio against the dyadic index, with
+    each piece's best_ratio and argmax_index as its report gave them."""
 
     j_values: tuple
     log2_ratios: tuple
     slope: float
     intercept: float
+    best_ratios: tuple
+    argmax_indices: tuple
 
 
 def dyadic_decay(kernel: KernelSpec, phase: PolynomialPhase, p: float,
@@ -255,15 +258,16 @@ def dyadic_decay(kernel: KernelSpec, phase: PolynomialPhase, p: float,
     if reach < x_lo - 1e-9:
         raise ConfigError(f"j_max: window too small: piece {j_max} needs x down to "
                           f"{reach}, window starts at {x_lo}")
-    js, logs, shared = [], [], _family_norms(w, p, family, window, n)
-    for j in range(1, j_max + 1):
-        op = OperatorSpec("dyadic_piece", kernel, phase, pv, j=j)
-        rep = _norm_ratio(op, w, p, family, window, n, *shared)
-        js.append(j)
-        logs.append(math.log2(max(rep.best_ratio, 1e-300)))
+    shared = _family_norms(w, p, family, window, n)
+    js = tuple(range(1, j_max + 1))
+    reps = [_norm_ratio(OperatorSpec("dyadic_piece", kernel, phase, pv, j=j),
+                        w, p, family, window, n, *shared) for j in js]
+    logs = tuple(math.log2(max(rep.best_ratio, 1e-300)) for rep in reps)
     slope, intercept = np.polyfit(np.asarray(js, dtype=float),
                                   np.asarray(logs, dtype=float), 1)
-    return DecayFit(tuple(js), tuple(logs), float(slope), float(intercept))
+    return DecayFit(js, logs, float(slope), float(intercept),
+                    tuple(rep.best_ratio for rep in reps),
+                    tuple(rep.argmax_index for rep in reps))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +294,9 @@ def decay_rows(fit: DecayFit, weight_label: str, p: float, window: tuple,
     """One campaign row per dyadic piece of a decay fit."""
     return [{"campaign": "decay", "operator": f"dyadic_piece|j={j}",
              "weight": weight_label, "p": repr(p), "param": repr(j),
-             "best_ratio": repr(2.0 ** lg), "argmax_index": -1,
+             "best_ratio": repr(ratio), "argmax_index": arg,
              "window": f"{window[0]},{window[1]}", "n": n, "seed": seed}
-            for j, lg in zip(fit.j_values, fit.log2_ratios)]
+            for j, ratio, arg in zip(fit.j_values, fit.best_ratios, fit.argmax_indices)]
 
 
 def write_campaign_csv(path, rows):

@@ -12,12 +12,16 @@ lemma: the best forward average from a node is the steepest chord to
 the running sums c right of it, which ends on their upper (lower) convex
 hull, so one monotone-stack pass costs O(n) per row.  It walks only the
 live span [Q, P) between the flat ends c[:Q + 1] == c[0] and c[P:] ==
-c[n - 1]: every chord from the suffix is flat, so its tangent is n - 1;
-from the prefix the inf's chord to the next node is flat and none is
-steeper, and the sup's tangents lie on the one chain the stack holds
-after node Q, guessed from where its edges cross the prefix line and
-kept only if the walk's own comparisons confirm every step, else walked.
-The output is the full pass's, bit for bit.
+c[n - 1], and averages only the nodes it walked.  Every flat chord
+averages +0.0: from the suffix every chord is flat, and from the prefix
+the inf's chord to the next node is, so the sup keeps |f| on the suffix
+and the inf is 0 on both ends.  The sup's prefix tangents lie on the one
+chain the stack holds after node Q, guessed from where its edges cross
+the prefix line.  The walk's own comparisons confirm each node with two
+chords at its stop, plus the steps of the at most |chain| nodes whose
+stop moved; a confirmed node's chord is its average, and the walk
+resumes at the first node that fails.  The output is the full pass's,
+bit for bit.
 
 Principal values are realized by epsilon-truncation at a whole number of
 grid cells.  Infinite upper limits are replaced by the window edge; norm
@@ -405,21 +409,38 @@ def _chain_stops(V: np.ndarray, cv: np.ndarray, i: np.ndarray) -> np.ndarray:
 
 
 def _flat_prefix_chords(c: np.ndarray, d: float, V: np.ndarray, q: int):
-    """Tangents of the nodes i < q (c[:q + 1] == 0, V the stack after node
-    q, top first) if the walk's own comparisons confirm _chain_stops, else None."""
-    i = np.arange(q - 1, -1, -1)
+    """The walk over the nodes i < q (c[:q + 1] == 0, V the stack after node
+    q, top first) at the stops _chain_stops guesses, confirmed from node
+    q - 1 down by the walk's own comparisons: the pop of node i + 1, and
+    V[k] beating V[k + 1] at the stop k; the steps between are replayed
+    only for the nodes whose stop moved, at most |V| of them.  Returns the
+    tangents and chords (c[j] - c[i]) / ((j - i) d) of the nodes confirmed
+    before the first that fails, in ascending i, and the stack the last of
+    them left (None if every node holds)."""
+    i, last = np.arange(q - 1, -1, -1), len(V) - 1
     k = np.maximum.accumulate(_chain_stops(V, c[V], i))
     start = np.concatenate(([0], k[:-1]))     # where the walk from i + 1 stopped
-    size = np.minimum(k + 1, len(V) - 1) - start + 1
-    t = np.repeat(np.arange(q), size)         # each node's steps along V
+    moved = np.flatnonzero(k > start)
+    size = k[moved] - start[moved] + 1
+    w = np.repeat(moved, size)                # the moved nodes' steps along V
     first = np.cumsum(size) - size
-    m = np.arange(t.size) - first[t] + start[t]
+    m = V[np.arange(w.size) - np.repeat(first - start[moved], size)]
+    t, a = V[k], V[np.minimum(k + 1, last)]
     with np.errstate(all="ignore"):
-        s = (c[V[m]] - c[i[t]]) / ((V[m] - i[t]) * d)
-    step = t[1:] == t[:-1]
-    ok = np.all(0.0 <= s[first]) and np.array_equal(
-        (s[:-1] <= s[1:])[step], (m[:-1] < k[t[:-1]])[step])
-    return V[k[::-1]] if ok else None
+        s = (c[t] - c[i]) / ((t - i) * d)
+        ok = (k == last) | ~(s <= (c[a] - c[i]) / ((a - i) * d))
+        sm = (c[m] - c[i[w]]) / ((m - i[w]) * d)
+    # chords from the prefix are >= 0 or NaN, so the pop of node i + 1 fails
+    # only on a NaN: at the stop if it did not move, else in the replay
+    ok &= 0.0 <= s
+    ok[w[:-1][(w[:-1] == w[1:]) & ~(sm[:-1] <= sm[1:])]] = False
+    h = q if ok.all() else int(np.argmin(ok))     # nodes confirmed
+    stack = None
+    if h < q:                                     # resume at node q - 1 - h
+        stack = V[start[h]:][::-1].tolist()
+        if h:
+            stack.append(q - h)
+    return t[:h][::-1], s[:h][::-1], stack
 
 
 def forward_extremal_averages(values: np.ndarray, spacing: float,
@@ -433,8 +454,9 @@ def forward_extremal_averages(values: np.ndarray, spacing: float,
     Rising sun: the best h ends on the convex hull of the running sums
     (upper for the sup, lower for the inf), found by one O(n) stack pass
     per row, walked only between the flat ends of the running sums (the
-    module docstring's span rule); its average is then rounded as a scan
-    over every h would.
+    module docstring's span rule); its average is rounded as a scan over
+    every h would round it.  A row costs its live span plus a few vector
+    operations; the only (m, n) arrays are |values| and its running sums.
     """
     a = np.abs(np.asarray(values))
     if a.ndim not in (1, 2):
@@ -442,35 +464,36 @@ def forward_extremal_averages(values: np.ndarray, spacing: float,
     if not np.all(np.isfinite(a)):
         raise DomainError("values must be finite")
     rows = np.atleast_2d(a)
-    (m, n), d = rows.shape, float(spacing)
+    n, d = rows.shape[1], float(spacing)
     if not 0.0 < d < math.inf:
         raise DomainError(f"spacing must be finite and > 0, got {spacing}")
     cum = cumulative_trapezoid(rows, spacing)
     out = rows.astype(np.float64, copy=False)   # np.abs made a fresh array
-    if n > 1:
-        # one row of Python floats at a time and in-place arithmetic keep
-        # the peak memory at a few (m, n) arrays
-        j = np.repeat(np.arange(1, n)[None], m, axis=0)   # the inf's flat prefix
-        for r, c in enumerate(-cum if minimum else cum):
-            sums = cum[r]   # never decrease, so bisection finds their flat ends
-            q = int(np.searchsorted(sums, 0.0, side="right")) - 1
-            p = int(np.searchsorted(sums, sums[-1])) if math.isfinite(sums[-1]) else n - 1
-            j[r, p:] = n - 1
-            if q >= p:          # all flat
-                continue
-            cl = c[q:p + 1].tolist()    # c.tolist(), the flat ends copied from their ends
-            cl[:0] = cl[:1] * q
-            cl += cl[-1:] * (n - 1 - p)
-            stack = [n - 1, p] if p < n - 1 else [n - 1]
-            j[r, q:p] = _steepest_chords(cl, d, stack, q)
-            if q and not minimum:
-                k = _flat_prefix_chords(c, d, np.array(stack[::-1]), q)
-                j[r, :q] = _steepest_chords(cl, d, stack, 0) if k is None else k
-        avg = np.take_along_axis(cum, j, axis=1)
-        avg -= cum[:, :-1]
-        j -= np.arange(n - 1)
-        avg /= j * d
-        (np.minimum if minimum else np.maximum)(out[:, :-1], avg, out=out[:, :-1])
+    pick = np.minimum if minimum else np.maximum
+    for sums, o in zip(cum, out):
+        # the running sums never decrease, so bisection finds their flat ends
+        q = int(np.searchsorted(sums, 0.0, side="right")) - 1
+        p = int(np.searchsorted(sums, sums[-1])) if math.isfinite(sums[-1]) else n - 1
+        if minimum:             # every flat chord averages +0.0; the sup keeps |f|
+            o[:q] = o[p:-1] = 0.0
+        if q >= p:              # all flat
+            continue
+        c = -sums if minimum else sums
+        cl = c[q:p + 1].tolist()    # c.tolist(), the flat ends copied from their ends
+        cl[:0] = cl[:1] * q
+        cl += cl[-1:] * (n - 1 - p)
+        stack = [n - 1, p] if p < n - 1 else [n - 1]
+        walked = [(q, _steepest_chords(cl, d, stack, q))]
+        if q and not minimum:
+            j, chord, stack = _flat_prefix_chords(c, d, np.array(stack[::-1]), q)
+            np.maximum(o[q - j.size:q], chord, out=o[q - j.size:q])
+            if stack:
+                walked.append((0, _steepest_chords(cl, d, stack, 0)))
+        for lo, j in walked:
+            hi = lo + j.size
+            avg = sums[j] - sums[lo:hi]
+            avg /= (j - np.arange(lo, hi)) * d
+            pick(o[lo:hi], avg, out=o[lo:hi])
     return out.reshape(a.shape)
 
 

@@ -1,3 +1,4 @@
+import csv
 import math
 from unittest import mock
 
@@ -8,7 +9,7 @@ from onesided import experiments
 from onesided.errors import ConfigError, DomainError
 from onesided.experiments import (CSV_COLUMNS, OperatorSpec,
                                   TestFunctionFamily, campaign_row,
-                                  coefficient_sweep, config_digest,
+                                  coefficient_sweep, config_digest, decay_rows,
                                   dyadic_decay, family_member, generate_family,
                                   norm_ratio, write_campaign_csv)
 from onesided.operators import (PolynomialPhase, PVConfig, dyadic_band_cells,
@@ -234,6 +235,25 @@ class TestDecay:
             rep = norm_ratio(OperatorSpec("dyadic_piece", KP, P, PVConfig(), j=j), w, 2.0,
                              fam, (-10.0, 2.0), 2049)
             assert lg == math.log2(rep.best_ratio)
+
+    def test_rows_carry_the_reports_bits(self, tmp_path):
+        # the CSV row of each piece reads back as its report's best_ratio,
+        # bit for bit, and names the member that attains it
+        fam = TestFunctionFamily("random-bump-sums", 6, 3, (0.0, 1.0))
+        P, w = PolynomialPhase.monomial(1, 1, 1.0), WeightSpec.exponential(1.0)
+        window, n = (-10.0, 2.0), 2049
+        fit = dyadic_decay(KP, P, 2.0, w, fam, 3, window, n)
+        path = tmp_path / "decay.csv"
+        write_campaign_csv(path, decay_rows(fit, w.label(), 2.0, window, n, fam.seed))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["param"]) for r in rows] == list(fit.j_values)
+        for row, j in zip(rows, fit.j_values):
+            rep = norm_ratio(OperatorSpec("dyadic_piece", KP, P, PVConfig(), j=j), w, 2.0,
+                             fam, window, n)
+            assert float(row["best_ratio"]).hex() == rep.best_ratio.hex()
+            assert int(row["argmax_index"]) == rep.argmax_index
+            assert 0.0 < rep.ratios[rep.argmax_index] == rep.best_ratio
 
     def test_fit_fields(self):
         fam = TestFunctionFamily("random-bump-sums", 6, 3, (0.0, 1.0))

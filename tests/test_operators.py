@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from onesided.errors import ConfigError, DomainError
 from onesided.experiments import TestFunctionFamily, generate_family
@@ -369,6 +369,141 @@ class TestSpanAgainstOracle:
         assert self._walks(rows, 1 / 32) == 1
         with mock.patch.object(operators, "_chain_stops", off_by_one):
             assert self._walks(rows, 1 / 32) == 2
+
+
+def oracle_flat_prefix_chords(c: np.ndarray, d: float, V: np.ndarray, q: int):
+    """_flat_prefix_chords when it replayed every node's steps through a
+    np.repeat-expanded step array and returned the tangents or None, kept
+    verbatim as the oracle of its accept/reject and tangents."""
+    i = np.arange(q - 1, -1, -1)
+    k = np.maximum.accumulate(operators._chain_stops(V, c[V], i))
+    start = np.concatenate(([0], k[:-1]))     # where the walk from i + 1 stopped
+    size = np.minimum(k + 1, len(V) - 1) - start + 1
+    t = np.repeat(np.arange(q), size)         # each node's steps along V
+    first = np.cumsum(size) - size
+    m = np.arange(t.size) - first[t] + start[t]
+    with np.errstate(all="ignore"):
+        s = (c[V[m]] - c[i[t]]) / ((V[m] - i[t]) * d)
+    step = t[1:] == t[:-1]
+    ok = np.all(0.0 <= s[first]) and np.array_equal(
+        (s[:-1] <= s[1:])[step], (m[:-1] < k[t[:-1]])[step])
+    return V[k[::-1]] if ok else None
+
+
+def flat_prefix_case(vals, d):
+    """(c, V, q, cl) as forward_extremal_averages hands them to
+    _flat_prefix_chords for a sup row, or None if the row has no flat
+    prefix before its live span."""
+    with np.errstate(over="ignore"):
+        c = cumulative_trapezoid(vals, d)
+    n = c.size
+    q = int(np.searchsorted(c, 0.0, side="right")) - 1
+    p = int(np.searchsorted(c, c[-1])) if math.isfinite(c[-1]) else n - 1
+    if not 0 < q < p:
+        return None
+    cl, stack = c.tolist(), ([n - 1, p] if p < n - 1 else [n - 1])
+    operators._steepest_chords(cl, d, stack, q)
+    return c, np.array(stack[::-1]), q, cl
+
+
+@st.composite
+def zero_prefixed_rows(draw):
+    """A run of zeros, then small integers, quarter steps, sparse noise or
+    values whose running sums overflow, then maybe zeros again."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 80))
+    body = draw(st.sampled_from(["integers", "quarters", "sparse", "overflow"]))
+    if body == "integers":
+        vals = rng.integers(0, 4, n).astype(float)
+    elif body == "quarters":
+        vals = rng.integers(0, 9, n) / 4.0
+    elif body == "sparse":
+        vals = rng.normal(size=n) * (rng.random(n) < 0.25)
+    else:
+        vals = 1.7e308 * (rng.random(n) < 0.5)
+    vals = np.r_[np.zeros(draw(st.integers(1, 120))), vals,
+                 np.zeros(draw(st.integers(0, 20)))]
+    return vals, draw(st.sampled_from([0.1, 16.0 / 255.0, 0.37, 1e-300]))
+
+
+# a row whose guess holds at node 1 and fails at node 0
+GUESS_FAILS_PARTWAY = (np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.25]), 0.1)
+
+
+class TestFlatPrefixAgainstOracle:
+    """The flat-prefix confirmation against the step-by-step replay it
+    replaced, and the walk against the live spans it is kept to."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(zero_prefixed_rows())
+    @example(GUESS_REJECTED)
+    @example(GUESS_FAILS_PARTWAY)
+    @example((np.array([0.0, 0.0, 0.0, 0.0, 2e300, 1e300]), 5e307))  # a chord inf / inf
+    def test_same_verdict_and_tangents(self, case):
+        vals, d = case
+        found = flat_prefix_case(np.abs(vals), d)
+        assume(found is not None)
+        c, V, q, cl = found
+        want = oracle_flat_prefix_chords(c, d, V, q)
+        j, chord, stack = operators._flat_prefix_chords(c, d, V, q)
+        assert (stack is None) == (want is not None)
+        walk = operators._steepest_chords(cl, d, V[::-1].tolist(), 0)
+        if stack is None:
+            assert np.array_equal(j, want)
+        else:       # the nodes confirmed, then the walk from the stack they left
+            assert stack[-1] == q - j.size
+            j = np.r_[operators._steepest_chords(cl, d, stack, 0), j]
+        assert np.array_equal(j, walk)
+        i = np.arange(q - chord.size, q)
+        with np.errstate(all="ignore"):
+            avg = (c[walk[i]] - c[i]) / ((walk[i] - i) * d)
+        assert np.array_equal(chord.view(np.uint64), avg.view(np.uint64))
+
+    def _walked(self, vals, d, kind="m_plus"):
+        """The node ranges [lo, stack top) each walk covers, in call order."""
+        walks = []
+
+        def spy(c, d, stack, lo):
+            walks.append((lo, stack[-1]))
+            return walk(c, d, stack, lo)
+
+        walk = operators._steepest_chords
+        with mock.patch.object(operators, "_steepest_chords", spy):
+            got = forward_extremal_averages(vals, d)
+        assert np.array_equal(got, oracle_extremal_averages(vals, d))
+        return walks
+
+    def test_rejected_guess_resumes_at_the_first_failure(self):
+        # node 1 is confirmed, so the prefix walk covers node 0 alone
+        assert self._walked(*GUESS_FAILS_PARTWAY) == [(2, 5), (0, 1)]
+
+    def test_walks_only_the_live_spans(self):
+        x_lo, x_hi, n = -8.0, 8.0, 4097
+        F = np.abs(generate_family(TestFunctionFamily("random-bump-sums", 16, 5, (-2.0, 2.0)),
+                                   x_lo, x_hi, n))
+        d = (x_hi - x_lo) / (n - 1)
+        spans = []
+        for sums in cumulative_trapezoid(F, d):
+            q = int(np.searchsorted(sums, 0.0, side="right")) - 1
+            spans.append((q, int(np.searchsorted(sums, sums[-1]))))
+        assert all(0 < q < p < n - 1 for q, p in spans)      # supported inside
+        assert self._walked(F, d) == spans
+
+    def test_peak_memory_is_the_running_sums(self):
+        """m_plus on 16 rows of 8192 nodes: the (m, n) tangent, average and
+        spacing arrays peaked at 5.45 MB; now the running sums, |F| and the
+        complex output make up about 3.1 MB."""
+        F = generate_family(TestFunctionFamily("random-bump-sums", 16, 3, (-2.0, 2.0)),
+                            -8.0, 8.0, 8192)
+        op = OperatorSpec("m_plus")
+        op.apply_batch(F, -8.0, 8.0)
+        tracemalloc.start()
+        try:
+            op.apply_batch(F, -8.0, 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0e6
 
 
 class TestHullAgainstScan:
