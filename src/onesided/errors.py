@@ -24,8 +24,8 @@ def read(obj: dict, key: str, kind, default=_REQUIRED, path: str = ""):
     """``obj[key]`` checked against ``kind``, or ``default`` when absent (a
     field whose default is None may also be null).
 
-    ``kind`` is float or int (a JSON number, not a bool, integral for
-    int), str, dict, ``[kind]`` (an array of such), a tuple of kinds (an
+    ``kind`` is float or int (a JSON number, not a bool or NaN, integral
+    for int), str, dict, ``[kind]`` (an array of such), a tuple of kinds (an
     array of exactly those), or a function of (object, path) that builds
     a sub-config.  Every failure is a ConfigError that starts with the
     field's path, e.g. ``search.n_grid:`` or ``g.values[3]:``.
@@ -50,7 +50,7 @@ def _check(v, kind, where: str):
         kinds = kind if isinstance(kind, tuple) else kind * len(v)
         return [_check(x, k, f"{where}[{i}]") for i, (x, k) in enumerate(zip(v, kinds))]
     if kind in (int, float):
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
+        if (isinstance(v, bool) or not isinstance(v, (int, float)) or v != v
                 or (kind is int and isinstance(v, float) and not v.is_integer())):
             raise ConfigError(f"{where}: expected {kind.__name__}, got {v!r:.60}")
         return kind(v)

@@ -24,14 +24,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, read
+from .errors import ConfigError, DomainError, read
 from .grid import ExponentPair, check_working_bytes, grid_nodes
 from .operators import KernelSpec, OperatorSpec, PolynomialPhase, PVConfig
 from .weights import WeightSpec
 
 __all__ = [
     "STANDARD_WINDOW", "STANDARD_N", "STANDARD_P", "STANDARD_SEED",
-    "STANDARD_COUNT",
     "TestFunctionFamily", "OperatorSpec", "NormRatioReport", "DecayFit",
     "generate_family", "family_member", "norm_ratio", "coefficient_sweep",
     "dyadic_decay", "weighted_norms_batch", "write_campaign_csv", "config_digest",
@@ -44,7 +43,6 @@ STANDARD_WINDOW = (-8.0, 8.0)
 STANDARD_N = 4096
 STANDARD_P = 2.0
 STANDARD_SEED = 20240901
-STANDARD_COUNT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +223,8 @@ def coefficient_sweep(kernel: KernelSpec, monomial: tuple, coeffs: Sequence[floa
                       pv: PVConfig = PVConfig()) -> list:
     """norm_ratio of T^+ with phase a x^k y^l for each coefficient a."""
     k, l = monomial
-    if any(a == 0.0 for a in coeffs):
-        raise ConfigError("sweep coefficients must be nonzero")
+    if not all(0.0 < abs(a) < math.inf for a in coeffs):
+        raise ConfigError(f"coeffs: need finite nonzero coefficients, got {list(coeffs)!r:.60}")
     shared = _family_norms(w, p, family, window, n)
     return [_norm_ratio(OperatorSpec("oscillatory", kernel,
                                      PolynomialPhase.monomial(k, l, float(a)), pv),
@@ -262,7 +260,11 @@ def dyadic_decay(kernel: KernelSpec, phase: PolynomialPhase, p: float,
     js = tuple(range(1, j_max + 1))
     reps = [_norm_ratio(OperatorSpec("dyadic_piece", kernel, phase, pv, j=j),
                         w, p, family, window, n, *shared) for j in js]
-    logs = tuple(math.log2(max(rep.best_ratio, 1e-300)) for rep in reps)
+    vanishing = [j for j, rep in zip(js, reps) if rep.best_ratio == 0.0]
+    if vanishing:
+        raise DomainError(f"dyadic pieces {vanishing} vanish on every member (best ratio "
+                          "0), so log2 of their ratio and the fit are undefined")
+    logs = tuple(math.log2(rep.best_ratio) for rep in reps)
     slope, intercept = np.polyfit(np.asarray(js, dtype=float),
                                   np.asarray(logs, dtype=float), 1)
     return DecayFit(js, logs, float(slope), float(intercept),

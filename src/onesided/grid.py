@@ -150,16 +150,12 @@ class ExponentPair:
     """A Lebesgue exponent 1 < p < inf together with its conjugate p'."""
 
     p: float
-    p_conj: float = 0.0  # derived in __post_init__ when left at 0
+    p_conj: float = field(init=False)
 
     def __post_init__(self):
         if not (1.0 < self.p < math.inf):
             raise DomainError(f"need p in (1, inf), got {self.p}")
-        conj = self.p / (self.p - 1.0)
-        if self.p_conj == 0.0:
-            object.__setattr__(self, "p_conj", conj)
-        if abs(1.0 / self.p + 1.0 / self.p_conj - 1.0) > 1e-12:
-            raise DomainError(f"1/p + 1/p' = 1 violated for p={self.p}, p'={self.p_conj}")
+        object.__setattr__(self, "p_conj", self.p / (self.p - 1.0))
 
 
 def resample(f: SampledFunction, x_lo: float, x_hi: float, n: int) -> SampledFunction:

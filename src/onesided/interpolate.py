@@ -19,7 +19,7 @@ rather than estimated maximal/singular norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,8 @@ __all__ = [
     "interpolate_weights",
     "verify_on_multiplier",
 ]
+
+_VERIFY_TOL = 1e-9   # relative slack of the multiplier check for float rounding
 
 
 @dataclass(frozen=True)
@@ -91,16 +93,13 @@ def multiplier_norm(g: SampledFunction, u: WeightSpec, v: WeightSpec,
     return float(np.max(np.abs(g.values) * (uu / vv) ** (1.0 / p)))
 
 
-def verify_on_multiplier(g: SampledFunction, e: InterpolationEndpoints,
-                         tol: float = 1e-9) -> MultiplierReport:
+def verify_on_multiplier(g: SampledFunction, e: InterpolationEndpoints) -> MultiplierReport:
     """Check the interpolated bound on the multiplication operator
     f -> g f, with endpoint constants replaced by the exact endpoint
     norms (the hypothesis under which the bound is sharp enough to
-    assert)."""
-    c0 = multiplier_norm(g, e.u0, e.v0, e.p0)
-    c1 = multiplier_norm(g, e.u1, e.v1, e.p1)
-    exact = InterpolationEndpoints(e.p0, e.p1, e.u0, e.v0, e.u1, e.v1,
-                                   c0, c1, e.theta)
+    assert), up to a relative _VERIFY_TOL."""
+    exact = replace(e, c0=multiplier_norm(g, e.u0, e.v0, e.p0),
+                    c1=multiplier_norm(g, e.u1, e.v1, e.p1))
     p, u, v, c_bound = interpolate_weights(exact)
     norm = multiplier_norm(g, u, v, p)
-    return MultiplierReport(norm, c_bound, norm <= c_bound * (1.0 + tol), p)
+    return MultiplierReport(norm, c_bound, norm <= c_bound * (1.0 + _VERIFY_TOL), p)

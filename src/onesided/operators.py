@@ -4,8 +4,10 @@ polynomial phase, and their dyadic decomposition.
 
 ``OperatorSpec.apply_batch`` is the one operator dispatch: the only code
 that picks an evaluator by operator kind, the dyadic band and the
-empty-piece rule included.  ``m_plus`` and ``m_minus`` apply a spec to
-one ``SampledFunction``.
+empty-piece rule included; a spec refuses the fields its kind ignores.
+``oscillatory_apply_batch`` is the one apply entry: it checks its
+arguments, mirrors the minus side and picks one of the paths below.
+``m_plus`` and ``m_minus`` apply a spec to one ``SampledFunction``.
 
 The one-sided maximal and minimal functions follow F. Riesz's rising-sun
 lemma: the best forward average from a node is the steepest chord to
@@ -108,6 +110,8 @@ _PHASE_RESOLUTION = math.pi / 8.0   # max phase increment per quadrature cell
 _CHUNK_BYTES = 8 << 20              # W per dense row chunk, times the subcell bound
 _SUBCELL_LIMIT = 2e9                # dense requests estimated above this are refused
 _FFT_NOISE = 1e-13                  # fft-chirp rounding allowed relative to a row's peak
+_CONDITION_SAMPLES = 10_000         # random points of the size / smoothness checks
+_CANCEL_NODES = 8192                # log-spaced nodes of the cancellation quadrature
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -141,6 +145,8 @@ class KernelSpec:
         if self.side not in ("plus", "minus", "both"):
             raise DomainError(f"unknown kernel side {self.side!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if not all(map(math.isfinite, (*self.params, self.size_const, self.smooth_const))):
+            raise DomainError("kernel params and constants must be finite")
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, t: np.ndarray) -> np.ndarray:
@@ -185,48 +191,45 @@ class KernelSpec:
         return (0.0, math.inf)
 
     # -- declared-bound samplers -----------------------------------------
-    def _sample_t(self, rng, count: int) -> np.ndarray:
+    def _sample_t(self, rng) -> np.ndarray:
         inner, outer = self.support_radii()
         lo = max(inner, 1e-4) if inner > 0 else 1e-4
         hi = outer if math.isfinite(outer) else 10.0
         mag = np.exp(rng.uniform(np.log(lo * 0.5) if inner > 0 else np.log(lo),
-                                 np.log(hi), count))
+                                 np.log(hi), _CONDITION_SAMPLES))
         if self.side == "plus":
             return -mag
         if self.side == "minus":
             return mag
-        return mag * rng.choice([-1.0, 1.0], count)
+        return mag * rng.choice([-1.0, 1.0], mag.size)
 
-    def check_size_condition(self, count: int = 10_000, seed: int = 0) -> float:
-        """Worst |K(t)| |t| / size_const over ``count`` random support
-        points (<= 1 means the declared bound holds)."""
+    def check_size_condition(self, seed: int = 0) -> float:
+        """Worst |K(t)| |t| / size_const over _CONDITION_SAMPLES random
+        support points (<= 1 means the declared bound holds)."""
         rng = np.random.default_rng(seed)
-        t = self._sample_t(rng, count)
+        t = self._sample_t(rng)
         return float(np.max(np.abs(self.evaluate(t)) * np.abs(t)) / self.size_const)
 
-    def check_smoothness_condition(self, count: int = 10_000, seed: int = 0) -> float:
-        """Worst |K(t-s)-K(t)| t^2 / (|s| smooth_const) over ``count``
-        random pairs with |t| > 2|s|."""
+    def check_smoothness_condition(self, seed: int = 0) -> float:
+        """Worst |K(t-s)-K(t)| t^2 / (|s| smooth_const) over
+        _CONDITION_SAMPLES random pairs with |t| > 2|s|."""
         rng = np.random.default_rng(seed)
-        t = self._sample_t(rng, count)
-        s = t * rng.uniform(-0.5, 0.5, count) * (1.0 - 1e-12)
+        t = self._sample_t(rng)
+        s = t * rng.uniform(-0.5, 0.5, t.size) * (1.0 - 1e-12)
         num = np.abs(self.evaluate(t - s) - self.evaluate(t)) * t ** 2
         return float(np.max(num / (np.abs(s) * self.smooth_const)))
 
     def to_json(self) -> dict:
-        return {"kernel": {"tag": self.tag, "side": self.side,
-                           "params": list(self.params),
-                           "size_const": self.size_const,
-                           "smooth_const": self.smooth_const}}
+        return {"tag": self.tag, "side": self.side, "params": list(self.params),
+                "size_const": self.size_const, "smooth_const": self.smooth_const}
 
     @staticmethod
     def from_json(obj: dict, path: str = "kernel") -> "KernelSpec":
-        """From ``{"tag", "side", "params", ...}`` or that object under ``"kernel"``."""
-        k = obj["kernel"] if isinstance(obj.get("kernel"), dict) else obj
-        return KernelSpec(read(k, "tag", str, path=path), read(k, "side", str, path=path),
-                          tuple(read(k, "params", [float], path=path)),
-                          read(k, "size_const", float, 1.0, path),
-                          read(k, "smooth_const", float, 2.0, path))
+        """From ``{"tag", "side", "params", "size_const", "smooth_const"}``."""
+        return KernelSpec(read(obj, "tag", str, path=path), read(obj, "side", str, path=path),
+                          tuple(read(obj, "params", [float], path=path)),
+                          read(obj, "size_const", float, 1.0, path),
+                          read(obj, "smooth_const", float, 2.0, path))
 
 
 def _bump(u: np.ndarray, r_lo: float, r_hi: float) -> np.ndarray:
@@ -280,9 +283,11 @@ class PolynomialPhase:
     def __post_init__(self):
         clean = tuple(sorted(((int(a), int(b)), float(v))
                              for (a, b), v in self.terms if v != 0.0))
-        for (a, b), _ in clean:
+        for (a, b), v in clean:
             if a < 0 or b < 0:
                 raise DomainError("phase degrees must be nonnegative")
+            if not math.isfinite(v):
+                raise DomainError(f"phase coefficients must be finite, got {v}")
         object.__setattr__(self, "terms", clean)
 
     @staticmethod
@@ -352,13 +357,12 @@ class PolynomialPhase:
             ((a, b), v * (-1.0) ** (a + b)) for (a, b), v in self.terms))
 
     def to_json(self) -> dict:
-        return {"phase": {"coeffs": [[a, b, v] for (a, b), v in self.terms]}}
+        return {"coeffs": [[a, b, v] for (a, b), v in self.terms]}
 
     @staticmethod
     def from_json(obj: dict, path: str = "phase") -> "PolynomialPhase":
-        """From ``{"coeffs": [[deg_x, deg_y, value], ...]}``, or that object under ``"phase"``."""
-        ph = obj["phase"] if isinstance(obj.get("phase"), dict) else obj
-        coeffs = read(ph, "coeffs", [(int, int, float)], path=path)
+        """From ``{"coeffs": [[deg_x, deg_y, value], ...]}``."""
+        coeffs = read(obj, "coeffs", [(int, int, float)], path=path)
         return PolynomialPhase(tuple(((a, b), v) for a, b, v in coeffs))
 
 
@@ -631,33 +635,15 @@ def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
     return out
 
 
-def _apply_plan(F: np.ndarray, x_lo: float, x_hi: float, kernel: KernelSpec,
-                phase: PolynomialPhase, eps_cells: int,
-                band_cells: Optional[tuple]) -> np.ndarray:
-    """Core evaluator for the plus direction: the fft-chirp path when
-    the phase allows it, else out[q, i] = sum_j W[i, j] F[q, j] with
-    rows chunked to bound memory."""
-    m, n = F.shape
-    x = grid_nodes(x_lo, x_hi, n)
-    d = (x_hi - x_lo) / (n - 1)
-    if eps_cells >= n - 1:
-        raise ConfigError("eps_cells exceeds the window")
-    lo_c, hi_c = (eps_cells, n - 1) if band_cells is None else band_cells
-    affine = _affine_y_coefficient(phase)
-    if affine is not None:
-        return _apply_chirp(F, x, d, kernel, phase, *affine, lo_c, hi_c)
-    return _apply_dense(F, x, d, kernel, phase, lo_c, hi_c)
-
-
-def _subcell_bound(x: np.ndarray, d: float, phase: PolynomialPhase, y=None) -> float:
-    """Upper bound on the subcells of any cell of rows x over nodes y (x
-    by default): 1 for a phase linear in y (closed-form cells), else
+def _subcell_bound(x: np.ndarray, d: float, phase: PolynomialPhase, y: np.ndarray) -> float:
+    """Upper bound on the subcells of any cell of rows x over nodes y:
+    1 for a phase linear in y (closed-form cells), else
     d / (pi/8) times the triangle bound sum |a_ab| b Mx^a My^(b-1) of
     |dP/dy|, Mx and My the largest |x| and |y|; inf when that overflows."""
     if phase.y_degree_at_most_one():
         return 1
     Mx = max(abs(x[0]), abs(x[-1]))
-    My = Mx if y is None else max(abs(y[0]), abs(y[-1]))
+    My = max(abs(y[0]), abs(y[-1]))
     try:
         slope = sum(abs(v) * b * Mx ** a * My ** (b - 1) for (a, b), v in phase.terms if b)
         return max(1, math.ceil(slope * d / _PHASE_RESOLUTION))
@@ -826,21 +812,34 @@ def oscillatory_apply_batch(F: np.ndarray, x_lo: float, x_hi: float,
                             pv: PVConfig,
                             band_cells: Optional[tuple] = None) -> np.ndarray:
     """Apply the one-sided oscillatory operator to a batch of sampled
-    functions (rows of F).  Direction follows kernel.side; the minus
-    side is evaluated as the exact mirror image of the plus side."""
+    functions (rows of F) over the cells k = j - i in ``band_cells``
+    ([eps_cells, n - 1) by default).  Direction follows kernel.side; the
+    minus side is evaluated as the exact mirror image of the plus side.
+    The fft-chirp path when the phase allows it, else out[q, i] =
+    sum_j W[i, j] F[q, j] with rows chunked to bound memory."""
     F = _checked_batch(F, x_lo, x_hi)
     if band_cells is not None and band_cells[0] < 0:
         raise DomainError(f"band cells must start at >= 0, got {band_cells}")
-    if kernel.side == "minus":
-        # contiguous copy: the rounding must match a caller-side
-        # reflected computation bit for bit
-        Fr = np.ascontiguousarray(F[:, ::-1])
-        out = _apply_plan(Fr, -x_hi, -x_lo, kernel.reflected(),
-                          phase.reflected(), pv.eps_cells, band_cells)
-        return np.ascontiguousarray(out[:, ::-1])
     if kernel.side == "both":
         raise ConfigError("one-sided operators need a one-sided kernel")
-    return _apply_plan(F, x_lo, x_hi, kernel, phase, pv.eps_cells, band_cells)
+    n = F.shape[1]
+    if pv.eps_cells >= n - 1:
+        raise ConfigError("eps_cells exceeds the window")
+    minus = kernel.side == "minus"
+    if minus:
+        # contiguous copy: the rounding must match a caller-side
+        # reflected computation bit for bit
+        F = np.ascontiguousarray(F[:, ::-1])
+        x_lo, x_hi, kernel, phase = -x_hi, -x_lo, kernel.reflected(), phase.reflected()
+    x = grid_nodes(x_lo, x_hi, n)
+    d = (x_hi - x_lo) / (n - 1)
+    lo, hi = (pv.eps_cells, n - 1) if band_cells is None else band_cells
+    affine = _affine_y_coefficient(phase)
+    if affine is not None:
+        out = _apply_chirp(F, x, d, kernel, phase, *affine, lo, hi)
+    else:
+        out = _apply_dense(F, x, d, kernel, phase, lo, hi)
+    return np.ascontiguousarray(out[:, ::-1]) if minus else out
 
 
 # ---------------------------------------------------------------------------
@@ -879,10 +878,13 @@ class OperatorSpec:
         if self.kind not in ("identity", "m_plus", "m_minus", "singular",
                              "oscillatory", "dyadic_piece"):
             raise ConfigError(f"unknown operator kind {self.kind!r}")
-        if self.kind in ("singular", "oscillatory", "dyadic_piece") and self.kernel is None:
-            raise ConfigError(f"{self.kind} needs a kernel")
-        if self.kind == "dyadic_piece" and self.j is None:
-            raise ConfigError("dyadic_piece needs j")
+        for name, kinds in (("kernel", ("singular", "oscillatory", "dyadic_piece")),
+                            ("phase", ("oscillatory", "dyadic_piece")), ("j", ("dyadic_piece",))):
+            given, taken = getattr(self, name) is not None, self.kind in kinds
+            if given and not taken:
+                raise ConfigError(f"{self.kind} takes no {name}")
+            if taken and not given and name != "phase":     # a missing phase is 0
+                raise ConfigError(f"{self.kind} needs {name}")
 
     def describe(self) -> str:
         if self.kind in ("identity", "m_plus", "m_minus"):
@@ -907,8 +909,7 @@ class OperatorSpec:
             return forward_extremal_averages(F, d).astype(np.complex128)
         if self.kind == "m_minus":
             return backward_extremal_averages(F, d).astype(np.complex128)
-        phase = (PolynomialPhase.zero() if self.phase is None or self.kind == "singular"
-                 else self.phase)
+        phase = PolynomialPhase.zero() if self.phase is None else self.phase
         band = None
         if self.kind == "dyadic_piece":
             if self.j < 0:
@@ -921,9 +922,9 @@ class OperatorSpec:
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "pv": {"eps_cells": self.pv.eps_cells}}
         if self.kernel is not None:
-            obj.update(self.kernel.to_json())
+            obj["kernel"] = self.kernel.to_json()
         if self.phase is not None:
-            obj.update(self.phase.to_json())
+            obj["phase"] = self.phase.to_json()
         if self.j is not None:
             obj["j"] = self.j
         return obj
@@ -948,12 +949,11 @@ def m_minus(f: SampledFunction) -> SampledFunction:
 # kernel cancellation and phase normalization
 # ---------------------------------------------------------------------------
 
-def kernel_cancellation_sup(kernel: KernelSpec, eps_grid, N_grid,
-                            n_u: int = 8192) -> float:
+def kernel_cancellation_sup(kernel: KernelSpec, eps_grid, N_grid) -> float:
     """max over the (eps, N) grid of |int_{eps<|t|<N} K(t) dt|.
 
     The integrand lives on exponential scales, so the quadrature runs
-    on log-spaced nodes (fine trapezoid in u = ln|t|).
+    on _CANCEL_NODES log-spaced nodes (fine trapezoid in u = ln|t|).
     """
     eps_grid = [float(e) for e in eps_grid]
     N_grid = [float(N) for N in N_grid]
@@ -963,9 +963,9 @@ def kernel_cancellation_sup(kernel: KernelSpec, eps_grid, N_grid,
     if not pairs:
         raise DomainError("no admissible pair with eps < N")
     u_lo, u_hi = math.log(min(eps_grid)), math.log(max(N_grid))
-    u = np.linspace(u_lo, u_hi, n_u)
+    u = np.linspace(u_lo, u_hi, _CANCEL_NODES)
     s = np.exp(u)
-    du = (u_hi - u_lo) / (n_u - 1)
+    du = (u_hi - u_lo) / (_CANCEL_NODES - 1)
     best = 0.0
     sides = []
     if kernel.side in ("plus", "both"):

@@ -229,8 +229,8 @@ def criterion_10(seed: int) -> CriterionResult:
     """Kernel hypotheses: size bound C = 1, smoothness bound C = 2 on
     10^4 sampled points each, and truncated integrals bounded by 2."""
     K = oscillating_log_kernel("plus")
-    size_ratio = K.check_size_condition(10_000, seed)
-    smooth_ratio = K.check_smoothness_condition(10_000, seed)
+    size_ratio = K.check_size_condition(seed)
+    smooth_ratio = K.check_smoothness_condition(seed)
     sup = kernel_cancellation_sup(K, np.geomspace(1e-4, 1.0, 7),
                                   np.linspace(1.0, 8.0, 8))
     passed = (size_ratio <= 1.0 and smooth_ratio <= 1.0 and sup <= 2.0 + 1e-3)

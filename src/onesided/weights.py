@@ -32,7 +32,7 @@ answer the experiments need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 DIVERGENCE_CEILING = 1.0e6  # default cap; estimators flag rather than raise
+_BUMP_TOL = 1e-3            # width at which power_bump_search stops bisecting
 _BLOCK_NODES = 2 ** 14      # grid nodes realized and summed at a time by _lattice_integrals
 
 
@@ -321,15 +322,12 @@ class TripleSearchConfig:
     def scaled(self, lam: float) -> "TripleSearchConfig":
         """The lattice for the dilated weight w(lambda x)."""
         lo, hi = self.window
-        return TripleSearchConfig((lo / lam, hi / lam), self.n_anchor, self.n_h,
-                                  self.h_min / lam, self.h_max / lam,
-                                  self.gamma, self.n_grid, self.ceiling)
+        return replace(self, window=(lo / lam, hi / lam), h_min=self.h_min / lam,
+                       h_max=self.h_max / lam)
 
     def reflected(self) -> "TripleSearchConfig":
         lo, hi = self.window
-        return TripleSearchConfig((-hi, -lo), self.n_anchor, self.n_h,
-                                  self.h_min, self.h_max, self.gamma,
-                                  self.n_grid, self.ceiling)
+        return replace(self, window=(-hi, -lo))
 
     def to_json(self) -> dict:
         return {"window": list(self.window), "n_anchor": self.n_anchor,
@@ -774,10 +772,10 @@ def rh_plus_constant(w: WeightSpec, r: float, variant: int,
 # ---------------------------------------------------------------------------
 
 def power_bump_search(w: WeightSpec, p: float, cfg: TripleSearchConfig,
-                      ceiling: float, tol: float = 1e-3) -> BumpSearchResult:
+                      ceiling: float) -> BumpSearchResult:
     """Largest eps in (0, 1] with ap_plus_constant(w^{1+eps}) <= ceiling.
 
-    Bisection to ``tol``; a catalog A_p^+ weight always admits some
+    Bisection to _BUMP_TOL; a catalog A_p^+ weight always admits some
     eps > 0 (one-sided weights self-improve), so a not-found outcome signals
     either non-membership at this resolution or a too-tight ceiling.
     """
@@ -792,11 +790,11 @@ def power_bump_search(w: WeightSpec, p: float, cfg: TripleSearchConfig,
     ok_hi, c_hi = constant_at(1.0)
     if ok_hi:
         return BumpSearchResult(1.0, True, c_hi)
-    ok_lo, c_lo = constant_at(tol)
+    ok_lo, c_lo = constant_at(_BUMP_TOL)
     if not ok_lo:
         return BumpSearchResult(0.0, False, c_lo)
-    lo_e, hi_e, c_at = tol, 1.0, c_lo
-    while hi_e - lo_e > tol:
+    lo_e, hi_e, c_at = _BUMP_TOL, 1.0, c_lo
+    while hi_e - lo_e > _BUMP_TOL:
         mid = (lo_e + hi_e) / 2.0
         ok, c = constant_at(mid)
         if ok:

@@ -87,6 +87,21 @@ MALFORMED = [
     (("decay", "fit"), {"j_max": 1100}, [], "j_max"),       # 2.0 ** 1100 overflows
     (("weights", "estimate"), {"estimator": "a1", "p": 0.0}, [], "p"),   # a1 takes no p
     (("weights", "estimate"), {"estimator": "rh_infty", "p": -3.0, "r": 0.2}, [], "p"),
+    # fields the command would read and then ignore
+    (("interp", "verify"), {"endpoints": dict(ENDPOINTS, c0=2.0)}, [], "endpoints.c0"),
+    (("operators", "apply"), {"operator": dict({"kind": "m_plus"}, **KERNEL)}, [], "operator"),
+    (("sweep", "coeffs"), {"kernel": KERNEL}, [], "kernel.tag"),       # the kernel nested twice
+    (("decay", "fit"), {"phase": {"phase": {"coeffs": [[1, 1, 1.0]]}}}, [], "phase.coeffs"),
+    # NaN, which json.load accepts, never reaches a computation
+    (("sweep", "coeffs"), {"kernel": dict(KERNEL["kernel"], params=[1.0, math.nan])}, [],
+     "kernel"),
+    (("operators", "cancel-sup"), {"kernel": dict(KERNEL["kernel"], params=[1.0, math.nan])},
+     [], "kernel"),
+    (("sweep", "coeffs"), {"coeffs": [math.nan]}, [], "coeffs"),
+    (("weights", "bump"), {"ceiling": math.nan}, [], "ceiling"),
+    (("weights", "estimate"), {"estimator": "ap_both", "p": 2.0,
+                               "weight": {"form": "exponential", "params": [1.0]},
+                               "search": dict(SEARCH, ceiling=math.nan)}, [], "search.ceiling"),
 ]
 
 

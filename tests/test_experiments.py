@@ -13,7 +13,8 @@ from onesided.experiments import (CSV_COLUMNS, OperatorSpec,
                                   dyadic_decay, family_member, generate_family,
                                   norm_ratio, write_campaign_csv)
 from onesided.operators import (PolynomialPhase, PVConfig, dyadic_band_cells,
-                                oscillating_log_kernel, oscillatory_apply_batch)
+                                oscillating_log_kernel, oscillatory_apply_batch,
+                                truncated_power_kernel)
 from onesided.weights import WeightSpec
 from test_operators import scan_extremal_averages
 
@@ -224,6 +225,14 @@ class TestDecay:
         with pytest.raises(ConfigError):
             dyadic_decay(KP, PolynomialPhase.monomial(1, 1, 1.0), 2.0, None,
                          fam, 2, (-40.0, 2.0), 1025)
+
+    def test_vanishing_piece_refused(self):
+        # the kernel lives on |t| <= 3.5 and piece 3 covers |t| in (4, 8], so
+        # its ratio is exactly 0 and has no log2: no slope may be fitted
+        fam = TestFunctionFamily("random-bump-sums", 4, 1, (0.0, 1.0))
+        with pytest.raises(DomainError, match=r"pieces \[3\]"):
+            dyadic_decay(truncated_power_kernel("plus"), PolynomialPhase.monomial(1, 1, 1.0),
+                         2.0, None, fam, 3, (-10.0, 2.0), 257)
 
     def test_family_shared_across_pieces(self):
         fam = TestFunctionFamily("random-bump-sums", 6, 3, (0.0, 1.0))

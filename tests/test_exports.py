@@ -1,11 +1,13 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import onesided
+from onesided import experiments, operators, weights
 
 MODULES = ["onesided"] + [f"onesided.{m.name}" for m in pkgutil.iter_modules(onesided.__path__)]
 
@@ -25,3 +27,21 @@ def test_exported_names_resolve(name):
     # a stale entry breaks only ``from module import *``, which nothing else runs
     mod = importlib.import_module(name)
     assert [n for n in exported(mod) if not hasattr(mod, n)] == []
+
+
+def params(fn) -> list:
+    return list(inspect.signature(fn).parameters)
+
+
+def test_traced_signatures():
+    # the benchmark's tracer reads these arguments by position, so a
+    # reordered signature would blank its per-layer counts without an error
+    assert params(operators.oscillatory_apply_batch) == [
+        "F", "x_lo", "x_hi", "kernel", "phase", "pv", "band_cells"]
+    estimators = [n for n in weights.__all__ if n.endswith("_constant")]
+    assert len(estimators) == 8
+    for name in estimators:
+        assert params(getattr(weights, name))[-1] == "cfg", name
+    assert params(operators.forward_extremal_averages)[0] == "values"
+    assert params(experiments.generate_family)[0] == "family"
+    assert params(weights.WeightSpec.realize) == ["self", "x_lo", "x_hi", "n"]
