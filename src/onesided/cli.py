@@ -77,8 +77,8 @@ def _grid(obj: dict, path: str):
     """(window, n) of ``{"window": [lo, hi], "n": n}``."""
     lo, hi = read(obj, "window", (float, float), STANDARD_WINDOW, path)
     n = read(obj, "n", int, STANDARD_N, path)
-    if not lo < hi:
-        raise ConfigError(f"{path}.window: need lo < hi, got {[lo, hi]}")
+    if not -np.inf < lo < hi < np.inf:
+        raise ConfigError(f"{path}.window: need finite lo < hi, got {[lo, hi]}")
     if n < 2:
         raise ConfigError(f"{path}.n: need n >= 2, got {n}")
     return (lo, hi), n

@@ -67,8 +67,8 @@ class TestFunctionFamily:
         if self.count < 0:
             raise ConfigError("count must be >= 0")
         lo, hi = self.support
-        if not lo < hi:
-            raise ConfigError("support must satisfy lo < hi")
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError("support must satisfy finite lo < hi")
         object.__setattr__(self, "support", (float(lo), float(hi)))
 
     def to_json(self) -> dict:

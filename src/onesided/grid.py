@@ -99,14 +99,14 @@ class SampledFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not (self.x_lo < self.x_hi):
-            raise DomainError(f"need x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
+        if not -math.inf < self.x_lo < self.x_hi < math.inf:
+            raise DomainError(f"need finite x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
         if self.n < 2:
             raise DomainError(f"need n >= 2, got n={self.n}")
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.n,):
             raise DomainError(f"values must have exactly n={self.n} entries, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        if not np.all(np.isfinite(vals)):
             raise DomainError("values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

@@ -125,39 +125,48 @@ class KernelSpec:
 
     ``side`` fixes the support half-line: "plus" kernels live on
     t < 0 (they drive T^+ operators integrating over y > x), "minus"
-    kernels on t > 0; "both" is a two-sided variant used by
-    cancellation tests only.  ``size_const`` and ``smooth_const`` are
-    the declared bounds for the size and smoothness conditions
-    |K(t)| <= C/|t| and |K(t-s)-K(t)| <= C|s|/t^2 (for |t| > 2|s|);
+    kernels on t > 0.  ``params`` is (lambda, sign) for
+    "oscillating-log" and (r_lo, r_hi, lambda, sign) for
+    "truncated-power", with lambda > 0 the dilation, 0 < r_lo < r_hi the
+    support radii of |t| / lambda and sign the amplitude.
+    ``size_const`` and ``smooth_const`` (both > 0) are the declared
+    bounds for the size and smoothness conditions |K(t)| <= C/|t| and
+    |K(t-s)-K(t)| <= C|s|/t^2 (for |t| > 2|s|);
     ``check_size_condition`` / ``check_smoothness_condition`` sample
-    them.
+    them.  Every number is finite.
     """
 
     tag: str                  # oscillating-log | truncated-power
-    side: str                 # plus | minus | both
+    side: str                 # plus | minus
     params: tuple
     size_const: float
     smooth_const: float
 
     def __post_init__(self):
-        if self.tag not in ("oscillating-log", "truncated-power"):
+        names = {"oscillating-log": ("lambda", "sign"),
+                 "truncated-power": ("r_lo", "r_hi", "lambda", "sign")}.get(self.tag)
+        if names is None:
             raise DomainError(f"unknown kernel tag {self.tag!r}")
-        if self.side not in ("plus", "minus", "both"):
-            raise DomainError(f"unknown kernel side {self.side!r}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if not all(map(math.isfinite, (*self.params, self.size_const, self.smooth_const))):
+        if self.side not in ("plus", "minus"):
+            raise DomainError(f"unknown kernel side {self.side!r}, expected plus or minus")
+        p = tuple(float(v) for v in self.params)
+        object.__setattr__(self, "params", p)
+        if len(p) != len(names):
+            raise DomainError(f"{self.tag} kernel params are ({', '.join(names)}), got {list(p)}")
+        if not all(map(math.isfinite, (*p, self.size_const, self.smooth_const))):
             raise DomainError("kernel params and constants must be finite")
+        if not p[-2] > 0.0:
+            raise DomainError(f"kernel lambda must be > 0, got {p[-2]}")
+        if self.tag == "truncated-power" and not 0.0 < p[0] < p[1]:
+            raise DomainError(f"need 0 < r_lo < r_hi, got {p[0]}, {p[1]}")
+        if not (self.size_const > 0.0 and self.smooth_const > 0.0):
+            raise DomainError("kernel size_const and smooth_const must be > 0")
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         """K(t), zero off the support side and at t = 0."""
         t = np.asarray(t, dtype=np.float64)
-        if self.side == "plus":
-            mask = t < 0.0
-        elif self.side == "minus":
-            mask = t > 0.0
-        else:
-            mask = t != 0.0
+        mask = t < 0.0 if self.side == "plus" else t > 0.0
         out = np.zeros_like(t)
         ts = t[mask]
         if self.tag == "oscillating-log":
@@ -179,7 +188,7 @@ class KernelSpec:
 
     def reflected(self) -> "KernelSpec":
         """The kernel t -> K(-t) on the opposite half-line."""
-        side = {"plus": "minus", "minus": "plus", "both": "both"}[self.side]
+        side = "minus" if self.side == "plus" else "plus"
         return replace(self, side=side, params=self.params[:-1] + (-self.params[-1],))
 
     def support_radii(self) -> tuple:
@@ -197,11 +206,7 @@ class KernelSpec:
         hi = outer if math.isfinite(outer) else 10.0
         mag = np.exp(rng.uniform(np.log(lo * 0.5) if inner > 0 else np.log(lo),
                                  np.log(hi), _CONDITION_SAMPLES))
-        if self.side == "plus":
-            return -mag
-        if self.side == "minus":
-            return mag
-        return mag * rng.choice([-1.0, 1.0], mag.size)
+        return -mag if self.side == "plus" else mag
 
     def check_size_condition(self, seed: int = 0) -> float:
         """Worst |K(t)| |t| / size_const over _CONDITION_SAMPLES random
@@ -259,10 +264,8 @@ def truncated_power_kernel(side: str = "plus", r_lo: float = 0.5,
                            r_hi: float = 3.5) -> KernelSpec:
     """K(t) = eta(|t|)/t with a smooth bump profile supported on
     r_lo <= |t| <= r_hi (declared smoothness bound measured, padded)."""
-    if not 0 < r_lo < r_hi:
-        raise DomainError("need 0 < r_lo < r_hi")
-    smooth = 16.0 * max(1.0, r_hi / (r_hi - r_lo))
-    return KernelSpec("truncated-power", side, (r_lo, r_hi, 1.0, 1.0), 1.0, smooth)
+    kernel = KernelSpec("truncated-power", side, (r_lo, r_hi, 1.0, 1.0), 1.0, 1.0)
+    return replace(kernel, smooth_const=16.0 * max(1.0, r_hi / (r_hi - r_lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +333,17 @@ class PolynomialPhase:
         return out
 
     def partial_y(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        out = np.zeros(np.broadcast(x, y).shape)
-        for (a, b), v in self.terms:
-            if b >= 1:
-                out += v * b * x ** a * y ** (b - 1)
-        return out
+        """dP/dy, evaluated as the phase of the terms ((a, b - 1), b v)."""
+        return PolynomialPhase(tuple(((a, b - 1), v * b) for (a, b), v in self.terms
+                                     if b)).evaluate(x, y)
 
     def linear_parts(self, x: np.ndarray):
-        """A(x), B(x) with P(x, y) = A(x) + B(x) y (requires l <= 1)."""
+        """A(x), B(x) with P(x, y) = A(x) + B(x) y (requires l <= 1): the
+        phases of the terms with b = 0 and b = 1, evaluated at y = 1."""
         if not self.y_degree_at_most_one():
             raise DomainError("phase is not linear in y")
-        A = np.zeros_like(x)
-        B = np.zeros_like(x)
-        for (a, b), v in self.terms:
-            if b == 0:
-                A += v * x ** a
-            else:
-                B += v * x ** a
-        return A, B
+        return tuple(PolynomialPhase(tuple(t for t in self.terms if t[0][1] == b)).evaluate(x, 1.0)
+                     for b in (0, 1))
 
     def reflected(self) -> "PolynomialPhase":
         """P(-x, -y)."""
@@ -796,14 +790,14 @@ def _subdivided_weights(W: np.ndarray, x: np.ndarray, d: float,
 
 
 def _checked_batch(F: np.ndarray, x_lo: float, x_hi: float) -> np.ndarray:
-    """F as an array, once it is a finite 2-D batch of >= 2 nodes on x_lo < x_hi."""
+    """F as an array, once it is a finite 2-D batch of >= 2 nodes on finite x_lo < x_hi."""
     F = np.asarray(F)
     if F.ndim != 2 or F.shape[1] < 2:
         raise DomainError(f"F must be 2-D with at least 2 nodes, got shape {F.shape}")
     if not np.all(np.isfinite(F)):
         raise DomainError("F must be finite")
-    if not x_lo < x_hi:
-        raise DomainError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
+    if not -math.inf < x_lo < x_hi < math.inf:
+        raise DomainError(f"need finite x_lo < x_hi, got [{x_lo}, {x_hi}]")
     return F
 
 
@@ -820,8 +814,6 @@ def oscillatory_apply_batch(F: np.ndarray, x_lo: float, x_hi: float,
     F = _checked_batch(F, x_lo, x_hi)
     if band_cells is not None and band_cells[0] < 0:
         raise DomainError(f"band cells must start at >= 0, got {band_cells}")
-    if kernel.side == "both":
-        raise ConfigError("one-sided operators need a one-sided kernel")
     n = F.shape[1]
     if pv.eps_cells >= n - 1:
         raise ConfigError("eps_cells exceeds the window")
@@ -901,6 +893,9 @@ class OperatorSpec:
         """The operator on every row of F, sampled on [x_lo, x_hi].  A
         dyadic piece whose band starts at or past the last node is empty
         and gives zeros."""
+        phase = PolynomialPhase.zero() if self.phase is None else self.phase
+        if self.kind in ("singular", "oscillatory"):     # which checks F itself
+            return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.pv)
         F = _checked_batch(F, x_lo, x_hi)
         d = (x_hi - x_lo) / (F.shape[1] - 1)
         if self.kind == "identity":
@@ -909,14 +904,11 @@ class OperatorSpec:
             return forward_extremal_averages(F, d).astype(np.complex128)
         if self.kind == "m_minus":
             return backward_extremal_averages(F, d).astype(np.complex128)
-        phase = PolynomialPhase.zero() if self.phase is None else self.phase
-        band = None
-        if self.kind == "dyadic_piece":
-            if self.j < 0:
-                raise DomainError("need j >= 0")
-            band = dyadic_band_cells(d, self.j, self.pv.eps_cells)
-            if band[0] >= F.shape[1] - 1:
-                return np.zeros_like(F)
+        if self.j < 0:
+            raise DomainError("need j >= 0")
+        band = dyadic_band_cells(d, self.j, self.pv.eps_cells)
+        if band[0] >= F.shape[1] - 1:
+            return np.zeros_like(F)
         return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.pv, band)
 
     def to_json(self) -> dict:
@@ -966,23 +958,14 @@ def kernel_cancellation_sup(kernel: KernelSpec, eps_grid, N_grid) -> float:
     u = np.linspace(u_lo, u_hi, _CANCEL_NODES)
     s = np.exp(u)
     du = (u_hi - u_lo) / (_CANCEL_NODES - 1)
+    # int_{eps<|t|<N} K is int_eps^N K(sg s) s du in u = ln s coordinates,
+    # sg the sign of the kernel's side (the negative side's orientation flip
+    # cancels against dt = -ds)
+    integ = kernel.evaluate((-1.0 if kernel.side == "plus" else 1.0) * s) * s
     best = 0.0
-    sides = []
-    if kernel.side in ("plus", "both"):
-        sides.append(-1.0)
-    if kernel.side in ("minus", "both"):
-        sides.append(1.0)
-    # int_{eps<|t|<N} K over the side sg is int_eps^N K(sg s) s du in
-    # u = ln s coordinates (the negative side's orientation flip cancels
-    # against dt = -ds)
-    integ = {sg: kernel.evaluate(sg * s) * s for sg in sides}
     for e, N in pairs:
-        mask = (s >= e) & (s <= N)
-        total = 0.0
-        for sg in sides:
-            g = np.where(mask, integ[sg], 0.0)
-            total += float(np.sum((g[:-1] + g[1:]) / 2.0) * du)
-        best = max(best, abs(total))
+        g = np.where((s >= e) & (s <= N), integ, 0.0)
+        best = max(best, abs(float(np.sum((g[:-1] + g[1:]) / 2.0) * du)))
     return best
 
 

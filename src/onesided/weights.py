@@ -183,7 +183,7 @@ class WeightSpec:
                     if c != 0.0:
                         x *= c
                         vals *= np.exp(x, out=x)
-            if np.any(np.isnan(vals)) or np.any(vals <= 0.0):
+            if not np.all(vals > 0.0):          # NaN fails the comparison too
                 raise DomainError(f"weight {self.label()} not strictly positive on the window")
             yield vals
 
@@ -290,8 +290,8 @@ class TripleSearchConfig:
 
     def __post_init__(self):
         lo, hi = self.window
-        if not lo < hi:
-            raise ConfigError(f"window: need lo < hi, got {self.window}")
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError(f"window: need finite lo < hi, got {self.window}")
         object.__setattr__(self, "window", (float(lo), float(hi)))
         if self.h_max == 0.0:
             object.__setattr__(self, "h_max", (hi - lo) / 2.0)

@@ -67,7 +67,8 @@ OVERRIDES = {
     ("decay", "fit"): (["--seed", "7", "--window=-9,2"],
                        {"family.seed": 7, "grid.window": [-9.0, 2.0]}),
 }
-# each fails at a field the reader names: (command, top-level change, flags, path)
+# each fails at a field the reader names: (command, top-level change, flags, path[,
+# test id, where the path alone would repeat one])
 MALFORMED = [
     (("sweep", "coeffs"), {"p": "abc"}, [], "p"),
     (("sweep", "coeffs"), {"monomial": [1, "y"]}, [], "monomial[1]"),
@@ -102,7 +103,22 @@ MALFORMED = [
     (("weights", "estimate"), {"estimator": "ap_both", "p": 2.0,
                                "weight": {"form": "exponential", "params": [1.0]},
                                "search": dict(SEARCH, ceiling=math.nan)}, [], "search.ceiling"),
+    # a non-finite window, which json.load also accepts
+    (("operators", "apply"), {"grid": {"window": [-math.inf, 8.0], "n": 65}}, [],
+     "grid.window", "grid.window-inf"),
+    # each kernel tag's parameter layout and ranges
+    (("operators", "cancel-sup"), {"kernel": dict(KERNEL["kernel"], params=[1.0])}, [],
+     "kernel", "kernel-arity"),
+    (("operators", "cancel-sup"), {"kernel": dict(KERNEL["kernel"], params=[0.0, 1.0])}, [],
+     "kernel", "kernel-lambda"),
+    (("operators", "cancel-sup"), {"kernel": {"tag": "truncated-power", "side": "plus",
+                                              "params": [3.5, 0.5, 1.0, 1.0]}}, [],
+     "kernel", "kernel-range"),
 ]
+
+
+def _malformed_id(command, change, flags, path, name=None) -> str:
+    return name or (f"{change['estimator']}-{path}" if "estimator" in change else path)
 
 
 class TestWeightsCommands:
@@ -418,9 +434,8 @@ class TestCommandTable:
         err = capsys.readouterr().err
         assert f"x {10 ** 18} samples" in err and "bytes" in err and "GiB budget" in err
 
-    @pytest.mark.parametrize("command, change, flags, path", MALFORMED,
-                             ids=[f"{change['estimator']}-{path}" if "estimator" in change
-                                  else path for _, change, _, path in MALFORMED])
+    @pytest.mark.parametrize("command, change, flags, path", [row[:4] for row in MALFORMED],
+                             ids=[_malformed_id(*row) for row in MALFORMED])
     def test_malformed_exit_2_with_path(self, tmp_path, capsys, command, change, flags, path):
         cfg = write_cfg(tmp_path, "c.json", dict(TINY[command], **change))
         assert main([*command, "--config", cfg, "--out", str(tmp_path / "res"), *flags]) == 2

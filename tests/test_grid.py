@@ -34,6 +34,9 @@ class TestSampledFunction:
             SampledFunction(0.0, 1.0, 11, np.zeros(10))
         with pytest.raises(DomainError):
             SampledFunction(0.0, 1.0, 3, np.array([0.0, np.inf, 1.0]))
+        for lo, hi in ((-np.inf, 8.0), (0.0, np.inf)):   # json.load accepts -Infinity
+            with pytest.raises(DomainError, match="finite x_lo < x_hi"):
+                SampledFunction(lo, hi, 3, np.zeros(3))
 
     def test_spacing(self):
         f = const(1.0, 0.0, 2.0, 5)

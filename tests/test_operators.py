@@ -96,6 +96,36 @@ class TestKernels:
         with pytest.raises(DomainError, match="finite"):
             KernelSpec("oscillating-log", "plus", params, *consts)
 
+    @pytest.mark.parametrize("tag, params, consts, match", [
+        ("oscillating-log", (1.0,), (1.0, 2.0), r"params are \(lambda, sign\), got \[1.0\]"),
+        ("oscillating-log", (1.0, 1.0, 1.0, 1.0), (1.0, 2.0), r"params are \(lambda, sign\)"),
+        ("truncated-power", (1.0, 1.0), (1.0, 2.0), r"params are \(r_lo, r_hi, lambda, sign\)"),
+        ("oscillating-log", (0.0, 1.0), (1.0, 2.0), "lambda must be > 0"),
+        ("truncated-power", (0.5, 3.5, -1.0, 1.0), (1.0, 2.0), "lambda must be > 0"),
+        ("truncated-power", (3.5, 0.5, 1.0, 1.0), (1.0, 2.0), "0 < r_lo < r_hi"),
+        ("truncated-power", (0.0, 0.5, 1.0, 1.0), (1.0, 2.0), "0 < r_lo < r_hi"),
+        ("truncated-power", (1.0, 1.0, 1.0, 1.0), (1.0, 2.0), "0 < r_lo < r_hi"),
+        ("oscillating-log", (1.0, 1.0), (0.0, 2.0), "must be > 0"),
+        ("oscillating-log", (1.0, 1.0), (1.0, -2.0), "must be > 0")],
+        ids=["log-1-param", "log-4-params", "power-2-params", "log-lambda-0", "power-lambda<0",
+             "power-r_lo>r_hi", "power-r_lo-0", "power-r_lo=r_hi", "size_const-0",
+             "smooth_const<0"])
+    def test_rejects_malformed_params(self, tag, params, consts, match):
+        # each tag's parameter layout and ranges, checked once, at construction
+        with pytest.raises(DomainError, match=match):
+            KernelSpec(tag, "plus", params, *consts)
+
+    def test_one_sided_only(self):
+        with pytest.raises(DomainError, match="expected plus or minus"):
+            KernelSpec("oscillating-log", "both", (1.0, 1.0), 1.0, 2.0)
+        with pytest.raises(DomainError, match="expected plus or minus"):
+            truncated_power_kernel("both")
+
+    @pytest.mark.parametrize("r_lo, r_hi", [(1.0, 1.0), (3.5, 0.5), (0.0, 1.0)])
+    def test_truncated_power_range(self, r_lo, r_hi):
+        with pytest.raises(DomainError, match="0 < r_lo < r_hi"):
+            truncated_power_kernel("plus", r_lo, r_hi)
+
     def test_cancellation_closed_form(self):
         # int sin(ln s)/(2s) telescopes to (cos(ln eps) - cos(ln N))/2
         got = kernel_cancellation_sup(KP, [1e-3], [5.0])
@@ -103,10 +133,6 @@ class TestKernels:
         assert got == pytest.approx(exact, abs=1e-6)
         assert kernel_cancellation_sup(
             KP, np.geomspace(1e-4, 1.0, 7), np.linspace(1.0, 8.0, 8)) <= 1.0 + 1e-3
-
-    def test_cancellation_odd_kernel_vanishes(self):
-        K = truncated_power_kernel("both", 0.5, 3.5)
-        assert kernel_cancellation_sup(K, [0.1, 0.3], [4.0, 8.0]) == 0.0
 
     def test_cancellation_beyond_support_stable(self):
         K = truncated_power_kernel("plus", 0.5, 3.5)
@@ -1344,6 +1370,17 @@ class TestOperatorSpecFields:
         with pytest.raises(ConfigError, match="needs"):
             OperatorSpec(kind, **fields)
 
+    @pytest.mark.parametrize("kind, fields, calls", [
+        ("singular", dict(kernel=KP), 1), ("oscillatory", dict(kernel=KP, phase=P), 1),
+        ("dyadic_piece", dict(kernel=KP, phase=P, j=0), 2), ("m_plus", {}, 1)])
+    def test_batch_checked_once(self, kind, fields, calls):
+        # the apply entry checks F itself; a dyadic piece needs n for its band first
+        F = np.ones((2, 65), dtype=complex)
+        with mock.patch.object(operators, "_checked_batch",
+                               side_effect=operators._checked_batch) as spy:
+            OperatorSpec(kind, **fields).apply_batch(F, -4.0, 4.0)
+        assert spy.call_count == calls
+
     def test_json_nests_kernel_and_phase(self):
         # the digests of every campaign hash this shape
         op = OperatorSpec("dyadic_piece", KP, self.P, PV1, j=3)
@@ -1415,7 +1452,68 @@ class TestDyadic:
 # phase normalization and scaling
 # ---------------------------------------------------------------------------
 
+def oracle_partial_y(phase: PolynomialPhase, x, y) -> np.ndarray:
+    """dP/dy by its own loop over the terms, as PolynomialPhase.partial_y
+    was before it evaluated the derivative's terms; kept as its oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    out = np.zeros(np.broadcast(x, y).shape)
+    for (a, b), v in phase.terms:
+        if b >= 1:
+            out += v * b * x ** a * y ** (b - 1)
+    return out
+
+
+def oracle_linear_parts(phase: PolynomialPhase, x: np.ndarray):
+    """A(x), B(x) by their own loop over the terms, as
+    PolynomialPhase.linear_parts was; kept as its oracle."""
+    A = np.zeros_like(x)
+    B = np.zeros_like(x)
+    for (a, b), v in phase.terms:
+        if b == 0:
+            A += v * x ** a
+        else:
+            B += v * x ** a
+    return A, B
+
+
+@st.composite
+def small_phases(draw, max_b=3):
+    """A phase of degrees <= 3 in x and <= max_b in y, with coefficients
+    of magnitude 1e-3 to 1e3, and a window inside [-8, 8]."""
+    degrees = st.tuples(st.integers(0, 3), st.integers(0, max_b))
+    coeffs = st.builds(lambda m, s: s * 10.0 ** m, st.floats(-3.0, 3.0), st.sampled_from([-1, 1]))
+    terms = draw(st.dictionaries(degrees, coeffs, max_size=6))
+    lo = draw(st.floats(-8.0, 7.0))
+    hi = draw(st.floats(lo + 0.5, 8.0))
+    return PolynomialPhase.from_coeffs(terms), lo, hi
+
+
 class TestPhase:
+    @settings(max_examples=60, deadline=None)
+    @given(case=small_phases())
+    def test_partial_y_matches_loop(self, case):
+        P, lo, hi = case
+        x, y = grid_nodes(lo, hi, 17)[:, None], grid_nodes(lo, hi, 33)
+        y_mid = (y[:-1] + y[1:]) / 2.0
+        for args in ((x, y_mid), (x[:, 0], y[::-1][:17]), (lo, y)):
+            got, want = P.partial_y(*args), oracle_partial_y(P, *args)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=small_phases(max_b=1))
+    def test_linear_parts_match_loop(self, case):
+        P, lo, hi = case
+        x = grid_nodes(lo, hi, 65)
+        for got, want in zip(P.linear_parts(x), oracle_linear_parts(P, x)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_partial_y_overflow_refused(self):
+        # b v overflows: the derivative is not a finite phase
+        with pytest.raises(DomainError, match="finite"):
+            PolynomialPhase.monomial(0, 3, 1e308).partial_y(1.0, 1.0)
+
     def test_degrees(self):
         P = PolynomialPhase.from_coeffs({(2, 1): 8.0, (1, 1): 2.0, (0, 3): 0.0})
         assert P.k == 2 and P.l == 1

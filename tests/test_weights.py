@@ -148,6 +148,9 @@ class TestConfig:
             TripleSearchConfig((-8.0, 8.0), h_max=20.0)
         with pytest.raises(ConfigError):
             TripleSearchConfig((-8.0, 8.0), gamma=0.7)
+        for window in ((-math.inf, 8.0), (0.0, math.inf)):
+            with pytest.raises(ConfigError, match="window: need finite lo < hi"):
+                TripleSearchConfig(window)
 
     def test_oversized_search_refused(self):
         # refused from n_grid and the lattice size alone; nothing allocated
