@@ -100,13 +100,12 @@ def _operator(obj: dict, path: str) -> OperatorSpec:
 
 
 def _endpoints(obj: dict, path: str) -> InterpolationEndpoints:
-    for k in ("c0", "c1"):      # placeholders below: the check uses the exact norms
+    for k in ("c0", "c1"):      # read() would pass over them; the check uses the exact norms
         if k in obj:
             raise ConfigError(f"{path}.{k}: not supported; interp verify uses the exact norms")
     p0, p1 = (read(obj, k, float, path=path) for k in ("p0", "p1"))
     weights = (read(obj, k, WeightSpec.from_json, path=path) for k in ("u0", "v0", "u1", "v1"))
-    return InterpolationEndpoints(p0, p1, *weights, 1.0, 1.0,
-                                  read(obj, "theta", float, path=path))
+    return InterpolationEndpoints(p0, p1, *weights, read(obj, "theta", float, path=path))
 
 
 def _member(obj: dict, path: str, window: tuple, n: int) -> np.ndarray:

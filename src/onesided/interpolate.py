@@ -19,7 +19,7 @@ rather than estimated maximal/singular norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,8 @@ _VERIFY_TOL = 1e-9   # relative slack of the multiplier check for float rounding
 
 @dataclass(frozen=True)
 class InterpolationEndpoints:
-    """Endpoint data: exponents, weight pairs (target u, source v),
-    endpoint operator constants, and the interpolation parameter."""
+    """Endpoint data: exponents, weight pairs (target u, source v), and
+    the interpolation parameter."""
 
     p0: float
     p1: float
@@ -48,8 +48,6 @@ class InterpolationEndpoints:
     v0: WeightSpec
     u1: WeightSpec
     v1: WeightSpec
-    c0: float
-    c1: float
     theta: float
 
     def __post_init__(self):
@@ -58,20 +56,19 @@ class InterpolationEndpoints:
                 raise DomainError(f"{name} must lie in (1, inf), got {p}")
         if not 0.0 < self.theta < 1.0:
             raise DomainError(f"theta must lie in (0, 1), got {self.theta}")
-        if self.c0 <= 0 or self.c1 <= 0:
-            raise DomainError("endpoint constants must be positive")
 
 
-def interpolate_weights(e: InterpolationEndpoints):
+def interpolate_weights(e: InterpolationEndpoints, c0: float, c1: float):
     """The interpolated exponent, weights, and constant bound
-    (p, u, v, c_bound)."""
+    (p, u, v, c0^theta c1^(1-theta)) for endpoint constants c0, c1."""
+    if not (0.0 < c0 < math.inf and 0.0 < c1 < math.inf):
+        raise DomainError(f"endpoint constants must lie in (0, inf), got {c0}, {c1}")
     p = 1.0 / (e.theta / e.p0 + (1.0 - e.theta) / e.p1)
     e0 = p * e.theta / e.p0
     e1 = p * (1.0 - e.theta) / e.p1
     u = weight_product(weight_power(e.u0, e0), weight_power(e.u1, e1))
     v = weight_product(weight_power(e.v0, e0), weight_power(e.v1, e1))
-    c_bound = e.c0 ** e.theta * e.c1 ** (1.0 - e.theta)
-    return p, u, v, c_bound
+    return p, u, v, c0 ** e.theta * c1 ** (1.0 - e.theta)
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,6 @@ class MultiplierReport:
     exact_norm: float
     c_bound: float
     passed: bool
-    p: float
 
 
 def multiplier_norm(g: SampledFunction, u: WeightSpec, v: WeightSpec,
@@ -95,11 +91,10 @@ def multiplier_norm(g: SampledFunction, u: WeightSpec, v: WeightSpec,
 
 def verify_on_multiplier(g: SampledFunction, e: InterpolationEndpoints) -> MultiplierReport:
     """Check the interpolated bound on the multiplication operator
-    f -> g f, with endpoint constants replaced by the exact endpoint
-    norms (the hypothesis under which the bound is sharp enough to
-    assert), up to a relative _VERIFY_TOL."""
-    exact = replace(e, c0=multiplier_norm(g, e.u0, e.v0, e.p0),
-                    c1=multiplier_norm(g, e.u1, e.v1, e.p1))
-    p, u, v, c_bound = interpolate_weights(exact)
+    f -> g f, with the exact endpoint norms as the endpoint constants
+    (the hypothesis under which the bound is sharp enough to assert),
+    up to a relative _VERIFY_TOL."""
+    p, u, v, c_bound = interpolate_weights(e, multiplier_norm(g, e.u0, e.v0, e.p0),
+                                           multiplier_norm(g, e.u1, e.v1, e.p1))
     norm = multiplier_norm(g, u, v, p)
-    return MultiplierReport(norm, c_bound, norm <= c_bound * (1.0 + _VERIFY_TOL), p)
+    return MultiplierReport(norm, c_bound, norm <= c_bound * (1.0 + _VERIFY_TOL))

@@ -949,8 +949,9 @@ def kernel_cancellation_sup(kernel: KernelSpec, eps_grid, N_grid) -> float:
     """
     eps_grid = [float(e) for e in eps_grid]
     N_grid = [float(N) for N in N_grid]
-    if min(eps_grid, default=0.0) <= 0 or min(N_grid, default=0.0) <= 0:
-        raise DomainError("truncation radii must be given and positive")
+    for name, radii in (("eps_grid", eps_grid), ("N_grid", N_grid)):
+        if not radii or not all(0.0 < r < math.inf for r in radii):
+            raise DomainError(f"{name}: need radii in (0, inf), got {radii!r:.60}")
     pairs = [(e, N) for e in eps_grid for N in N_grid if e < N]
     if not pairs:
         raise DomainError("no admissible pair with eps < N")

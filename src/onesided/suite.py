@@ -219,7 +219,7 @@ def criterion_09(seed: int) -> CriterionResult:
                                float(rng.uniform(-1.0, 1.0))),
             WeightSpec.power(float(rng.uniform(0.0, 0.8))),
             WeightSpec.constant(float(rng.uniform(0.5, 2.0))),
-            1.0, 1.0, float(rng.uniform(0.05, 0.95)))
+            float(rng.uniform(0.05, 0.95)))
         ok += verify_on_multiplier(g, e).passed
     return CriterionResult(9, "interpolation on multipliers", ok == 100,
                            {"passed_instances": ok})

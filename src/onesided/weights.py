@@ -95,6 +95,8 @@ class WeightSpec:
         elif self.form not in ("constant", "power", "exponential", "product"):
             raise DomainError(f"unknown weight form {self.form!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if not all(map(math.isfinite, self.params)):
+            raise DomainError(f"{self.form} weight params must be finite, got {list(self.params)}")
 
     # -- constructors -------------------------------------------------
     @staticmethod

@@ -103,6 +103,9 @@ MALFORMED = [
     (("weights", "estimate"), {"estimator": "ap_both", "p": 2.0,
                                "weight": {"form": "exponential", "params": [1.0]},
                                "search": dict(SEARCH, ceiling=math.nan)}, [], "search.ceiling"),
+    # non-finite weight params, which json.load also accepts
+    (("weights", "estimate"), {"weight": {"form": "constant", "params": [math.inf]}}, [],
+     "weight", "weight-inf"),
     # a non-finite window, which json.load also accepts
     (("operators", "apply"), {"grid": {"window": [-math.inf, 8.0], "n": 65}}, [],
      "grid.window", "grid.window-inf"),
@@ -300,6 +303,17 @@ class TestOperatorCommands:
         payload = json.loads((tmp_path / "res.json").read_text())
         assert 0.0 < payload["sup"] <= 1.0 + 1e-3
 
+    @pytest.mark.parametrize("field, bad", [("eps_grid", math.nan), ("eps_grid", math.inf),
+                                            ("N_grid", math.nan), ("N_grid", math.inf)])
+    def test_cancel_sup_non_finite_radius_exit_2(self, tmp_path, capsys, field, bad):
+        radii = {"eps_grid": [1e-3, 1e-2], "N_grid": [1.0, 8.0]}
+        radii[field] = radii[field] + [bad]
+        cfg = write_cfg(tmp_path, "c.json", dict(radii, **KERNEL))
+        assert main(["operators", "cancel-sup", "--config", cfg,
+                     "--out", str(tmp_path / "res")]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (tmp_path / "res.json").exists()
+
 
 class TestInterpSweepDecay:
     def test_interp_verify(self, tmp_path):
@@ -316,6 +330,16 @@ class TestInterpSweepDecay:
         assert main(["interp", "verify", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((tmp_path / "res.json").read_text())
         assert payload["pass"] is True
+
+    def test_interp_verify_overflowing_endpoint_norm_exit_2(self, tmp_path, capsys):
+        # e^{100 x} overflows on [0, 8], so the exact endpoint norm is inf and
+        # the bound c0^theta c1^(1-theta) would pass any norm
+        cfg = write_cfg(tmp_path, "c.json", {
+            "endpoints": dict(ENDPOINTS, u0={"form": "exponential", "params": [100.0]}),
+            "g": {"values": [1.0, 1.5, 2.0, 0.5], "grid": {"window": [0.0, 8.0]}}})
+        assert main(["interp", "verify", "--config", cfg, "--out", str(tmp_path / "res")]) == 2
+        assert "endpoint constants must lie in (0, inf)" in capsys.readouterr().err
+        assert not (tmp_path / "res.json").exists()
 
     def test_sweep(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", dict(

@@ -11,30 +11,29 @@ ONE = WeightSpec.constant(1.0)
 
 
 def endpoints(**kw):
-    base = dict(p0=2.0, p1=2.0, u0=ONE, v0=ONE, u1=ONE, v1=ONE,
-                c0=1.0, c1=1.0, theta=0.5)
+    base = dict(p0=2.0, p1=2.0, u0=ONE, v0=ONE, u1=ONE, v1=ONE, theta=0.5)
     base.update(kw)
     return InterpolationEndpoints(**base)
 
 
 class TestInterpolateWeights:
     def test_all_identity(self):
-        p, u, v, c = interpolate_weights(endpoints())
+        p, u, v, c = interpolate_weights(endpoints(), 1.0, 1.0)
         assert p == 2.0 and c == 1.0
         assert u.canonical() == (1.0, 0.0, 0.0) and v.canonical() == (1.0, 0.0, 0.0)
 
     def test_harmonic_mean_exponent(self):
-        p, *_ = interpolate_weights(endpoints(p0=2.0, p1=4.0))
+        p, *_ = interpolate_weights(endpoints(p0=2.0, p1=4.0), 1.0, 1.0)
         assert p == pytest.approx(8.0 / 3.0, rel=1e-15)
 
     def test_exponent_arithmetic(self):
-        p, u, v, c = interpolate_weights(endpoints(u0=WeightSpec.exponential(2.0)))
+        p, u, v, c = interpolate_weights(endpoints(u0=WeightSpec.exponential(2.0)), 1.0, 1.0)
         assert u.form == "exponential" and u.params[0] == pytest.approx(1.0)
 
     def test_endpoint_recovery(self):
         e = endpoints(p0=1.7, p1=3.1, u0=WeightSpec.exponential(2.0),
-                      v0=WeightSpec.power(0.4), c0=3.0, c1=7.0, theta=1.0 - 1e-9)
-        p, u, v, c = interpolate_weights(e)
+                      v0=WeightSpec.power(0.4), theta=1.0 - 1e-9)
+        p, u, v, c = interpolate_weights(e, 3.0, 7.0)
         assert p == pytest.approx(1.7, abs=1e-6)
         assert c == pytest.approx(3.0, rel=1e-6)
         uu = u.realize(0.5, 2.0, 33)
@@ -42,18 +41,17 @@ class TestInterpolateWeights:
         assert np.max(np.abs(uu - u0) / u0) <= 1e-6
 
     def test_c_bound_multiplicative(self):
-        e0 = endpoints(c0=2.0, c1=5.0, theta=0.3)
-        _, _, _, c_base = interpolate_weights(e0)
+        e = endpoints(theta=0.3)
+        _, _, _, c_base = interpolate_weights(e, 2.0, 5.0)
         for s in (4.0, 0.25, 9.0):
-            e1 = endpoints(c0=2.0 * s, c1=5.0, theta=0.3)
-            _, _, _, c_scaled = interpolate_weights(e1)
+            _, _, _, c_scaled = interpolate_weights(e, 2.0 * s, 5.0)
             assert c_scaled == pytest.approx(s ** 0.3 * c_base, rel=1e-12)
 
     def test_sampled_weights_on_different_grids(self):
         a = WeightSpec.sampled(SampledFunction(0.0, 1.0, 11, np.ones(11) + 0j))
         b = WeightSpec.sampled(SampledFunction(0.0, 1.0, 12, np.ones(12) + 0j))
         with pytest.raises(GridMismatchError):
-            interpolate_weights(endpoints(u0=a, u1=b))
+            interpolate_weights(endpoints(u0=a, u1=b), 1.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -61,7 +59,13 @@ class TestInterpolateWeights:
         with pytest.raises(DomainError):
             endpoints(p0=1.0)
         with pytest.raises(DomainError):
-            endpoints(c0=0.0)
+            interpolate_weights(endpoints(), 0.0, 1.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_refuses_constant_outside_open_half_line(self, c):
+        for c0, c1 in ((c, 1.0), (1.0, c)):
+            with pytest.raises(DomainError, match="endpoint constants"):
+                interpolate_weights(endpoints(), c0, c1)
 
 
 class TestMultiplierVerification:
@@ -96,9 +100,18 @@ class TestMultiplierVerification:
                                    float(rng.uniform(-1.0, 1.0))),
                 WeightSpec.power(float(rng.uniform(0.0, 1.0))),
                 WeightSpec.constant(float(rng.uniform(0.2, 3.0))),
-                1.0, 1.0, float(rng.uniform(0.01, 0.99)))
+                float(rng.uniform(0.01, 0.99)))
             rep = verify_on_multiplier(g, e)
             assert rep.passed, (rep.exact_norm, rep.c_bound)
+
+    def test_c_bound_from_the_exact_endpoint_norms(self):
+        g = SampledFunction(-2.0, 2.0, 65, np.linspace(-1.0, 3.0, 65) + 0.5j)
+        e = endpoints(p0=1.7, p1=3.1, u0=WeightSpec.exponential(0.7),
+                      v0=WeightSpec.power(0.4), u1=WeightSpec.product(2.0, 0.3, -0.5),
+                      theta=0.3)
+        n0 = multiplier_norm(g, e.u0, e.v0, e.p0)
+        n1 = multiplier_norm(g, e.u1, e.v1, e.p1)
+        assert verify_on_multiplier(g, e).c_bound == interpolate_weights(e, n0, n1)[3]
 
     def test_multiplier_norm_is_sup(self):
         g = SampledFunction(0.0, 1.0, 11,

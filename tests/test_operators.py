@@ -144,6 +144,13 @@ class TestKernels:
         with pytest.raises(DomainError):
             kernel_cancellation_sup(KP, [1.0], [0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_radius_refused(self, bad):
+        with pytest.raises(DomainError, match="eps_grid"):
+            kernel_cancellation_sup(KP, [1e-3, bad], [1.0, 8.0])
+        with pytest.raises(DomainError, match="N_grid"):
+            kernel_cancellation_sup(KP, [1e-3, 1e-2], [1.0, bad])
+
 
 # ---------------------------------------------------------------------------
 # maximal / minimal operators

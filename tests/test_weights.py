@@ -133,6 +133,16 @@ class TestCatalog:
             WeightSpec.sampled(SampledFunction(0.0, 1.0, 3,
                                                np.array([1.0, 0.0, 1.0]) + 0j))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_params(self, bad):
+        for make in (WeightSpec.constant, WeightSpec.power, WeightSpec.exponential,
+                     lambda v: WeightSpec.product(1.0, 0.5, v),
+                     lambda v: WeightSpec.product(2.0, v, 1.0)):
+            with pytest.raises(DomainError):
+                make(bad)
+        with pytest.raises(DomainError, match="product weight params must be finite"):
+            WeightSpec.from_json({"form": "product", "params": [1.0, 0.5, bad]})
+
 
 # ---------------------------------------------------------------------------
 # search configuration
