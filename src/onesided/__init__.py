@@ -3,7 +3,7 @@ one-sided oscillatory singular integrals, and interpolation with change
 of measures, with desk-scale verification campaigns."""
 
 from .errors import ConfigError, DomainError, GridMismatchError
-from .grid import ExponentPair, SampledFunction, grid_nodes, resample
+from .grid import SampledFunction, dual_exponent, grid_nodes, resample
 from .interpolate import (InterpolationEndpoints, MultiplierReport,
                           interpolate_weights, verify_on_multiplier)
 from .operators import (KernelSpec, PolynomialPhase, PVConfig, kernel_cancellation_sup,

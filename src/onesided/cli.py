@@ -179,6 +179,9 @@ def _interp_verify(cfg: dict):
         vals = _member(g, "g", window, n)
     else:
         vals = np.asarray(read(g, "values", [float], path="g"))
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ConfigError(f"g.values[{bad[0]}]: expected a finite number, got {vals[bad[0]]}")
         if "n" in g.get("grid", {}) and n != len(vals):
             raise ConfigError(f"g.grid.n: {n} differs from the {len(vals)} values")
     report = verify_on_multiplier(SampledFunction(window[0], window[1], len(vals), vals),

@@ -25,9 +25,9 @@ def read(obj: dict, key: str, kind, default=_REQUIRED, path: str = ""):
     field whose default is None may also be null).
 
     ``kind`` is float or int (a JSON number, not a bool or NaN, integral
-    for int), str, dict, ``[kind]`` (an array of such), a tuple of kinds (an
-    array of exactly those), or a function of (object, path) that builds
-    a sub-config.  Every failure is a ConfigError that starts with the
+    and in the int64 range for int), str, dict, ``[kind]`` (an array of
+    such), a tuple of kinds (an array of exactly those), or a function of
+    (object, path) that builds a sub-config.  Every failure is a ConfigError that starts with the
     field's path, e.g. ``search.n_grid:`` or ``g.values[3]:``.
     """
     where = f"{path}.{key}" if path else key
@@ -53,6 +53,8 @@ def _check(v, kind, where: str):
         if (isinstance(v, bool) or not isinstance(v, (int, float)) or v != v
                 or (kind is int and isinstance(v, float) and not v.is_integer())):
             raise ConfigError(f"{where}: expected {kind.__name__}, got {v!r:.60}")
+        if kind is int and not -2 ** 63 <= v < 2 ** 63:     # exact: float(10**400) would raise
+            raise ConfigError(f"{where}: {v!r:.60} lies outside the int64 range")
         return kind(v)
     if kind in (str, dict):
         if not isinstance(v, kind):

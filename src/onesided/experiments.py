@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, read
-from .grid import ExponentPair, check_working_bytes, grid_nodes
+from .grid import check_working_bytes, dual_exponent, grid_nodes
 from .operators import KernelSpec, OperatorSpec, PolynomialPhase, PVConfig
 from .weights import WeightSpec
 
@@ -64,8 +64,8 @@ class TestFunctionFamily:
         if self.kind not in ("random-bump-sums", "modulated-gaussians",
                              "haar-like-steps"):
             raise ConfigError(f"unknown family kind {self.kind!r}")
-        if self.count < 0:
-            raise ConfigError("count must be >= 0")
+        if self.count < 0 or self.seed < 0:
+            raise ConfigError(f"count and seed must be >= 0, got {self.count} and {self.seed}")
         lo, hi = self.support
         if not -math.inf < lo < hi < math.inf:
             raise ConfigError("support must satisfy finite lo < hi")
@@ -190,7 +190,7 @@ def norm_ratio(op: OperatorSpec, w: Optional[WeightSpec], p: float,
 
 def _family_norms(w: Optional[WeightSpec], p: float, family, window: tuple, n: int) -> tuple:
     """F, the realized weight wv (None for w = 1) and ||f||_{L^p(w)}, shared by a campaign."""
-    ExponentPair(p)
+    dual_exponent(p)  # refuses p outside (1, inf)
     x_lo, x_hi = window
     F = generate_family(family, x_lo, x_hi, n)
     wv = None if w is None else w.realize(x_lo, x_hi, n)

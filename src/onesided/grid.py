@@ -34,7 +34,7 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "SampledFunction",
-    "ExponentPair",
+    "dual_exponent",
     "grid_node",
     "grid_nodes",
     "resample",
@@ -145,17 +145,12 @@ class SampledFunction:
         return SampledFunction(x_lo, x_hi, n, np.asarray(fn(x), dtype=np.complex128))
 
 
-@dataclass(frozen=True)
-class ExponentPair:
-    """A Lebesgue exponent 1 < p < inf together with its conjugate p'."""
-
-    p: float
-    p_conj: float = field(init=False)
-
-    def __post_init__(self):
-        if not (1.0 < self.p < math.inf):
-            raise DomainError(f"need p in (1, inf), got {self.p}")
-        object.__setattr__(self, "p_conj", self.p / (self.p - 1.0))
+def dual_exponent(p: float) -> float:
+    """1 - p', the exponent of the dual weight w^{1-p'}, for a Lebesgue
+    exponent 1 < p < inf with conjugate p' = p / (p - 1)."""
+    if not (1.0 < p < math.inf):
+        raise DomainError(f"need p in (1, inf), got {p}")
+    return 1.0 - p / (p - 1.0)
 
 
 def resample(f: SampledFunction, x_lo: float, x_hi: float, n: int) -> SampledFunction:

@@ -897,7 +897,8 @@ class OperatorSpec:
         if self.kind in ("singular", "oscillatory"):     # which checks F itself
             return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.pv)
         F = _checked_batch(F, x_lo, x_hi)
-        d = (x_hi - x_lo) / (F.shape[1] - 1)
+        n = F.shape[1]
+        d = (x_hi - x_lo) / (n - 1)
         if self.kind == "identity":
             return F.copy()
         if self.kind == "m_plus":
@@ -906,8 +907,8 @@ class OperatorSpec:
             return backward_extremal_averages(F, d).astype(np.complex128)
         if self.j < 0:
             raise DomainError("need j >= 0")
-        band = dyadic_band_cells(d, self.j, self.pv.eps_cells)
-        if band[0] >= F.shape[1] - 1:
+        if (self.j > (n - 1).bit_length()       # then k0 2^(j-1) >= n: skip forming it
+                or (band := dyadic_band_cells(d, self.j, self.pv.eps_cells))[0] >= n - 1):
             return np.zeros_like(F)
         return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.pv, band)
 

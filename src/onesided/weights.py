@@ -21,7 +21,9 @@ only at the lattice points, except in ``ap_general_constant`` and
 cells into levels whose running sums are exact, and each interval's sum
 is rounded once, correctly.  That result does not depend on where the
 interval sits, so the duality law (acceptance criterion 2) and the exact
-reflection tests hold to the last bit.
+reflection tests hold to the last bit.  Both paths, ``_lattice_integrals``
+and ``_exact_integrals``, take (w, cfg, lat, intervals): the weight, the
+search config, the lattice and a list of (exponent, from point, to point).
 
 A search never raises on divergence: values above the configured
 ceiling (or overflow to non-finite) are reported with
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import operators as _ops
 from .errors import ConfigError, DomainError, GridMismatchError, read
-from .grid import (ExponentPair, SampledFunction, check_working_bytes, cumulative_trapezoid,
+from .grid import (SampledFunction, check_working_bytes, cumulative_trapezoid, dual_exponent,
                    grid_node, trapezoid_cells)
 
 __all__ = [
@@ -220,13 +222,13 @@ def weight_power(w: WeightSpec, e: float) -> WeightSpec:
         s = w.samples
         return WeightSpec.sampled(s.with_values(s.values.real ** e))
     scale, alpha, c = w.canonical()
-    return WeightSpec.product(scale ** e, alpha * e, c * e)
+    with np.errstate(over="ignore"):    # a scale past the float range is inf, which is refused
+        return WeightSpec.product(np.float64(scale) ** e, alpha * e, c * e)
 
 
 def dual_weight(w: WeightSpec, p: float) -> WeightSpec:
     """The dual-exponent weight w^{1-p'} pairing A_p^+ with A_{p'}^-."""
-    pair = ExponentPair(p)
-    return weight_power(w, 1.0 - pair.p_conj)
+    return weight_power(w, dual_exponent(p))
 
 
 def weight_product(w1: WeightSpec, w2: WeightSpec) -> WeightSpec:
@@ -257,7 +259,8 @@ def dilate(w: WeightSpec, lam: float) -> WeightSpec:
         return WeightSpec.sampled(SampledFunction(
             s.x_lo / lam, s.x_hi / lam, s.n, s.values.copy()))
     scale, alpha, c = w.canonical()
-    return WeightSpec.product(scale * lam ** alpha, alpha, c * lam)
+    with np.errstate(over="ignore"):    # as in weight_power
+        return WeightSpec.product(scale * np.float64(lam) ** alpha, alpha, c * lam)
 
 
 def reflect(w: WeightSpec) -> WeightSpec:
@@ -382,16 +385,6 @@ def _length_cells(cfg: TripleSearchConfig) -> np.ndarray:
     return np.unique(np.clip(np.rint(hs / d).astype(np.int64), 1, cfg.n_grid - 1))
 
 
-def _realize_pair(w: WeightSpec, p: float, cfg: TripleSearchConfig):
-    """Node values of w and of its dual power w^{1-p'}, plus the spacing."""
-    lo, hi = cfg.window
-    pair = ExponentPair(p)
-    wv = w.realize(lo, hi, cfg.n_grid)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        sv = wv ** (1.0 - pair.p_conj)
-    return wv, sv, cfg.spacing
-
-
 class _Lattice:
     """Anchors x columns of anchored intervals.
 
@@ -418,14 +411,20 @@ class _Lattice:
         return self.anchors[:, None] + self.offsets[name][None, :]
 
 
-def _integrals(vals: np.ndarray, d: float, lat: _Lattice, lo: str, hi: str) -> np.ndarray:
-    """Correctly rounded trapezoid integral of ``vals`` from point lo to hi
-    at every entry (NaN where not ok): ``_exact_sums`` once per distinct
-    interval, so it does not depend on where the interval sits."""
-    i, j = lat.at(lo)[lat.ok], lat.at(hi)[lat.ok]
-    out, n = np.full(lat.ok.shape, np.nan), len(vals)
-    keys, inv = np.unique(i * n + j, return_inverse=True)
-    out[lat.ok] = _exact_sums(trapezoid_cells(vals, d), keys // n, keys % n)[inv]
+def _exact_integrals(w: WeightSpec, cfg: TripleSearchConfig, lat: _Lattice, intervals):
+    """For each (e, lo, hi) in ``intervals``: the correctly rounded trapezoid
+    integral of w^e from point lo to hi at every entry (NaN where not ok),
+    ``_exact_sums`` once per distinct interval, so it does not depend on
+    where the interval sits."""
+    wv, n = w.realize(*cfg.window, cfg.n_grid), cfg.n_grid
+    out = np.full((len(intervals),) + lat.ok.shape, np.nan)
+    with np.errstate(all="ignore"):
+        for row, (e, lo, hi) in zip(out, intervals):
+            # no names for the index arrays: they would outlive their interval
+            keys = lat.at(lo)[lat.ok] * n + lat.at(hi)[lat.ok]
+            keys, inv = np.unique(keys, return_inverse=True)
+            cells = trapezoid_cells(wv if e == 1.0 else wv ** e, cfg.spacing)
+            row[lat.ok] = _exact_sums(cells, keys // n, keys % n)[inv]
     return out
 
 
@@ -590,7 +589,7 @@ def _sawyer_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig,
     Column 0 is the h -> 0+ limit w(a) w(a)^{(1-p')(p-1)} = 1, so the
     estimate is >= 1 (up to rounding), matching the class lower bound.
     """
-    dual = 1.0 - ExponentPair(p).p_conj
+    dual = dual_exponent(p)
     ks = np.concatenate([[0], _length_cells(cfg)])
     lat = _Lattice(cfg, {"w0": w_start * ks, "w1": (w_start + 1) * ks,
                          "a": 0 * ks, "h": ks})
@@ -644,15 +643,14 @@ def ap_general_constant(w: WeightSpec, p: float, side: str,
     """
     if side not in ("plus", "minus"):
         raise ConfigError(f"side must be plus or minus, got {side!r}")
-    wv, sv, d = _realize_pair(w, p, cfg)
+    dual = dual_exponent(p)
     ks = _length_cells(cfg)
     k1, k2 = np.repeat(ks, len(ks)), np.tile(ks, len(ks))
     lat = _Lattice(cfg, {"a": -k1, "b": 0 * k1, "c": k2})
     w_at, s_at = (("a", "b"), ("b", "c")) if side == "plus" else (("b", "c"), ("a", "b"))
+    iw, is_ = _exact_integrals(w, cfg, lat, [(1.0, *w_at), (dual, *s_at)])
     with np.errstate(all="ignore"):
-        vals = (_integrals(wv, d, lat, *w_at)
-                * _integrals(sv, d, lat, *s_at) ** (p - 1.0)
-                / ((k1 + k2) * d) ** p)
+        vals = iw * is_ ** (p - 1.0) / ((k1 + k2) * cfg.spacing) ** p
     witness = _witness(lat, cfg, {"a": ("b", "a"), "b": ("b", None), "c": ("b", "c")})
     return _report(vals, witness, cfg, lat.ok)
 
@@ -665,12 +663,11 @@ def gamma_fourpoint_constant(w: WeightSpec, p: float, cfg: TripleSearchConfig) -
     over a < b < c < d with b-a = d-c = gamma (d-a)."""
     if not 0.0 < cfg.gamma < 0.5:
         raise ConfigError("this form needs gamma in (0, 1/2)")
-    wv, sv, d = _realize_pair(w, p, cfg)
+    dual = dual_exponent(p)
     lat = _gamma_lattice(cfg, strict=True)
+    iw, is_ = _exact_integrals(w, cfg, lat, [(1.0, "a", "b"), (dual, "c", "d")])
     with np.errstate(all="ignore"):
-        vals = (_integrals(wv, d, lat, "a", "b")
-                * _integrals(sv, d, lat, "c", "d") ** (p - 1.0)
-                / (lat.offsets["b"] * d) ** p)
+        vals = iw * is_ ** (p - 1.0) / (lat.offsets["b"] * cfg.spacing) ** p
     return _report(vals, _witness(lat, cfg), cfg, lat.ok,
                    "gamma lattice admits no 4-point configuration")
 

@@ -117,6 +117,13 @@ MALFORMED = [
     (("operators", "cancel-sup"), {"kernel": {"tag": "truncated-power", "side": "plus",
                                               "params": [3.5, 0.5, 1.0, 1.0]}}, [],
      "kernel", "kernel-range"),
+    # a negative seed, and integers past int64 that would overflow a budget check
+    (("sweep", "coeffs"), {"family": dict(FAMILY, seed=-1)}, [], "family"),
+    (("sweep", "coeffs"), {"family": dict(FAMILY, count=1e300)}, [], "family.count"),
+    (("weights", "estimate"),
+     {"search": dict(TINY[("weights", "estimate")]["search"], n_h=1e300)}, [], "search.n_h"),
+    # NaN among a multiplier's samples, which the [float] reader lets through
+    (("interp", "verify"), {"g": {"values": [1.0, math.nan, 2.0, 0.5]}}, [], "g.values[1]"),
 ]
 
 
@@ -167,6 +174,13 @@ class TestWeightsCommands:
         assert main(["weights", "bump", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((tmp_path / "res.json").read_text())
         assert payload["found"] is True and payload["epsilon"] >= 1e-3
+
+    def test_bump_overflowing_scale_exit_2(self, tmp_path, capsys):
+        # the eps = 1 step squares the scale 1e200 past the float range
+        cfg = write_cfg(tmp_path, "c.json", dict(TINY[("weights", "bump")], weight={
+            "form": "product", "params": [1e200, 0.0, 1.0]}))
+        assert main(["weights", "bump", "--config", cfg, "--out", str(tmp_path / "res")]) == 2
+        assert "params must be finite" in capsys.readouterr().err
 
     def test_unknown_estimator_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {

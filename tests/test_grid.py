@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from onesided.errors import DomainError
 from onesided.experiments import weighted_norms_batch
-from onesided.grid import (ExponentPair, SampledFunction, cumulative_trapezoid,
+from onesided.grid import (SampledFunction, cumulative_trapezoid, dual_exponent,
                            grid_node, grid_nodes, resample)
 
 
@@ -71,20 +71,19 @@ class TestSampledFunction:
         assert np.array_equal(g.values, f.values)
 
 
-class TestExponentPair:
+class TestDualExponent:
     def test_conjugates(self):
-        assert ExponentPair(2.0).p_conj == 2.0
-        assert abs(ExponentPair(1.5).p_conj - 3.0) < 1e-12
-        assert abs(ExponentPair(3.0).p_conj - 1.5) < 1e-12
+        assert dual_exponent(2.0) == -1.0
+        assert abs(dual_exponent(1.5) + 2.0) < 1e-12
+        assert abs(dual_exponent(3.0) + 0.5) < 1e-12
 
     @given(st.floats(min_value=1.001, max_value=50.0))
     def test_holder_identity(self, p):
-        pair = ExponentPair(p)
-        assert abs(1.0 / pair.p + 1.0 / pair.p_conj - 1.0) <= 1e-12
+        assert abs(1.0 / p + 1.0 / (1.0 - dual_exponent(p)) - 1.0) <= 1e-12
 
     def test_rejects_endpoint(self):
         with pytest.raises(DomainError):
-            ExponentPair(1.0)
+            dual_exponent(1.0)
 
 
 class TestIntegrate:

@@ -1022,6 +1022,20 @@ class TestChirpAgainstDense:
             one = oscillatory_apply_batch(G[q:q + 1], x_lo, x_hi, K, P, pv, band)
             assert np.array_equal(one[0], both[q])
 
+    def test_row_between_noise_levels_summed_densely(self):
+        # node 0, which no row reads on the plus side, holds 1e6, so the FFT
+        # rounding eps d |F| |T| lies between 1e-13 and 1e-6 of the row's
+        # peak: summed densely here, though not with a guard of 1e-6
+        n, x_lo, x_hi = 257, -4.0, 4.0
+        F = np.random.default_rng(0).normal(size=(1, n)) + 0j
+        F[0, 0] = 1e6
+        P = PolynomialPhase.monomial(1, 1, 1.0)
+        with mock.patch.object(operators, "_apply_dense", wraps=_apply_dense) as dense:
+            out = oscillatory_apply_batch(F, x_lo, x_hi, KP, P, PV1)
+        assert dense.call_count == 1
+        x, d = grid_nodes(x_lo, x_hi, n), (x_hi - x_lo) / (n - 1)
+        assert np.array_equal(out, _apply_dense(F, x, d, KP, P, 1, n - 1))
+
 
 @st.composite
 def dense_cases(draw):
@@ -1448,6 +1462,13 @@ class TestDyadic:
         f = gaussian(-2.0, 2.0, 129)
         op = OperatorSpec("dyadic_piece", KP, PolynomialPhase.zero(), PV1, 8)
         assert np.all(apply_one(op, f) == 0.0)
+
+    def test_far_piece_is_zero_without_its_band(self):
+        # the band of j = 2^40 starts at k0 2^(j-1) cells, a 2^40-bit
+        # integer, for a piece that is empty anyway
+        op = OperatorSpec("dyadic_piece", KP, PolynomialPhase.zero(), PV1, 2 ** 40)
+        with mock.patch.object(operators, "dyadic_band_cells", side_effect=AssertionError):
+            assert np.all(apply_one(op, gaussian(-2.0, 2.0, 129)) == 0.0)
 
     def test_rejects_negative_j(self):
         with pytest.raises(DomainError):

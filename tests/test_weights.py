@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from onesided import grid, weights
 from onesided.errors import ConfigError, DomainError, GridMismatchError
-from onesided.grid import (ExponentPair, SampledFunction, cumulative_trapezoid, resample,
+from onesided.grid import (SampledFunction, cumulative_trapezoid, dual_exponent, resample,
                            trapezoid_cells)
 from test_grid import old_grid_nodes, same_bits, windows
 from onesided.weights import (TripleSearchConfig, WeightSpec, a1_constant,
@@ -142,6 +142,13 @@ class TestCatalog:
                 make(bad)
         with pytest.raises(DomainError, match="product weight params must be finite"):
             WeightSpec.from_json({"form": "product", "params": [1.0, 0.5, bad]})
+
+    def test_derived_scale_overflowing_refused(self):
+        # scale ** e and lam ** alpha pass the float range: inf, refused as such
+        with pytest.raises(DomainError, match="product weight params must be finite"):
+            weight_power(WeightSpec.product(1e200, 0.0, 1.0), 2.0)
+        with pytest.raises(DomainError, match="product weight params must be finite"):
+            dilate(WeightSpec.power(300.0), 1e10)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +391,37 @@ class TestReverseHolder:
         oracle = max(closed(k * d) for k in ks if 2 * k <= c.n_grid - 1)
         assert rep.constant == pytest.approx(oracle, rel=1e-5)
 
+    @pytest.mark.parametrize("variant, gamma", [(1, 0.25), (2, 0.25), (3, 0.25), (5, 0.5)])
+    def test_exponential_oracle_on_the_grid(self, variant, gamma):
+        # for e^x the trapezoid integrals over the grid are geometric sums,
+        # and M^-(w chi_(a,b))(b) of an increasing w is the last cell's
+        # average; anchored values cancel.  Variant 5 runs at gamma 0.5:
+        # at 0.25 m = rint(gamma M) never equals M - m, so its strict and
+        # non-strict lattices agree.  rel 1e-12: the prefix differences
+        # and the rounded nodes stay within 2e-14 of it here
+        c, r = cfg(gamma=gamma), 1.2
+        d = c.spacing
+        hs = np.geomspace(c.h_min, c.h_max, c.n_h)
+        ks = np.unique(np.clip(np.rint(hs / d).astype(int), 1, c.n_grid - 1)).tolist()
+
+        def avg(s, cells):    # average of e^{s (x - x_a)} over the cells from node a
+            return (1 + math.exp(s * d)) * math.expm1(s * cells * d) / (
+                2 * cells * math.expm1(s * d))
+
+        if variant == 1:
+            oracle = [avg(r, k) / (avg(1.0, k) * (math.exp((k - 1) * d) * avg(1.0, 1)) ** (r - 1))
+                      for k in ks]
+        elif variant == 5:
+            ms = np.rint(gamma * np.asarray(ks)).astype(int).tolist()
+            oracle = [avg(r, m) / avg(1.0, m) ** r * math.exp(-r * (k - m) * d)
+                      for k, m in zip(ks, ms) if 1 <= m <= k - m]
+        else:
+            b, lo, hi = {2: (2, 2, 3), 3: (2, 3, 4)}[variant]
+            oracle = [avg(r, b * k) / avg(1.0, (hi - lo) * k) ** r * math.exp(-r * lo * k * d)
+                      for k in ks if hi * k <= c.n_grid - 1]
+        rep = rh_plus_constant(EX, r, variant, c)
+        assert rep.constant == pytest.approx(max(oracle), rel=1e-12)
+
     def test_five_variants_cofinite(self):
         for v in range(1, 6):
             rep = rh_plus_constant(POW_HALF, 1.2, v, cfg())
@@ -622,6 +660,14 @@ def oracle_integrals(vals: np.ndarray, d: float, lat, lo: str, hi: str,
     return out
 
 
+def oracle_exact_integrals(w: WeightSpec, cfg, lat, intervals) -> np.ndarray:
+    """``weights._exact_integrals`` by ``oracle_integrals``, one interval at a time."""
+    wv = w.realize(*cfg.window, cfg.n_grid)
+    with np.errstate(all="ignore"):
+        return np.array([oracle_integrals(wv if e == 1.0 else wv ** e, cfg.spacing, lat, lo, hi)
+                         for e, lo, hi in intervals])
+
+
 DBL_MAX = sys.float_info.max
 # fsum is correctly rounded except just above the largest float: an exact
 # sum in (DBL_MAX, DBL_MAX + ulp/2) rounds to DBL_MAX, but fsum may meet an
@@ -721,7 +767,7 @@ class TestExactEstimatorsAgainstOracle:
                 lambda w: ap_general_constant(w, p, "minus", c),
                 lambda w: gamma_fourpoint_constant(w, p, c)]
         new = [run(w) for w in REPORT_WEIGHTS for run in runs]
-        monkeypatch.setattr(weights, "_integrals", oracle_integrals)
+        monkeypatch.setattr(weights, "_exact_integrals", oracle_exact_integrals)
         old = [run(w) for w in REPORT_WEIGHTS for run in runs]
         for a, b in zip(new, old):
             assert np.float64(a.constant).view(np.int64) == np.float64(b.constant).view(np.int64)
@@ -745,7 +791,7 @@ class TestExactEstimatorsAgainstOracle:
                 tracemalloc.stop()
 
         new = peak()
-        monkeypatch.setattr(weights, "_integrals", oracle_integrals)
+        monkeypatch.setattr(weights, "_exact_integrals", oracle_exact_integrals)
         assert new <= peak()
 
 
@@ -833,7 +879,7 @@ def oracle_sawyer_constant(w: WeightSpec, p: float, cfg, w_start: int):
     lo, hi = cfg.window
     wv = oracle_realize(w, lo, hi, cfg.n_grid)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        sv = wv ** (1.0 - ExponentPair(p).p_conj)
+        sv = wv ** dual_exponent(p)
     d = cfg.spacing
     ks = np.concatenate([[0], weights._length_cells(cfg)])
     lat = weights._Lattice(cfg, {"w0": w_start * ks, "w1": (w_start + 1) * ks,
