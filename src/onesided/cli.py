@@ -16,10 +16,10 @@ to the config path of each override flag the command takes:
 A handler is a function of its config alone.  ``main`` reads the config,
 writes ``--seed``, ``--window`` and ``--n`` into it at the command's
 paths, runs the handler, and writes ``PREFIX.csv`` plus one compact JSON
-sidecar ``{config, digest, ...results}``.  The sidecar thus records the
-config the run used, overrides included, and identical runs produce
-byte-identical artifacts (no timestamps anywhere).  ``suite run`` writes
-its own artifact directory instead.
+sidecar ``{config, digest, ...results}``: the config the run used,
+overrides included, as ``config_echo`` gives it (samples by SHA-256).
+Identical runs produce byte-identical artifacts (no timestamps
+anywhere).  ``suite run`` writes its own artifact directory instead.
 
 Exit status: 0 success; 2 for an unknown command, a flag the command
 does not take, or a malformed config (a diagnostic naming the field's
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, GridMismatchError, read
 from .experiments import (CSV_COLUMNS, STANDARD_N, STANDARD_SEED, STANDARD_WINDOW,
                           OperatorSpec, TestFunctionFamily, campaign_row,
-                          coefficient_sweep, decay_rows, dyadic_decay,
+                          coefficient_sweep, config_echo, decay_rows, dyadic_decay,
                           family_member, json_digest)
 from .grid import SampledFunction, grid_nodes
 from .interpolate import InterpolationEndpoints, verify_on_multiplier
@@ -272,7 +272,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: unreadable ({exc})") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:   # bad JSON or UTF-8, or an int past Python's digit limit
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config: expected a JSON object, got {cfg!r:.60}")
@@ -309,9 +309,9 @@ def _write_outputs(prefix: Path, cfg: dict, header, rows, results: dict) -> None
 
 
 def _sidecar(cfg: dict, results: dict) -> str:
-    """``json.dumps(dict(results, config=cfg, digest=config_digest(cfg)), sort_keys=True)``
-    with the config encoded once, for the sidecar and its digest."""
-    config = json.dumps(cfg, sort_keys=True)
+    """``json.dumps(dict(results, config=config_echo(cfg), digest=config_digest(cfg)),
+    sort_keys=True)`` with the echoed config encoded once, for the sidecar and its digest."""
+    config = json.dumps(config_echo(cfg), sort_keys=True)
     fields = {k: json.dumps(v, sort_keys=True) for k, v in results.items()}
     fields.update(config=config, digest=json.dumps(json_digest(config)))
     return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in sorted(fields.items())) + "}"

@@ -1,6 +1,8 @@
 """Exception types shared across the toolkit, and the reader that checks
 JSON config fields and names the path of each malformed one."""
 
+import contextlib
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation
@@ -46,7 +48,8 @@ def _check(v, kind, where: str):
             size = f" of {len(kind)}" if isinstance(kind, tuple) else ""
             raise ConfigError(f"{where}: expected a list{size}, got {v!r:.60}")
         if kind == [float] and set(map(type, v)) <= {int, float}:
-            return list(map(float, v))     # long sample arrays, checked at C speed
+            with contextlib.suppress(OverflowError):    # then name the int past the float range
+                return list(map(float, v))     # long sample arrays, checked at C speed
         kinds = kind if isinstance(kind, tuple) else kind * len(v)
         return [_check(x, k, f"{where}[{i}]") for i, (x, k) in enumerate(zip(v, kinds))]
     if kind in (int, float):
@@ -55,7 +58,11 @@ def _check(v, kind, where: str):
             raise ConfigError(f"{where}: expected {kind.__name__}, got {v!r:.60}")
         if kind is int and not -2 ** 63 <= v < 2 ** 63:     # exact: float(10**400) would raise
             raise ConfigError(f"{where}: {v!r:.60} lies outside the int64 range")
-        return kind(v)
+        try:
+            return kind(v)
+        except OverflowError:       # float() of an int past the float range
+            raise ConfigError(f"{where}: an integer of {len(str(abs(v)))} digits lies "
+                              "outside the float range") from None
     if kind in (str, dict):
         if not isinstance(v, kind):
             raise ConfigError(f"{where}: expected {'a string' if kind is str else 'an object'}, "

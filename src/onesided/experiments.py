@@ -15,6 +15,7 @@ every number bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -34,7 +35,7 @@ __all__ = [
     "TestFunctionFamily", "OperatorSpec", "NormRatioReport", "DecayFit",
     "generate_family", "family_member", "norm_ratio", "coefficient_sweep",
     "dyadic_decay", "weighted_norms_batch", "write_campaign_csv", "config_digest",
-    "json_digest",
+    "config_echo", "json_digest",
 ]
 
 # Reproducibility anchor: every acceptance number is produced at this
@@ -153,12 +154,26 @@ def weighted_norms_batch(G: np.ndarray, wv: Optional[np.ndarray], d: float,
     return (d * np.sum((integ[:, :-1] + integ[:, 1:]) / 2.0, axis=1)) ** (1.0 / p)
 
 
+def config_echo(obj):
+    """A copy of the JSON value ``obj`` in which each ``"form": "sampled"`` object
+    gives its ``values`` as ``values_sha256``, the hex SHA-256 of the samples'
+    little-endian float64 bytes: the form sidecars record and digests hash."""
+    if not isinstance(obj, dict):
+        return [config_echo(v) for v in obj] if isinstance(obj, list) else obj
+    echo = dict(obj)
+    if echo.get("form") == "sampled" and isinstance(echo.get("values"), list):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):  # an unread field
+            echo["values_sha256"] = hashlib.sha256(np.asarray(echo["values"], "<f8")).hexdigest()
+            del echo["values"]
+    return {k: config_echo(v) for k, v in echo.items()}
+
+
 def config_digest(obj) -> str:
-    return json_digest(json.dumps(obj, sort_keys=True))
+    return json_digest(json.dumps(config_echo(obj), sort_keys=True))
 
 
 def json_digest(text: str) -> str:
-    """``config_digest`` of the config whose sorted-keys JSON is ``text``."""
+    """``config_digest`` of the config whose echo's sorted-keys JSON is ``text``."""
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -220,7 +220,12 @@ def weight_power(w: WeightSpec, e: float) -> WeightSpec:
     """The pointwise power w^e, catalog-closed for closed forms."""
     if w.form == "sampled":
         s = w.samples
-        return WeightSpec.sampled(s.with_values(s.values.real ** e))
+        with np.errstate(over="ignore"):    # a power past the float range is inf, which is refused
+            vals = s.values.real ** e
+        try:
+            return WeightSpec.sampled(s.with_values(vals))
+        except DomainError as exc:
+            raise DomainError(f"sampled weight to the power {e!r}: {exc}") from None
     scale, alpha, c = w.canonical()
     with np.errstate(over="ignore"):    # a scale past the float range is inf, which is refused
         return WeightSpec.product(np.float64(scale) ** e, alpha * e, c * e)

@@ -1,6 +1,9 @@
 import copy
+import hashlib
 import json
 import math
+import struct
+import warnings
 from unittest import mock
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from onesided import cli, experiments, weights
 from onesided.cli import main
-from onesided.experiments import config_digest
+from onesided.experiments import config_digest, config_echo
 
 
 def write_cfg(tmp_path, name, obj):
@@ -124,11 +127,29 @@ MALFORMED = [
      {"search": dict(TINY[("weights", "estimate")]["search"], n_h=1e300)}, [], "search.n_h"),
     # NaN among a multiplier's samples, which the [float] reader lets through
     (("interp", "verify"), {"g": {"values": [1.0, math.nan, 2.0, 0.5]}}, [], "g.values[1]"),
+    # JSON integers past the float range, which float() cannot take
+    (("weights", "estimate"), {"p": 10 ** 400}, [], "p", "p-past-float"),
+    (("weights", "bump"), {"weight": {"form": "power", "params": [10 ** 400]}}, [],
+     "weight.params[0]"),
+    (("weights", "estimate"), {"weight": dict(TINY["weights", "estimate"]["weight"], values=[
+        1.0, 0.1, 10 ** 400, 2.5, 1.0 / 3.0, 7.0, 1e300, 5e-324, 0.5])}, [], "weight.values[2]"),
 ]
 
 
 def _malformed_id(command, change, flags, path, name=None) -> str:
     return name or (f"{change['estimator']}-{path}" if "estimator" in change else path)
+
+
+def hashed_samples(cfg: dict) -> dict:
+    """``cfg`` with its sampled weight's ``values`` given as ``values_sha256``, the
+    SHA-256 of their little-endian float64 bytes: the form a sidecar echoes."""
+    weight = cfg.get("weight") or {}
+    if weight.get("form") != "sampled":
+        return cfg
+    values = weight["values"]
+    echo = {k: v for k, v in weight.items() if k != "values"}
+    echo["values_sha256"] = hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+    return dict(cfg, weight=echo)
 
 
 class TestWeightsCommands:
@@ -182,6 +203,16 @@ class TestWeightsCommands:
         assert main(["weights", "bump", "--config", cfg, "--out", str(tmp_path / "res")]) == 2
         assert "params must be finite" in capsys.readouterr().err
 
+    def test_bump_overflowing_sampled_power_exit_2(self, tmp_path, capsys):
+        # the eps = 1 step squares samples of 1e200 past the float range
+        cfg = write_cfg(tmp_path, "c.json", dict(TINY[("weights", "bump")], weight={
+            "form": "sampled", "x_lo": -8.0, "x_hi": 8.0, "n": 5, "values": [1e200] * 5}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["weights", "bump", "--config", cfg,
+                         "--out", str(tmp_path / "res")]) == 2
+        assert "domain error: sampled weight" in capsys.readouterr().err
+
     def test_unknown_estimator_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {
             "estimator": "ap_plusplus",
@@ -209,6 +240,13 @@ class TestWeightsCommands:
         p.write_text("{not json")
         assert main(["weights", "estimate", "--config", str(p)]) == 2
 
+    def test_int_past_digit_limit_exit_2(self, tmp_path, capsys):
+        # json.load refuses an integer literal of more than 4300 digits
+        p = tmp_path / "big.json"
+        p.write_text('{"p": 1' + "0" * 5000 + "}")
+        assert main(["weights", "estimate", "--config", str(p)]) == 2
+        assert "config error: config: invalid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [c for c in TINY if c != ("suite", "run")],
                              ids="-".join)
     def test_sampled_sidecar_roundtrip(self, tmp_path, command):
@@ -232,7 +270,7 @@ class TestWeightsCommands:
                 holder = holder[part]
             holder[key] = value
         payload = json.loads(sidecars[0])
-        assert payload["config"] == used
+        assert payload["config"] == hashed_samples(used)
         assert payload["digest"] == config_digest(used)
 
     @pytest.mark.parametrize("command, field, value", [
@@ -434,7 +472,7 @@ class TestSidecar:
         path = write_cfg(tmp_path, "c.json", TINY[command])
         with mock.patch.dict(cli._COMMANDS, {command: (with_extras, paths)}):
             assert main([*command, "--config", path, "--out", str(tmp_path / "r")]) in (0, 3)
-        expected = two_encode_sidecar(TINY[command], returned[0]) + "\n"
+        expected = two_encode_sidecar(hashed_samples(TINY[command]), returned[0]) + "\n"
         assert (tmp_path / "r.json").read_bytes() == expected.encode()
         assert b"Infinity" in expected.encode()
 
@@ -443,6 +481,47 @@ class TestSidecar:
            st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=5))
     def test_any_json_equals_two_encode_form(self, cfg, results):
         assert cli._sidecar(cfg, results) == two_encode_sidecar(cfg, results)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_echo_without_sampled_weight_unchanged(self, value):
+        # no text of JSON_VALUES is "sampled", so every other sidecar keeps its bytes
+        assert json.dumps(config_echo(value)) == json.dumps(value)
+
+    def test_one_ulp_changes_hash_and_digest(self):
+        weight = TINY["weights", "estimate"]["weight"]
+        values = list(weight["values"])
+        values[3] = math.nextafter(values[3], math.inf)
+        a = dict(TINY["weights", "estimate"])
+        b = dict(a, weight=dict(weight, values=values))
+        assert config_echo(a)["weight"]["values_sha256"] != \
+            config_echo(b)["weight"]["values_sha256"]
+        assert config_digest(a) != config_digest(b)
+        assert config_echo(b) == hashed_samples(b)
+
+    def test_echo_hashes_nested_weights_and_keeps_unread_fields(self):
+        # an endpoint weight is hashed where it sits; "values" that are not
+        # numbers belong to a field no command reads, and stay as they are
+        sampled = TINY["weights", "estimate"]["weight"]
+        junk = {"form": "sampled", "values": ["x", 1]}
+        echo = config_echo({"endpoints": [{"u0": sampled}], "junk": junk})
+        assert echo == {"endpoints": [{"u0": hashed_samples({"weight": sampled})["weight"]}],
+                        "junk": junk}
+
+    def test_spike_sidecar_under_1kb_and_stable(self, tmp_path):
+        values = [1e-8] * 16384
+        values[100], values[9000] = 1.5, 0.75
+        cfg = {k: v for k, v in TINY["weights", "estimate"].items() if k != "side"}
+        cfg.update(estimator="ap_plus", weight={"form": "sampled", "x_lo": -8.0,
+                                                "x_hi": 8.0, "n": 16384, "values": values})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        sidecars = []
+        for name in ("r1", "r2"):
+            assert main(["weights", "estimate", "--config", path,
+                         "--out", str(tmp_path / name)]) in (0, 3)
+            sidecars.append((tmp_path / f"{name}.json").read_bytes())
+        assert sidecars[0] == sidecars[1] and len(sidecars[0]) <= 1024
+        assert json.loads(sidecars[0])["config"] == hashed_samples(cfg)
 
 
 class TestCommandTable:

@@ -149,6 +149,10 @@ class TestCatalog:
             weight_power(WeightSpec.product(1e200, 0.0, 1.0), 2.0)
         with pytest.raises(DomainError, match="product weight params must be finite"):
             dilate(WeightSpec.power(300.0), 1e10)
+        # and a sampled weight's values ** e, with no overflow warning first
+        with pytest.raises(DomainError, match="sampled weight to the power 2.0"):
+            weight_power(WeightSpec.sampled(SampledFunction(-1.0, 1.0, 3, np.full(3, 1e200))),
+                         2.0)
 
 
 # ---------------------------------------------------------------------------
