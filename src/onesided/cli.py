@@ -22,9 +22,10 @@ Identical runs produce byte-identical artifacts (no timestamps
 anywhere).  ``suite run`` writes its own artifact directory instead.
 
 Exit status: 0 success; 2 for an unknown command, a flag the command
-does not take, or a malformed config (a diagnostic naming the field's
-path on stderr); 3 when divergence flags are present in the results (the
-artifacts are still written).  ``suite run`` exits 0 only if every
+does not take, or a malformed config, a field no reader reads included
+(a diagnostic naming the field's path on stderr); 3 when divergence flags
+are present in the results, or a campaign's ratio or fit is not finite
+(the artifacts are still written).  ``suite run`` exits 0 only if every
 criterion passes.
 """
 
@@ -34,13 +35,14 @@ import argparse
 import csv
 import inspect
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GridMismatchError, read
+from .errors import ConfigError, DomainError, GridMismatchError, read, refuse_unread
 from .experiments import (CSV_COLUMNS, STANDARD_N, STANDARD_SEED, STANDARD_WINDOW,
                           OperatorSpec, TestFunctionFamily, campaign_row,
                           coefficient_sweep, config_echo, decay_rows, dyadic_decay,
@@ -77,6 +79,7 @@ def _grid(obj: dict, path: str):
     """(window, n) of ``{"window": [lo, hi], "n": n}``."""
     lo, hi = read(obj, "window", (float, float), STANDARD_WINDOW, path)
     n = read(obj, "n", int, STANDARD_N, path)
+    refuse_unread(obj, ("window", "n"), path)
     if not -np.inf < lo < hi < np.inf:
         raise ConfigError(f"{path}.window: need finite lo < hi, got {[lo, hi]}")
     if n < 2:
@@ -85,27 +88,28 @@ def _grid(obj: dict, path: str):
 
 
 def _pv(obj: dict, path: str) -> PVConfig:
-    if "refine_checks" in obj:   # read() would pass over the unknown key
-        raise ConfigError(f"{path}.refine_checks: not supported; no command "
-                          "refines the principal-value truncation")
-    return PVConfig(read(obj, "eps_cells", int, 1, path))
+    eps_cells = read(obj, "eps_cells", int, 1, path)
+    refuse_unread(obj, ("eps_cells",), path)
+    return PVConfig(eps_cells)
 
 
 def _operator(obj: dict, path: str) -> OperatorSpec:
-    return OperatorSpec(read(obj, "kind", str, path=path),
-                        read(obj, "kernel", KernelSpec.from_json, None, path),
-                        read(obj, "phase", PolynomialPhase.from_json, None, path),
-                        read(obj, "pv", _pv, PVConfig(), path),
-                        read(obj, "j", int, None, path))
+    fields = (read(obj, "kind", str, path=path),
+              read(obj, "kernel", KernelSpec.from_json, None, path),
+              read(obj, "phase", PolynomialPhase.from_json, None, path),
+              read(obj, "pv", _pv, PVConfig(), path),
+              read(obj, "j", int, None, path))
+    refuse_unread(obj, ("kind", "kernel", "phase", "pv", "j"), path)
+    return OperatorSpec(*fields)
 
 
 def _endpoints(obj: dict, path: str) -> InterpolationEndpoints:
-    for k in ("c0", "c1"):      # read() would pass over them; the check uses the exact norms
-        if k in obj:
-            raise ConfigError(f"{path}.{k}: not supported; interp verify uses the exact norms")
+    # no c0 or c1: the check works the endpoint constants out as the exact norms
     p0, p1 = (read(obj, k, float, path=path) for k in ("p0", "p1"))
-    weights = (read(obj, k, WeightSpec.from_json, path=path) for k in ("u0", "v0", "u1", "v1"))
-    return InterpolationEndpoints(p0, p1, *weights, read(obj, "theta", float, path=path))
+    weights = [read(obj, k, WeightSpec.from_json, path=path) for k in ("u0", "v0", "u1", "v1")]
+    theta = read(obj, "theta", float, path=path)
+    refuse_unread(obj, ("p0", "p1", "u0", "v0", "u1", "v1", "theta"), path)
+    return InterpolationEndpoints(p0, p1, *weights, theta)
 
 
 def _member(obj: dict, path: str, window: tuple, n: int) -> np.ndarray:
@@ -128,11 +132,9 @@ def _weights_estimate(cfg: dict):
                           f"expected one of {sorted(_ESTIMATORS)}")
     w = read(cfg, "weight", WeightSpec.from_json)
     search = read(cfg, "search", TripleSearchConfig.from_json)
-    takes = inspect.signature(_ESTIMATORS[name]).parameters
+    takes = list(inspect.signature(_ESTIMATORS[name]).parameters)[2:]    # after (w, c)
+    refuse_unread(cfg, ("estimator", "weight", "search", *takes))
     kw = {k: read(cfg, k, kind) for k, kind in _ESTIMATOR_ARGS if k in cfg}
-    for k in kw:
-        if k not in takes:
-            raise ConfigError(f"{k}: {name} takes no {k}")
     report = _ESTIMATORS[name](w, search, **kw)
     return (["command", "estimator", "weight", "p", "constant", "finite_flag", "witness"],
             [["weights estimate", name, w.label(), repr(kw.get("p", "")),
@@ -145,6 +147,7 @@ def _weights_bump(cfg: dict):
     w = read(cfg, "weight", WeightSpec.from_json)
     search = read(cfg, "search", TripleSearchConfig.from_json)
     p, ceiling = read(cfg, "p", float, 2.0), read(cfg, "ceiling", float)
+    refuse_unread(cfg, ("weight", "search", "p", "ceiling"))
     res = power_bump_search(w, p, search, ceiling)
     return (["command", "weight", "p", "ceiling", "epsilon", "found", "constant_at_epsilon"],
             [["weights bump", w.label(), repr(p), repr(ceiling), repr(res.epsilon),
@@ -156,7 +159,10 @@ def _weights_bump(cfg: dict):
 def _operators_apply(cfg: dict):
     op = read(cfg, "operator", _operator)
     window, n = read(cfg, "grid", _grid, _STANDARD_GRID)
-    f = _member(read(cfg, "input", dict), "input", window, n)
+    inp = read(cfg, "input", dict)
+    refuse_unread(cfg, ("operator", "grid", "input"))
+    refuse_unread(inp, ("family", "index"), "input")
+    f = _member(inp, "input", window, n)
     out = op.apply_batch(f[None], window[0], window[1])[0]
     return (["x", "re", "im"],
             [[repr(float(xi)), repr(float(v.real)), repr(float(v.imag))]
@@ -165,8 +171,9 @@ def _operators_apply(cfg: dict):
 
 def _operators_cancel_sup(cfg: dict):
     kernel = read(cfg, "kernel", KernelSpec.from_json)
-    sup = kernel_cancellation_sup(kernel, read(cfg, "eps_grid", [float]),
-                                  read(cfg, "N_grid", [float]))
+    eps_grid, N_grid = read(cfg, "eps_grid", [float]), read(cfg, "N_grid", [float])
+    refuse_unread(cfg, ("kernel", "eps_grid", "N_grid"))
+    sup = kernel_cancellation_sup(kernel, eps_grid, N_grid)
     return (["command", "kernel", "sup"], [["operators cancel-sup", kernel.tag, repr(sup)]],
             {"sup": sup}, 0)
 
@@ -174,6 +181,8 @@ def _operators_cancel_sup(cfg: dict):
 def _interp_verify(cfg: dict):
     endpoints = read(cfg, "endpoints", _endpoints)
     g = read(cfg, "g", dict)
+    refuse_unread(cfg, ("endpoints", "g"))
+    refuse_unread(g, ("grid", "family", "index") if "family" in g else ("grid", "values"), "g")
     window, n = read(g, "grid", _grid, _STANDARD_GRID, "g")
     if "family" in g:
         vals = _member(g, "g", window, n)
@@ -202,7 +211,9 @@ def _sweep_coeffs(cfg: dict):
     fam = read(cfg, "family", TestFunctionFamily.from_json)
     window, n = read(cfg, "grid", _grid, _STANDARD_GRID)
     pv = read(cfg, "pv", _pv, PVConfig())
-    reports = coefficient_sweep(kernel, (k, l), coeffs, w, p, fam, window, n, pv)
+    refuse_unread(cfg, ("kernel", "monomial", "coeffs", "weight", "p", "family", "grid", "pv"))
+    with np.errstate(all="ignore"):     # an overflow shows as a ratio that is not finite
+        reports = coefficient_sweep(kernel, (k, l), coeffs, w, p, fam, window, n, pv)
     rows, results = [], []
     for a, rep in zip(coeffs, reports):
         op = OperatorSpec("oscillatory", kernel, PolynomialPhase.monomial(k, l, a), pv)
@@ -210,7 +221,7 @@ def _sweep_coeffs(cfg: dict):
         rows.append([row[c] for c in CSV_COLUMNS])
         results.append({"param": a, "digest": rep.config_digest,
                         "best_ratio": rep.best_ratio, "argmax_index": rep.argmax_index})
-    return CSV_COLUMNS, rows, {"rows": results}, 0
+    return CSV_COLUMNS, rows, {"rows": results}, _finite_status(r.best_ratio for r in reports)
 
 
 def _decay_fit(cfg: dict):
@@ -222,15 +233,24 @@ def _decay_fit(cfg: dict):
     j_max = read(cfg, "j_max", int)
     window, n = read(cfg, "grid", _grid)
     pv = read(cfg, "pv", _pv, PVConfig())
-    fit = dyadic_decay(kernel, phase, p, w, fam, j_max, window, n, pv)
+    refuse_unread(cfg, ("kernel", "phase", "p", "weight", "family", "j_max", "grid", "pv"))
+    with np.errstate(all="ignore"):
+        fit = dyadic_decay(kernel, phase, p, w, fam, j_max, window, n, pv)
     rows = decay_rows(fit, "1" if w is None else w.label(), p, window, n, fam.seed)
     return (CSV_COLUMNS, [[r[c] for c in CSV_COLUMNS] for r in rows],
-            {"slope": fit.slope, "intercept": fit.intercept}, 0)
+            {"slope": fit.slope, "intercept": fit.intercept},
+            _finite_status((fit.slope, fit.intercept, *fit.best_ratios)))
+
+
+def _finite_status(values) -> int:
+    """A campaign's exit status: 3 when a ratio or fit is not finite (it overflowed)."""
+    return 0 if all(map(math.isfinite, values)) else 3
 
 
 def _suite_run(cfg: dict):
     from .suite import run_all
     seed, out = read(cfg, "seed", int, STANDARD_SEED), read(cfg, "out", str, "suite_out")
+    refuse_unread(cfg, ("seed", "out"))
     t0 = time.time()
     ok = all(r.passed for r in run_all(out, seed=seed, echo=True))
     print(f"{'ALL PASS' if ok else 'FAILURES PRESENT'} "

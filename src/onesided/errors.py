@@ -42,6 +42,15 @@ def read(obj: dict, key: str, kind, default=_REQUIRED, path: str = ""):
     return _check(obj[key], kind, where)
 
 
+def refuse_unread(obj: dict, keys, path: str = "") -> None:
+    """Refuse the first key of ``obj`` outside ``keys``, the fields its reader
+    reads: a misspelled field would otherwise run at its default."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{f'{path}.{key}' if path else key}: no such field "
+                              f"(the fields are {', '.join(sorted(keys))})")
+
+
 def _check(v, kind, where: str):
     if isinstance(kind, (list, tuple)):
         if not isinstance(v, list) or (isinstance(kind, tuple) and len(v) != len(kind)):

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, read
+from .errors import ConfigError, DomainError, read, refuse_unread
 from .grid import check_working_bytes, dual_exponent, grid_nodes
 from .operators import KernelSpec, OperatorSpec, PolynomialPhase, PVConfig
 from .weights import WeightSpec
@@ -78,9 +78,11 @@ class TestFunctionFamily:
 
     @staticmethod
     def from_json(obj: dict, path: str = "family") -> "TestFunctionFamily":
-        return TestFunctionFamily(*(read(obj, k, kind, path=path) for k, kind in (
-            ("kind", str), ("count", int), ("seed", int))),
-            tuple(read(obj, "support", (float, float), path=path)))
+        fields = [read(obj, k, kind, path=path) for k, kind in (
+            ("kind", str), ("count", int), ("seed", int))]
+        support = tuple(read(obj, "support", (float, float), path=path))
+        refuse_unread(obj, ("kind", "count", "seed", "support"), path)
+        return TestFunctionFamily(*fields, support)
 
 
 def generate_family(family: TestFunctionFamily, x_lo: float, x_hi: float,
@@ -104,8 +106,10 @@ def _members(family: TestFunctionFamily, indices, x_lo: float, x_hi: float,
     lo, hi = family.support
     if lo < x_lo or hi > x_hi:
         raise ConfigError(f"support {family.support} outside window [{x_lo}, {x_hi}]")
-    # 16 complex (rows, n) blocks: the samples, the apply's output and its
-    # FFT temporaries, measured at 9-13
+    # 16 complex (rows, n) blocks: the samples, the apply's output and the
+    # norms' temporaries, and the apply's blocks of _CHUNK_BYTES, which do not
+    # grow with the rows; a sweep's peak measured at 3.0 for 64 x 16384 and
+    # 256 x 4096 samples, at up to 8.8 for 16 x 1024
     check_working_bytes(16 * 16 * len(indices) * n,
                         f"a family of {len(indices)} x {n} samples and its apply")
     x = grid_nodes(x_lo, x_hi, n)
@@ -280,8 +284,10 @@ def dyadic_decay(kernel: KernelSpec, phase: PolynomialPhase, p: float,
         raise DomainError(f"dyadic pieces {vanishing} vanish on every member (best ratio "
                           "0), so log2 of their ratio and the fit are undefined")
     logs = tuple(math.log2(rep.best_ratio) for rep in reps)
-    slope, intercept = np.polyfit(np.asarray(js, dtype=float),
-                                  np.asarray(logs, dtype=float), 1)
+    slope = intercept = math.nan          # no fit through a ratio that overflowed
+    if all(map(math.isfinite, logs)):
+        slope, intercept = np.polyfit(np.asarray(js, dtype=float),
+                                      np.asarray(logs, dtype=float), 1)
     return DecayFit(js, logs, float(slope), float(intercept),
                     tuple(rep.best_ratio for rep in reps),
                     tuple(rep.argmax_index for rep in reps))

@@ -49,7 +49,8 @@ The phase picks one of three evaluation paths, by its terms alone:
   two cell ends each drop one end tap, an O(h) correction.  A row where
   no nonzero sample sits on a nonzero tap is exactly 0, as in the dense
   sum.  A batch row whose largest value does not stand well clear of the
-  normwise FFT rounding (_FFT_NOISE, plus the phase's) is summed densely.
+  normwise FFT rounding (_FFT_NOISE, plus the phase's), which scales with
+  the taps its hull meets, is summed densely.
 * dense-filon: other phases linear in y (x^2 y, ...), the same closed
   form on an explicit O(n^2) matrix.
 * dense-subdivided: phases nonlinear in y (x y^2, ...).  e^{iP} is
@@ -60,14 +61,17 @@ The phase picks one of three evaluation paths, by its terms alone:
 The dense paths sample the kernel once at the offsets k d and gather it
 by k = j - i.  They build the matrix only over the cells that end on
 the hull of the batch's nonzero nodes, for the rows whose band meets
-them, in row chunks of _CHUNK_BYTES (8 MiB) of complex entries divided
-by the chunk's own subcell bound, so a call's temporaries stay at a few
-such chunks whatever n and the batch size.  That bound -- d / (pi/8)
-times a triangle bound on |dP/dy| over the chunk's rows and nodes, 1
-for a phase linear in y -- over all the cells built, times their count,
-is the request's cost: above _SUBCELL_LIMIT (2e9 subcells, one to a few
-minutes on two cores) the request is refused up front with a
-ConfigError that states the estimate.
+them, in row chunks of _CHUNK_BYTES (2 MiB, about a core's L2 cache) of
+complex entries divided by the chunk's own subcell bound.  That bound --
+d / (pi/8) times a triangle bound on |dP/dy| over the chunk's rows and
+nodes, 1 for a phase linear in y -- over all the cells built, times
+their count, is the request's cost: above _SUBCELL_LIMIT (2e9 subcells,
+one to a few minutes on two cores) the request is refused up front with
+a ConfigError that states the estimate.  fft-chirp transforms a hull's
+rows in blocks of at most _CHUNK_BYTES // (16 x the FFT size) rows (one
+at least), with the taps' FFT taken once per hull.  So on every path a
+call's temporaries stay at a few such blocks whatever n and the batch
+size; only the output grows with the batch.
 
 Everything here is pure and deterministic (fixed summation order), so
 concurrent evaluation of family members is safe.  On the fft-chirp path
@@ -85,7 +89,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, read
+from .errors import ConfigError, DomainError, read, refuse_unread
 from .grid import SampledFunction, cumulative_trapezoid, grid_nodes
 
 __all__ = [
@@ -107,7 +111,8 @@ __all__ = [
 ]
 
 _PHASE_RESOLUTION = math.pi / 8.0   # max phase increment per quadrature cell
-_CHUNK_BYTES = 8 << 20              # W per dense row chunk, times the subcell bound
+_CHUNK_BYTES = 2 << 20              # working set of an apply block (W times the subcell
+                                    # bound, or the FFT rows of an fft-chirp block)
 _SUBCELL_LIMIT = 2e9                # dense requests estimated above this are refused
 _FFT_NOISE = 1e-13                  # fft-chirp rounding allowed relative to a row's peak
 _CONDITION_SAMPLES = 10_000         # random points of the size / smoothness checks
@@ -231,10 +236,12 @@ class KernelSpec:
     @staticmethod
     def from_json(obj: dict, path: str = "kernel") -> "KernelSpec":
         """From ``{"tag", "side", "params", "size_const", "smooth_const"}``."""
-        return KernelSpec(read(obj, "tag", str, path=path), read(obj, "side", str, path=path),
-                          tuple(read(obj, "params", [float], path=path)),
-                          read(obj, "size_const", float, 1.0, path),
-                          read(obj, "smooth_const", float, 2.0, path))
+        fields = (read(obj, "tag", str, path=path), read(obj, "side", str, path=path),
+                  tuple(read(obj, "params", [float], path=path)),
+                  read(obj, "size_const", float, 1.0, path),
+                  read(obj, "smooth_const", float, 2.0, path))
+        refuse_unread(obj, ("tag", "side", "params", "size_const", "smooth_const"), path)
+        return KernelSpec(*fields)
 
 
 def _bump(u: np.ndarray, r_lo: float, r_hi: float) -> np.ndarray:
@@ -357,6 +364,7 @@ class PolynomialPhase:
     def from_json(obj: dict, path: str = "phase") -> "PolynomialPhase":
         """From ``{"coeffs": [[deg_x, deg_y, value], ...]}``."""
         coeffs = read(obj, "coeffs", [(int, int, float)], path=path)
+        refuse_unread(obj, ("coeffs",), path)
         return PolynomialPhase(tuple(((a, b), v) for a, b, v in coeffs))
 
 
@@ -557,8 +565,8 @@ def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
     from C[i] = sum_{t <= L} T[t] G[i + lo + t]: right ends less T[0] G[i + lo],
     left ends less T[L] G[i + lo + L] and T[n - 1 - i - lo] G[n - 1] (no cell
     starts at the last node).  Each row is correlated over its own sample
-    hull [a, b]: the corrections cost O(b - a), and the FFT size and bits
-    depend on the row alone."""
+    hull [a, b], in blocks of rows that share it: the corrections cost
+    O(b - a), and the FFT size and bits depend on the row alone."""
     m, n = F.shape
     out = np.zeros((m, n), dtype=np.complex128)
     kd = np.arange(lo, min(hi, n - 1) + 1) * d
@@ -579,53 +587,57 @@ def _apply_chirp(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
     chirp = np.exp(1j * (b0 * x + 0.5 * b1 * x * x))
     taps = lo + np.flatnonzero(K)
     runs = np.split(taps, np.flatnonzero(np.diff(taps) > 1) + 1)
-    nonzero = F != 0
-    ends = np.argmax(nonzero, axis=1), n - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    hulls, reached_any = {}, np.zeros(m, dtype=bool)     # hulls: (a, b) -> its rows
-    for q in np.flatnonzero(nonzero.any(axis=1) & (ends[1] >= lo)).tolist():
-        hulls.setdefault((int(ends[0][q]), int(ends[1][q])), []).append(q)
-    for (a, b), qs in hulls.items():
-        i0, i1 = max(0, a - lo - L), min(live - 1, b - lo)    # the rows that reach [a, b]
-        t0, t1 = max(0, a - lo - i1), min(L, b - lo - i0)     # ... and the taps they meet
-        R, size = i1 - i0 + 1, 1 << (i1 - i0 + b - a).bit_length()
-        G = F[qs, a:b + 1] * chirp[a:b + 1]
-        # node j sits at j - a of the circular buffer, row i reads from node
-        # i + lo + t0 on: size >= R + b - a keeps the wrap-around off the taps
-        C = np.fft.fft(G, size)
-        C *= np.fft.fft(T[t0:t1 + 1].conj(), size).conj()
-        C = np.fft.ifft(C)[:, (np.arange(R) + i0 + lo + t0 - a) % size]
-        C *= w0[i0:i1 + 1] + w1[i0:i1 + 1]
-        for w, t in ((w1, 0), (w0, L)):
-            s = i0 + lo + t - a       # row i0 + r meets node a + r + s on tap t
-            r0, r1 = max(0, -s), min(R, b - a + 1 - s)
-            if r0 < r1:
-                C[:, r0:r1] -= w[i0 + r0:i0 + r1] * T[t] * G[:, r0 + s:r1 + s]
-        if b == n - 1:                # the rows with n - 1 - i - lo < L
-            i = np.arange(max(i0, n - lo - L), i1 + 1)
-            C[:, R - i.size:] -= w0[i] * T[n - 1 - lo - i] * G[:, -1:]
-        # a row where no nonzero sample sits on a nonzero tap is exactly 0 in the dense
-        # sum, FFT round-off is not: count each run of nonzero taps off prefix sums
-        seen = np.pad(np.cumsum(nonzero[qs, a:b + 1], axis=1), ((0, 0), (1, 0)))
-        j = np.arange(i0, i1 + 1) - a  # row i meets node i + k, hull entry j + k, on tap k
-        reached = np.any([seen[:, np.clip(j + run[-1] + 1, 0, b - a + 1)] >
-                          seen[:, np.clip(j + run[0], 0, b - a + 1)] for run in runs], axis=0)
-        C[~reached] = 0.0
-        out[qs, i0:i1 + 1] = C
-        reached_any[qs] = reached.any(axis=1)
-    # FFT rounding is normwise: about eps d |F_q| |T| (2-norms) at every
-    # node of row q, however small the row's values.  A row where that
-    # is not small against its largest value, beside the phase's own
-    # rounding eps Phi, is summed densely, one row at a time so that it
-    # does not depend on the batch
+    # FFT rounding is normwise: about eps d |F_q| |T[t0:t1 + 1]| (2-norms, the
+    # taps the hull meets) at every node of row q, however small the row's
+    # values.  A row where that is not small against its largest value,
+    # beside the phase's own rounding eps Phi, is summed densely, one row at
+    # a time so that it does not depend on the batch
     M = float(max(abs(x[0]), abs(x[-1])))
     try:
         phi = sum(abs(v) * M ** (a + b) for (a, b), v in phase.terms)
     except OverflowError:
         phi = math.inf
-    scale = float(d * _EPS * np.linalg.norm(T) / (_FFT_NOISE + _EPS * phi))
-    for q in np.flatnonzero(reached_any):
-        if scale * math.sqrt(np.vdot(F[q], F[q]).real) > np.max(np.abs(out[q])):
-            out[q] = _apply_dense(F[q:q + 1], x, d, kernel, phase, lo, hi)[0]
+    hulls = {}                        # (a, b) -> its rows
+    for q, row in enumerate(F):
+        nodes = np.flatnonzero(row)
+        if nodes.size and nodes[-1] >= lo:
+            hulls.setdefault((int(nodes[0]), int(nodes[-1])), []).append(q)
+    for (a, b), qs in hulls.items():
+        i0, i1 = max(0, a - lo - L), min(live - 1, b - lo)    # the rows that reach [a, b]
+        t0, t1 = max(0, a - lo - i1), min(L, b - lo - i0)     # ... and the taps they meet
+        R, size = i1 - i0 + 1, 1 << (i1 - i0 + b - a).bit_length()
+        H = np.fft.fft(T[t0:t1 + 1].conj(), size).conj()
+        scale = float(d * _EPS * np.linalg.norm(T[t0:t1 + 1]) / (_FFT_NOISE + _EPS * phi))
+        step = max(1, _CHUNK_BYTES // (16 * size))     # rows per block of FFT temporaries
+        for start in range(0, len(qs), step):
+            qb = qs[start:start + step]
+            G = F[qb, a:b + 1] * chirp[a:b + 1]
+            # node j sits at j - a of the circular buffer, row i reads from node
+            # i + lo + t0 on: size >= R + b - a keeps the wrap-around off the taps
+            C = np.fft.fft(G, size)
+            C *= H
+            C = np.fft.ifft(C)[:, (np.arange(R) + i0 + lo + t0 - a) % size]
+            C *= w0[i0:i1 + 1] + w1[i0:i1 + 1]
+            for w, t in ((w1, 0), (w0, L)):
+                s = i0 + lo + t - a       # row i0 + r meets node a + r + s on tap t
+                r0, r1 = max(0, -s), min(R, b - a + 1 - s)
+                if r0 < r1:
+                    C[:, r0:r1] -= w[i0 + r0:i0 + r1] * T[t] * G[:, r0 + s:r1 + s]
+            if b == n - 1:                # the rows with n - 1 - i - lo < L
+                i = np.arange(max(i0, n - lo - L), i1 + 1)
+                C[:, R - i.size:] -= w0[i] * T[n - 1 - lo - i] * G[:, -1:]
+            # a row where no nonzero sample sits on a nonzero tap is exactly 0 in the
+            # dense sum, FFT round-off is not: count each run of nonzero taps off prefix sums
+            seen = np.pad(np.cumsum(F[qb, a:b + 1] != 0, axis=1), ((0, 0), (1, 0)))
+            j = np.arange(i0, i1 + 1) - a  # row i meets node i + k, hull entry j + k, on tap k
+            reached = np.any([seen[:, np.clip(j + run[-1] + 1, 0, b - a + 1)] >
+                              seen[:, np.clip(j + run[0], 0, b - a + 1)] for run in runs],
+                             axis=0)
+            C[~reached] = 0.0
+            out[qb, i0:i1 + 1] = C
+            for q in np.asarray(qb)[reached.any(axis=1)]:
+                if scale * math.sqrt(np.vdot(F[q], F[q]).real) > np.max(np.abs(out[q])):
+                    out[q] = _apply_dense(F[q:q + 1], x, d, kernel, phase, lo, hi)[0]
     return out
 
 

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators as _ops
-from .errors import ConfigError, DomainError, GridMismatchError, read
+from .errors import ConfigError, DomainError, GridMismatchError, read, refuse_unread
 from .grid import (SampledFunction, check_working_bytes, cumulative_trapezoid, dual_exponent,
                    grid_node, trapezoid_cells)
 
@@ -203,14 +203,16 @@ class WeightSpec:
     def from_json(obj: dict, path: str = "weight") -> "WeightSpec":
         form = read(obj, "form", str, path=path)
         if form == "sampled":
-            sf = SampledFunction(*(read(obj, k, kind, path=path) for k, kind in
-                                   (("x_lo", float), ("x_hi", float), ("n", int))),
-                                 np.asarray(read(obj, "values", [float], path=path)))
-            return WeightSpec.sampled(sf)
+            grid = [read(obj, k, kind, path=path) for k, kind in
+                    (("x_lo", float), ("x_hi", float), ("n", int))]
+            values = np.asarray(read(obj, "values", [float], path=path))
+            refuse_unread(obj, ("form", "x_lo", "x_hi", "n", "values"), path)
+            return WeightSpec.sampled(SampledFunction(*grid, values))
         arity = {"constant": 1, "power": 1, "exponential": 1, "product": 3}.get(form)
         if arity is None:
             raise ConfigError(f"{path}.form: unknown tag {form!r}")
         params = read(obj, "params", [float], path=path)
+        refuse_unread(obj, ("form", "params"), path)
         if len(params) != arity:
             raise ConfigError(f"{path}.params: {form} takes {arity}, got {len(params)}")
         return getattr(WeightSpec, form)(*params)
@@ -346,10 +348,12 @@ class TripleSearchConfig:
 
     @staticmethod
     def from_json(obj: dict, path: str = "search") -> "TripleSearchConfig":
-        return TripleSearchConfig(tuple(read(obj, "window", (float, float), path=path)), **{
-            k: read(obj, k, kind, path=path) for k, kind in
-            (("n_anchor", int), ("n_h", int), ("h_min", float), ("h_max", float),
-             ("gamma", float), ("n_grid", int), ("ceiling", float)) if k in obj})
+        fields = (("n_anchor", int), ("n_h", int), ("h_min", float), ("h_max", float),
+                  ("gamma", float), ("n_grid", int), ("ceiling", float))
+        window = tuple(read(obj, "window", (float, float), path=path))
+        kw = {k: read(obj, k, kind, path=path) for k, kind in fields if k in obj}
+        refuse_unread(obj, ("window", *(k for k, _ in fields)), path)
+        return TripleSearchConfig(window, **kw)
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,24 @@ MALFORMED = [
      "weight.params[0]"),
     (("weights", "estimate"), {"weight": dict(TINY["weights", "estimate"]["weight"], values=[
         1.0, 0.1, 10 ** 400, 2.5, 1.0 / 3.0, 7.0, 1e300, 5e-324, 0.5])}, [], "weight.values[2]"),
+    # a field no reader reads, which would run at its default or not at all
+    (("weights", "estimate"), {"sidee": "minus"}, [], "sidee"),
+    (("sweep", "coeffs"), {"junk": {"a": 1}}, [], "junk"),
+    (("sweep", "coeffs"), {"family": dict(FAMILY, sed=3)}, [], "family.sed"),
+    (("decay", "fit"), {"kernel": dict(KERNEL["kernel"], size=1.0)}, [], "kernel.size"),
+    (("decay", "fit"), {"phase": {"coeffs": [[1, 1, 1.0]], "scale": 2.0}}, [], "phase.scale"),
+    (("weights", "bump"), {"search": dict(SEARCH, n_grids=257)}, [], "search.n_grids"),
+    (("weights", "bump"), {"weight": {"form": "power", "params": [0.5], "n": 9}}, [],
+     "weight.n"),
+    (("weights", "estimate"), {"weight": dict(TINY["weights", "estimate"]["weight"],
+                                              params=[1.0])}, [], "weight.params"),
+    (("operators", "apply"), {"grid": dict(SMALL_GRID, step=0.1)}, [], "grid.step"),
+    (("operators", "apply"), {"operator": {"kind": "m_plus", "jj": 1}}, [], "operator.jj"),
+    (("operators", "apply"), {"input": {"family": FAMILY, "inex": 1}}, [], "input.inex"),
+    (("operators", "cancel-sup"), {"N": [1.0]}, [], "N"),
+    (("interp", "verify"), {"g": {"family": FAMILY, "values": [1.0, 2.0]}}, [], "g.values"),
+    (("interp", "verify"), {"g": {"values": [1.0, 2.0], "index": 0}}, [], "g.index"),
+    (("suite", "run"), {"sed": 1}, [], "sed"),
 ]
 
 
@@ -280,8 +298,9 @@ class TestWeightsCommands:
         ("estimate", "variant", "x"),
         ("bump", "ceiling", "abc")])
     def test_bad_field_exit_2_with_path(self, tmp_path, capsys, command, field, value):
-        cfg = {"estimator": "rh_plus", "weight": {"form": "constant", "params": [1.0]},
-               "search": SEARCH, "ceiling": 100.0}
+        cfg = {"weight": {"form": "constant", "params": [1.0]}, "search": SEARCH}
+        if command == "estimate":       # an estimator that takes the field
+            cfg["estimator"] = "ap_plus" if field == "p" else "rh_plus"
         cfg[field] = value
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main(["weights", command, "--config", path,
@@ -564,6 +583,19 @@ class TestCommandTable:
         cfg = write_cfg(tmp_path, "c.json", dict(TINY[command], p=p))
         assert main([*command, "--config", cfg, "--out", str(tmp_path / "res")]) == 2
         assert "need p in (1, inf)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, change", [
+        (("decay", "fit"), {"kernel": dict(KERNEL["kernel"], params=[1e300, 1.0])}),
+        (("sweep", "coeffs"), {"p": 1e300})], ids=["decay-lambda-1e300", "sweep-p-1e300"])
+    def test_result_not_finite_exit_3(self, tmp_path, capsys, command, change):
+        # the norms overflow: the results say so and the run exits 3, with no warning
+        cfg = write_cfg(tmp_path, "c.json", dict(TINY[command], **change))
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        got = json.loads((tmp_path / "r.json").read_text())
+        values = ([got["slope"], got["intercept"]] if command == ("decay", "fit")
+                  else [row["best_ratio"] for row in got["rows"]])
+        assert not any(map(math.isfinite, values))
+        assert capsys.readouterr().err == ""
 
 
 def _leaves(obj, keys=(), label=""):

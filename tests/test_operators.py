@@ -901,8 +901,9 @@ INTERIOR_ZERO_TAP = (
 
 # The nonzero samples (nodes 0-537) meet only taps below 6.5e-18 (the
 # support starts at 0.3 = 519.3 cells), while the taps of offsets
-# 538-595, up to 3.7e-4, meet only zeros: their FFT rounding would
-# swamp the whole dense sum (1.9e-2 relative).
+# 538-595, up to 3.7e-4, meet only zeros: a correlation with the whole
+# band would swamp the dense sum with their FFT rounding (1.9e-2
+# relative); the hull's correlation never takes them.
 _rng = np.random.default_rng(7)
 TAPS_PAST_SAMPLES = (
     np.concatenate([_rng.normal(size=538) + 1j * _rng.normal(size=538),
@@ -977,8 +978,9 @@ class TestChirpAgainstDense:
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_rows_independent_of_batch(self, side):
         # pocketfft transforms each row on its own, so a row's bits do
-        # not depend on the batch around it (BLAS on the dense paths
-        # rounds a matrix-vector product apart from a matrix-matrix one)
+        # not depend on the batch around it, nor on the block of rows it is
+        # transformed in (BLAS on the dense paths rounds a matrix-vector
+        # product apart from a matrix-matrix one)
         K = oscillating_log_kernel(side)
         F = generate_family(TestFunctionFamily("modulated-gaussians", 64, 3, (-2.0, 2.0)),
                             -8.0, 8.0, 1025)
@@ -991,6 +993,9 @@ class TestChirpAgainstDense:
                 assert np.array_equal(one[0], full[q])
             assert np.array_equal(
                 oscillatory_apply_batch(F[5:8], -8.0, 8.0, K, P, PV1, band), full[5:8])
+            with mock.patch.object(operators, "_CHUNK_BYTES", 16):   # one row a block
+                assert np.array_equal(
+                    oscillatory_apply_batch(F, -8.0, 8.0, K, P, PV1, band), full)
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_rows_of_distinct_hulls_independent_of_batch(self, side):
@@ -1008,12 +1013,25 @@ class TestChirpAgainstDense:
                 one = oscillatory_apply_batch(F[q:q + 1], -34.0, 2.0, K, P, PV1, band)
                 assert np.array_equal(one[0], full[q])
 
+    def test_guard_scales_by_the_hull_taps(self):
+        # TAPS_PAST_SAMPLES meets only taps below 6.5e-18, and its FFT
+        # rounding scales with those: it stays off the dense sum
+        F, x_lo, x_hi, K, P, eps_cells, band = TAPS_PAST_SAMPLES
+        with mock.patch.object(operators, "_apply_dense", wraps=_apply_dense) as dense:
+            got = oscillatory_apply_batch(F, x_lo, x_hi, K, P, PVConfig(eps_cells), band)
+        assert dense.call_count == 0
+        want = dense_oracle(F, x_lo, x_hi, K, P, eps_cells, band)
+        assert np.max(np.abs(got - want)) <= CHIRP_REL_TOL * np.max(np.abs(want))
+
     def test_swamped_row_summed_densely_alone(self):
-        # TAPS_PAST_SAMPLES next to a row of samples everywhere: only the
-        # first is summed densely, and each row keeps the bits it has alone
+        # TAPS_PAST_SAMPLES with 1e8 at node 0, which no row reads on the
+        # plus side (its FFT rounding swamps the row's values), next to a
+        # row of samples everywhere: only the first is summed densely, and
+        # each row keeps the bits it has alone
         F, x_lo, x_hi, K, P, eps_cells, band = TAPS_PAST_SAMPLES
         rng = np.random.default_rng(16)
         G = np.vstack([F, rng.normal(size=F.shape) + 1j * rng.normal(size=F.shape)])
+        G[0, 0] = 1e8
         pv = PVConfig(eps_cells)
         with mock.patch.object(operators, "_apply_dense", wraps=_apply_dense) as dense:
             both = oscillatory_apply_batch(G, x_lo, x_hi, K, P, pv, band)
@@ -1215,6 +1233,42 @@ class TestDenseAgainstOracle:
         assert operators._subcell_bound(x, x[1] - x[0], PolynomialPhase.monomial(1, 2, 1.0),
                                         x) == 3
         assert max(4096 * 4095 // 2, 2048 * 2047 // 2 * 3) < operators._SUBCELL_LIMIT
+
+
+# the benchmark's sweeps, one per apply path: xy (fft-chirp), x^2 y
+# (dense-filon) and x y^2 (dense-subdivided)
+CAMPAIGN_PATHS = [pytest.param(PolynomialPhase.monomial(1, 1, 1e3), 4096, id="fft-chirp"),
+                  pytest.param(PolynomialPhase.monomial(2, 1, 10.0), 4096, id="dense-filon"),
+                  pytest.param(PolynomialPhase.monomial(1, 2, 1.0), 2048,
+                               id="dense-subdivided")]
+
+
+def apply_peak(P: PolynomialPhase, n: int, rows: int) -> int:
+    """The tracemalloc peak of one plus-side apply to ``rows`` modulated
+    gaussians on [-2, 2], sampled at n nodes of [-8, 8]."""
+    F = generate_family(TestFunctionFamily("modulated-gaussians", rows, 3, (-2.0, 2.0)),
+                        -8.0, 8.0, n)
+    tracemalloc.start()
+    try:
+        oscillatory_apply_batch(F, -8.0, 8.0, KP, P, PV1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("P, n", CAMPAIGN_PATHS)
+    def test_peak_at_the_campaign_sizes(self, P, n):
+        """64 rows: the output and a few blocks of _CHUNK_BYTES, 11.4-11.8 MB
+        on the three paths; 8 MiB dense chunks took 30.2 (x^2 y) and 31.7 MB
+        (x y^2), and one FFT of all the rows of a hull 17.3 MB (xy)."""
+        assert apply_peak(P, n, 64) < 14e6
+
+    @pytest.mark.parametrize("P, n", CAMPAIGN_PATHS)
+    def test_peak_grows_by_the_output(self, P, n):
+        # 192 more rows add their output and no temporaries; one FFT of
+        # all the rows of a hull added 49 MB at n = 4096, four times that
+        assert apply_peak(P, n, 256) - apply_peak(P, n, 64) <= 1.02 * 192 * n * 16
 
 
 # ---------------------------------------------------------------------------
