@@ -24,25 +24,25 @@ anywhere).  ``suite run`` writes its own artifact directory instead.
 Exit status: 0 success; 2 for an unknown command, a flag the command
 does not take, or a malformed config, a field no reader reads included
 (a diagnostic naming the field's path on stderr); 3 when divergence flags
-are present in the results, or a campaign's ratio or fit is not finite
-(the artifacts are still written).  ``suite run`` exits 0 only if every
-criterion passes.
+are present in the results, or a result is not finite: a campaign's ratio
+or fit, an applied operator's samples or a cancellation sup (the
+artifacts are still written).  Handlers run with numpy's floating-point
+warnings off: an overflow shows in the exit status, not as a warning.
+``suite run`` exits 0 only if every criterion passes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GridMismatchError, read, refuse_unread
+from .errors import ConfigError, DomainError, GridMismatchError, read, read_object
 from .experiments import (CSV_COLUMNS, STANDARD_N, STANDARD_SEED, STANDARD_WINDOW,
                           OperatorSpec, TestFunctionFamily, campaign_row,
                           coefficient_sweep, config_echo, decay_rows, dyadic_decay,
@@ -56,30 +56,29 @@ from .weights import (TripleSearchConfig, WeightSpec, a1_constant,
                       ap_minus_constant, ap_plus_constant, gamma_fourpoint_constant,
                       power_bump_search, rh_infty_constant, rh_plus_constant)
 
-# each estimator's keyword parameters are the config fields it takes
+# each estimator and the table of the fields it takes: fn(w, *fields, search)
 _ESTIMATORS = {
-    "ap_plus": lambda w, c, p=2.0: ap_plus_constant(w, p, c),
-    "ap_minus": lambda w, c, p=2.0: ap_minus_constant(w, p, c),
-    "ap_both": lambda w, c, p=2.0: ap_both_constant(w, p, c),
-    "ap_general": lambda w, c, p=2.0, side="plus": ap_general_constant(w, p, side, c),
-    "a1": lambda w, c, side="plus": a1_constant(w, side, c),
-    "rh_plus": lambda w, c, r=1.2, variant=4: rh_plus_constant(w, r, variant, c),
-    "rh_infty": lambda w, c: rh_infty_constant(w, c),
-    "gamma_fourpoint": lambda w, c, p=2.0: gamma_fourpoint_constant(w, p, c),
+    "ap_plus": (ap_plus_constant, {"p": float}),
+    "ap_minus": (ap_minus_constant, {"p": float}),
+    "ap_both": (ap_both_constant, {"p": float}),
+    "ap_general": (ap_general_constant, {"p": float, "side": str}),
+    "a1": (a1_constant, {"side": str}),
+    "rh_plus": (rh_plus_constant, {"r": float, "variant": int}),
+    "rh_infty": (rh_infty_constant, {}),
+    "gamma_fourpoint": (gamma_fourpoint_constant, {"p": float}),
 }
-_ESTIMATOR_ARGS = (("p", float), ("r", float), ("variant", int), ("side", str))
 _STANDARD_GRID = (STANDARD_WINDOW, STANDARD_N)
+_MEMBER = {"index": int, "family": TestFunctionFamily.from_json}    # sampled by ``_member``
 
 
 # ---------------------------------------------------------------------------
-# sub-configs, each read as ``read(obj, key, parser)``
+# sub-configs, each a kind in a ``read_object`` field table
 # ---------------------------------------------------------------------------
 
 def _grid(obj: dict, path: str):
     """(window, n) of ``{"window": [lo, hi], "n": n}``."""
-    lo, hi = read(obj, "window", (float, float), STANDARD_WINDOW, path)
-    n = read(obj, "n", int, STANDARD_N, path)
-    refuse_unread(obj, ("window", "n"), path)
+    (lo, hi), n = read_object(obj, {"window": (float, float), "n": int}, path,
+                              window=STANDARD_WINDOW, n=STANDARD_N)
     if not -np.inf < lo < hi < np.inf:
         raise ConfigError(f"{path}.window: need finite lo < hi, got {[lo, hi]}")
     if n < 2:
@@ -88,34 +87,24 @@ def _grid(obj: dict, path: str):
 
 
 def _pv(obj: dict, path: str) -> PVConfig:
-    eps_cells = read(obj, "eps_cells", int, 1, path)
-    refuse_unread(obj, ("eps_cells",), path)
-    return PVConfig(eps_cells)
+    return PVConfig(*read_object(obj, {"eps_cells": int}, path, eps_cells=1))
 
 
 def _operator(obj: dict, path: str) -> OperatorSpec:
-    fields = (read(obj, "kind", str, path=path),
-              read(obj, "kernel", KernelSpec.from_json, None, path),
-              read(obj, "phase", PolynomialPhase.from_json, None, path),
-              read(obj, "pv", _pv, PVConfig(), path),
-              read(obj, "j", int, None, path))
-    refuse_unread(obj, ("kind", "kernel", "phase", "pv", "j"), path)
-    return OperatorSpec(*fields)
+    return OperatorSpec(*read_object(
+        obj, {"kind": str, "kernel": KernelSpec.from_json, "phase": PolynomialPhase.from_json,
+              "pv": _pv, "j": int}, path, kernel=None, phase=None, pv=PVConfig(), j=None))
 
 
 def _endpoints(obj: dict, path: str) -> InterpolationEndpoints:
     # no c0 or c1: the check works the endpoint constants out as the exact norms
-    p0, p1 = (read(obj, k, float, path=path) for k in ("p0", "p1"))
-    weights = [read(obj, k, WeightSpec.from_json, path=path) for k in ("u0", "v0", "u1", "v1")]
-    theta = read(obj, "theta", float, path=path)
-    refuse_unread(obj, ("p0", "p1", "u0", "v0", "u1", "v1", "theta"), path)
-    return InterpolationEndpoints(p0, p1, *weights, theta)
+    weights = dict.fromkeys(("u0", "v0", "u1", "v1"), WeightSpec.from_json)
+    return InterpolationEndpoints(*read_object(
+        obj, {"p0": float, "p1": float, **weights, "theta": float}, path))
 
 
-def _member(obj: dict, path: str, window: tuple, n: int) -> np.ndarray:
-    """Member ``index`` of the family at ``path.family``, sampled on the grid."""
-    index = read(obj, "index", int, 0, path)
-    fam = read(obj, "family", TestFunctionFamily.from_json, path=path)
+def _member(index: int, fam: TestFunctionFamily, path: str, window: tuple, n: int):
+    """Member ``index`` of ``fam``, the ``_MEMBER`` fields at ``path``, sampled on the grid."""
     if not 0 <= index < fam.count:
         raise ConfigError(f"{path}.index: index {index} outside family of {fam.count}")
     return family_member(fam, index, window[0], window[1], n)
@@ -130,24 +119,24 @@ def _weights_estimate(cfg: dict):
     if name not in _ESTIMATORS:
         raise ConfigError(f"estimator: unknown estimator {name!r}, "
                           f"expected one of {sorted(_ESTIMATORS)}")
-    w = read(cfg, "weight", WeightSpec.from_json)
-    search = read(cfg, "search", TripleSearchConfig.from_json)
-    takes = list(inspect.signature(_ESTIMATORS[name]).parameters)[2:]    # after (w, c)
-    refuse_unread(cfg, ("estimator", "weight", "search", *takes))
-    kw = {k: read(cfg, k, kind) for k, kind in _ESTIMATOR_ARGS if k in cfg}
-    report = _ESTIMATORS[name](w, search, **kw)
+    fn, fields = _ESTIMATORS[name]
+    _, w, search, *args = read_object(
+        cfg, {"estimator": str, "weight": WeightSpec.from_json,
+              "search": TripleSearchConfig.from_json, **fields},
+        p=2.0, r=1.2, variant=4, side="plus")
+    report = fn(w, *args, search)
+    p = dict(zip(fields, args))["p"] if "p" in cfg else ""
     return (["command", "estimator", "weight", "p", "constant", "finite_flag", "witness"],
-            [["weights estimate", name, w.label(), repr(kw.get("p", "")),
+            [["weights estimate", name, w.label(), repr(p),
               repr(report.constant), int(report.finite_flag),
               json.dumps(report.witness, sort_keys=True)]],
             {"report": report.to_json()}, 0 if report.finite_flag else 3)
 
 
 def _weights_bump(cfg: dict):
-    w = read(cfg, "weight", WeightSpec.from_json)
-    search = read(cfg, "search", TripleSearchConfig.from_json)
-    p, ceiling = read(cfg, "p", float, 2.0), read(cfg, "ceiling", float)
-    refuse_unread(cfg, ("weight", "search", "p", "ceiling"))
+    w, search, p, ceiling = read_object(
+        cfg, {"weight": WeightSpec.from_json, "search": TripleSearchConfig.from_json,
+              "p": float, "ceiling": float}, p=2.0)
     res = power_bump_search(w, p, search, ceiling)
     return (["command", "weight", "p", "ceiling", "epsilon", "found", "constant_at_epsilon"],
             [["weights bump", w.label(), repr(p), repr(ceiling), repr(res.epsilon),
@@ -157,37 +146,34 @@ def _weights_bump(cfg: dict):
 
 
 def _operators_apply(cfg: dict):
-    op = read(cfg, "operator", _operator)
-    window, n = read(cfg, "grid", _grid, _STANDARD_GRID)
-    inp = read(cfg, "input", dict)
-    refuse_unread(cfg, ("operator", "grid", "input"))
-    refuse_unread(inp, ("family", "index"), "input")
-    f = _member(inp, "input", window, n)
+    op, (window, n), inp = read_object(cfg, {"operator": _operator, "grid": _grid,
+                                             "input": dict}, grid=_STANDARD_GRID)
+    f = _member(*read_object(inp, _MEMBER, "input", index=0), "input", window, n)
     out = op.apply_batch(f[None], window[0], window[1])[0]
     return (["x", "re", "im"],
             [[repr(float(xi)), repr(float(v.real)), repr(float(v.imag))]
-             for xi, v in zip(grid_nodes(window[0], window[1], n), out)], {}, 0)
+             for xi, v in zip(grid_nodes(window[0], window[1], n), out)], {},
+            _finite_status(out))
 
 
 def _operators_cancel_sup(cfg: dict):
-    kernel = read(cfg, "kernel", KernelSpec.from_json)
-    eps_grid, N_grid = read(cfg, "eps_grid", [float]), read(cfg, "N_grid", [float])
-    refuse_unread(cfg, ("kernel", "eps_grid", "N_grid"))
+    kernel, eps_grid, N_grid = read_object(
+        cfg, {"kernel": KernelSpec.from_json, "eps_grid": [float], "N_grid": [float]})
     sup = kernel_cancellation_sup(kernel, eps_grid, N_grid)
     return (["command", "kernel", "sup"], [["operators cancel-sup", kernel.tag, repr(sup)]],
-            {"sup": sup}, 0)
+            {"sup": sup}, _finite_status(sup))
 
 
 def _interp_verify(cfg: dict):
-    endpoints = read(cfg, "endpoints", _endpoints)
-    g = read(cfg, "g", dict)
-    refuse_unread(cfg, ("endpoints", "g"))
-    refuse_unread(g, ("grid", "family", "index") if "family" in g else ("grid", "values"), "g")
-    window, n = read(g, "grid", _grid, _STANDARD_GRID, "g")
+    endpoints, g = read_object(cfg, {"endpoints": _endpoints, "g": dict})
     if "family" in g:
-        vals = _member(g, "g", window, n)
+        (window, n), index, fam = read_object(g, {"grid": _grid, **_MEMBER}, "g",
+                                              grid=_STANDARD_GRID, index=0)
+        vals = _member(index, fam, "g", window, n)
     else:
-        vals = np.asarray(read(g, "values", [float], path="g"))
+        (window, n), vals = read_object(g, {"grid": _grid, "values": [float]}, "g",
+                                        grid=_STANDARD_GRID)
+        vals = np.asarray(vals)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise ConfigError(f"g.values[{bad[0]}]: expected a finite number, got {vals[bad[0]]}")
@@ -203,17 +189,11 @@ def _interp_verify(cfg: dict):
 
 
 def _sweep_coeffs(cfg: dict):
-    kernel = read(cfg, "kernel", KernelSpec.from_json)
-    k, l = read(cfg, "monomial", (int, int))
-    coeffs = read(cfg, "coeffs", [float])
-    w = read(cfg, "weight", WeightSpec.from_json, None)
-    p = read(cfg, "p", float, 2.0)
-    fam = read(cfg, "family", TestFunctionFamily.from_json)
-    window, n = read(cfg, "grid", _grid, _STANDARD_GRID)
-    pv = read(cfg, "pv", _pv, PVConfig())
-    refuse_unread(cfg, ("kernel", "monomial", "coeffs", "weight", "p", "family", "grid", "pv"))
-    with np.errstate(all="ignore"):     # an overflow shows as a ratio that is not finite
-        reports = coefficient_sweep(kernel, (k, l), coeffs, w, p, fam, window, n, pv)
+    kernel, (k, l), coeffs, w, p, fam, (window, n), pv = read_object(
+        cfg, {"kernel": KernelSpec.from_json, "monomial": (int, int), "coeffs": [float],
+              "weight": WeightSpec.from_json, "p": float, "family": TestFunctionFamily.from_json,
+              "grid": _grid, "pv": _pv}, weight=None, p=2.0, grid=_STANDARD_GRID, pv=PVConfig())
+    reports = coefficient_sweep(kernel, (k, l), coeffs, w, p, fam, window, n, pv)
     rows, results = [], []
     for a, rep in zip(coeffs, reports):
         op = OperatorSpec("oscillatory", kernel, PolynomialPhase.monomial(k, l, a), pv)
@@ -221,21 +201,15 @@ def _sweep_coeffs(cfg: dict):
         rows.append([row[c] for c in CSV_COLUMNS])
         results.append({"param": a, "digest": rep.config_digest,
                         "best_ratio": rep.best_ratio, "argmax_index": rep.argmax_index})
-    return CSV_COLUMNS, rows, {"rows": results}, _finite_status(r.best_ratio for r in reports)
+    return CSV_COLUMNS, rows, {"rows": results}, _finite_status([r.best_ratio for r in reports])
 
 
 def _decay_fit(cfg: dict):
-    kernel = read(cfg, "kernel", KernelSpec.from_json)
-    phase = read(cfg, "phase", PolynomialPhase.from_json)
-    p = read(cfg, "p", float, 2.0)
-    w = read(cfg, "weight", WeightSpec.from_json, None)
-    fam = read(cfg, "family", TestFunctionFamily.from_json)
-    j_max = read(cfg, "j_max", int)
-    window, n = read(cfg, "grid", _grid)
-    pv = read(cfg, "pv", _pv, PVConfig())
-    refuse_unread(cfg, ("kernel", "phase", "p", "weight", "family", "j_max", "grid", "pv"))
-    with np.errstate(all="ignore"):
-        fit = dyadic_decay(kernel, phase, p, w, fam, j_max, window, n, pv)
+    kernel, phase, p, w, fam, j_max, (window, n), pv = read_object(
+        cfg, {"kernel": KernelSpec.from_json, "phase": PolynomialPhase.from_json, "p": float,
+              "weight": WeightSpec.from_json, "family": TestFunctionFamily.from_json,
+              "j_max": int, "grid": _grid, "pv": _pv}, p=2.0, weight=None, pv=PVConfig())
+    fit = dyadic_decay(kernel, phase, p, w, fam, j_max, window, n, pv)
     rows = decay_rows(fit, "1" if w is None else w.label(), p, window, n, fam.seed)
     return (CSV_COLUMNS, [[r[c] for c in CSV_COLUMNS] for r in rows],
             {"slope": fit.slope, "intercept": fit.intercept},
@@ -243,14 +217,13 @@ def _decay_fit(cfg: dict):
 
 
 def _finite_status(values) -> int:
-    """A campaign's exit status: 3 when a ratio or fit is not finite (it overflowed)."""
-    return 0 if all(map(math.isfinite, values)) else 3
+    """A run's exit status: 3 when a result is not finite."""
+    return 0 if np.isfinite(values).all() else 3
 
 
 def _suite_run(cfg: dict):
     from .suite import run_all
-    seed, out = read(cfg, "seed", int, STANDARD_SEED), read(cfg, "out", str, "suite_out")
-    refuse_unread(cfg, ("seed", "out"))
+    seed, out = read_object(cfg, {"seed": int, "out": str}, seed=STANDARD_SEED, out="suite_out")
     t0 = time.time()
     ok = all(r.passed for r in run_all(out, seed=seed, echo=True))
     print(f"{'ALL PASS' if ok else 'FAILURES PRESENT'} "
@@ -354,7 +327,8 @@ def main(argv=None) -> int:
                 _override(cfg, paths[flag], _window(value) if flag == "window" else value)
             elif value is not None and flag != "out":   # otherwise --out is the prefix
                 raise ConfigError(f"--{flag}: {command} takes no --{flag}")
-        header, rows, results, status = handler(cfg)
+        with np.errstate(all="ignore"):     # an overflow shows as a result that is not finite
+            header, rows, results, status = handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

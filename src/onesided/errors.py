@@ -1,5 +1,8 @@
-"""Exception types shared across the toolkit, and the reader that checks
-JSON config fields and names the path of each malformed one."""
+"""Exception types shared across the toolkit, and the reader of JSON configs.
+
+Each config object has one field table, key -> kind, and ``read_object``
+reads it in one call: every field checked and named by its path, and any
+key outside the table refused."""
 
 import contextlib
 
@@ -28,9 +31,10 @@ def read(obj: dict, key: str, kind, default=_REQUIRED, path: str = ""):
 
     ``kind`` is float or int (a JSON number, not a bool or NaN, integral
     and in the int64 range for int), str, dict, ``[kind]`` (an array of
-    such), a tuple of kinds (an array of exactly those), or a function of
-    (object, path) that builds a sub-config.  Every failure is a ConfigError that starts with the
-    field's path, e.g. ``search.n_grid:`` or ``g.values[3]:``.
+    such), a tuple of kinds (an array of exactly those, read as a tuple), or
+    a function of (object, path) that builds a sub-config.  Every failure is
+    a ConfigError that starts with the field's path, e.g. ``search.n_grid:``
+    or ``g.values[3]:``.
     """
     where = f"{path}.{key}" if path else key
     if key not in obj:
@@ -42,13 +46,18 @@ def read(obj: dict, key: str, kind, default=_REQUIRED, path: str = ""):
     return _check(obj[key], kind, where)
 
 
-def refuse_unread(obj: dict, keys, path: str = "") -> None:
-    """Refuse the first key of ``obj`` outside ``keys``, the fields its reader
-    reads: a misspelled field would otherwise run at its default."""
+def read_object(obj: dict, fields: dict, path: str = "", **defaults) -> list:
+    """The fields of ``obj`` in the order of the table ``fields`` (key -> kind),
+    each as ``read`` gives it with its default from ``defaults`` (required when it
+    has none); then the first key outside the table is refused, since a
+    misspelled field would otherwise run at its default."""
+    values = [read(obj, key, kind, defaults.get(key, _REQUIRED), path)
+              for key, kind in fields.items()]
     for key in obj:
-        if key not in keys:
+        if key not in fields:
             raise ConfigError(f"{f'{path}.{key}' if path else key}: no such field "
-                              f"(the fields are {', '.join(sorted(keys))})")
+                              f"(the fields are {', '.join(sorted(fields))})")
+    return values
 
 
 def _check(v, kind, where: str):
@@ -60,7 +69,7 @@ def _check(v, kind, where: str):
             with contextlib.suppress(OverflowError):    # then name the int past the float range
                 return list(map(float, v))     # long sample arrays, checked at C speed
         kinds = kind if isinstance(kind, tuple) else kind * len(v)
-        return [_check(x, k, f"{where}[{i}]") for i, (x, k) in enumerate(zip(v, kinds))]
+        return type(kind)(_check(x, k, f"{where}[{i}]") for i, (x, k) in enumerate(zip(v, kinds)))
     if kind in (int, float):
         if (isinstance(v, bool) or not isinstance(v, (int, float)) or v != v
                 or (kind is int and isinstance(v, float) and not v.is_integer())):

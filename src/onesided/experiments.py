@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, read, refuse_unread
+from .errors import ConfigError, DomainError, read_object
 from .grid import check_working_bytes, dual_exponent, grid_nodes
 from .operators import KernelSpec, OperatorSpec, PolynomialPhase, PVConfig
 from .weights import WeightSpec
@@ -78,11 +78,8 @@ class TestFunctionFamily:
 
     @staticmethod
     def from_json(obj: dict, path: str = "family") -> "TestFunctionFamily":
-        fields = [read(obj, k, kind, path=path) for k, kind in (
-            ("kind", str), ("count", int), ("seed", int))]
-        support = tuple(read(obj, "support", (float, float), path=path))
-        refuse_unread(obj, ("kind", "count", "seed", "support"), path)
-        return TestFunctionFamily(*fields, support)
+        return TestFunctionFamily(*read_object(
+            obj, {"kind": str, "count": int, "seed": int, "support": (float, float)}, path))
 
 
 def generate_family(family: TestFunctionFamily, x_lo: float, x_hi: float,
@@ -225,6 +222,9 @@ def _norm_ratio(op: OperatorSpec, w: Optional[WeightSpec], p: float, family, win
     ok = nf > 0.0
     ratios = np.where(ok, ng / np.where(ok, nf, 1.0), -math.inf)
     if not np.any(ok):
+        if np.any(F):       # |f|^p underflowed: p names the field to change
+            raise ConfigError(f"p: every family member has zero norm, as |f|^p underflows "
+                              f"at p = {p!r}")
         raise ConfigError("every family member has zero norm")
     arg = int(np.argmax(ratios))
     digest = config_digest({"op": op.to_json(),

@@ -89,7 +89,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, read, refuse_unread
+from .errors import ConfigError, DomainError, read_object
 from .grid import SampledFunction, cumulative_trapezoid, grid_nodes
 
 __all__ = [
@@ -236,12 +236,9 @@ class KernelSpec:
     @staticmethod
     def from_json(obj: dict, path: str = "kernel") -> "KernelSpec":
         """From ``{"tag", "side", "params", "size_const", "smooth_const"}``."""
-        fields = (read(obj, "tag", str, path=path), read(obj, "side", str, path=path),
-                  tuple(read(obj, "params", [float], path=path)),
-                  read(obj, "size_const", float, 1.0, path),
-                  read(obj, "smooth_const", float, 2.0, path))
-        refuse_unread(obj, ("tag", "side", "params", "size_const", "smooth_const"), path)
-        return KernelSpec(*fields)
+        return KernelSpec(*read_object(
+            obj, {"tag": str, "side": str, "params": [float], "size_const": float,
+                  "smooth_const": float}, path, size_const=1.0, smooth_const=2.0))
 
 
 def _bump(u: np.ndarray, r_lo: float, r_hi: float) -> np.ndarray:
@@ -363,8 +360,7 @@ class PolynomialPhase:
     @staticmethod
     def from_json(obj: dict, path: str = "phase") -> "PolynomialPhase":
         """From ``{"coeffs": [[deg_x, deg_y, value], ...]}``."""
-        coeffs = read(obj, "coeffs", [(int, int, float)], path=path)
-        refuse_unread(obj, ("coeffs",), path)
+        coeffs, = read_object(obj, {"coeffs": [(int, int, float)]}, path)
         return PolynomialPhase(tuple(((a, b), v) for a, b, v in coeffs))
 
 
@@ -976,11 +972,11 @@ def kernel_cancellation_sup(kernel: KernelSpec, eps_grid, N_grid) -> float:
     # sg the sign of the kernel's side (the negative side's orientation flip
     # cancels against dt = -ds)
     integ = kernel.evaluate((-1.0 if kernel.side == "plus" else 1.0) * s) * s
-    best = 0.0
+    sups = []
     for e, N in pairs:
         g = np.where((s >= e) & (s <= N), integ, 0.0)
-        best = max(best, abs(float(np.sum((g[:-1] + g[1:]) / 2.0) * du)))
-    return best
+        sups.append(abs(float(np.sum((g[:-1] + g[1:]) / 2.0) * du)))
+    return float(np.max(sups))     # NaN if a pair's integral is, which max() would drop
 
 
 def normalize_phase(phase: PolynomialPhase):

@@ -33,6 +33,7 @@ answer the experiments need.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -40,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators as _ops
-from .errors import ConfigError, DomainError, GridMismatchError, read, refuse_unread
+from .errors import ConfigError, DomainError, GridMismatchError, read, read_object
 from .grid import (SampledFunction, check_working_bytes, cumulative_trapezoid, dual_exponent,
                    grid_node, trapezoid_cells)
 
@@ -203,16 +204,14 @@ class WeightSpec:
     def from_json(obj: dict, path: str = "weight") -> "WeightSpec":
         form = read(obj, "form", str, path=path)
         if form == "sampled":
-            grid = [read(obj, k, kind, path=path) for k, kind in
-                    (("x_lo", float), ("x_hi", float), ("n", int))]
-            values = np.asarray(read(obj, "values", [float], path=path))
-            refuse_unread(obj, ("form", "x_lo", "x_hi", "n", "values"), path)
-            return WeightSpec.sampled(SampledFunction(*grid, values))
+            _, *grid, values = read_object(obj, {"form": str, "x_lo": float, "x_hi": float,
+                                                 "n": int, "values": [float]}, path)
+            # numpy takes a list to float64 and then complex128 faster than in one step
+            return WeightSpec.sampled(SampledFunction(*grid, np.asarray(values)))
         arity = {"constant": 1, "power": 1, "exponential": 1, "product": 3}.get(form)
         if arity is None:
             raise ConfigError(f"{path}.form: unknown tag {form!r}")
-        params = read(obj, "params", [float], path=path)
-        refuse_unread(obj, ("form", "params"), path)
+        _, params = read_object(obj, {"form": str, "params": [float]}, path)
         if len(params) != arity:
             raise ConfigError(f"{path}.params: {form} takes {arity}, got {len(params)}")
         return getattr(WeightSpec, form)(*params)
@@ -348,12 +347,11 @@ class TripleSearchConfig:
 
     @staticmethod
     def from_json(obj: dict, path: str = "search") -> "TripleSearchConfig":
-        fields = (("n_anchor", int), ("n_h", int), ("h_min", float), ("h_max", float),
-                  ("gamma", float), ("n_grid", int), ("ceiling", float))
-        window = tuple(read(obj, "window", (float, float), path=path))
-        kw = {k: read(obj, k, kind, path=path) for k, kind in fields if k in obj}
-        refuse_unread(obj, ("window", *(k for k, _ in fields)), path)
-        return TripleSearchConfig(window, **kw)
+        defaults = {f.name: f.default for f in dataclasses.fields(TripleSearchConfig)[1:]}
+        return TripleSearchConfig(*read_object(
+            obj, {"window": (float, float), "n_anchor": int, "n_h": int, "h_min": float,
+                  "h_max": float, "gamma": float, "n_grid": int, "ceiling": float},
+            path, **defaults))
 
 
 @dataclass(frozen=True)

@@ -336,11 +336,10 @@ class TestOperatorCommands:
         cfg = {"operator": dict({"kind": "singular", "pv": {"eps_cells": 1}}, **KERNEL),
                "grid": {"window": [-4.0, 4.0], "n": 257},
                "input": {"family": FAMILY, "index": 4}}
-        F = experiments.generate_family(experiments.TestFunctionFamily.from_json(FAMILY),
-                                        -4.0, 4.0, 257)
+        fam = experiments.TestFunctionFamily.from_json(FAMILY)
+        F = experiments.generate_family(fam, -4.0, 4.0, 257)
         with mock.patch.object(experiments, "generate_family", side_effect=AssertionError):
-            assert cli._member(cfg["input"], "input", (-4.0, 4.0), 257).tobytes() == \
-                F[4].tobytes()
+            assert cli._member(4, fam, "input", (-4.0, 4.0), 257).tobytes() == F[4].tobytes()
             assert main(["operators", "apply", "--config", write_cfg(tmp_path, "c.json", cfg),
                          "--out", str(tmp_path / "res")]) == 0
 
@@ -384,6 +383,40 @@ class TestOperatorCommands:
                      "--out", str(tmp_path / "res")]) == 2
         assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "res.json").exists()
+
+
+    def test_apply_overflowing_kernel_exit_3(self, tmp_path, capsys):
+        # at lambda = 5e-324, t / lambda overflows and the samples are NaN: the
+        # run exits 3 with its CSV written, and warns nothing
+        cfg = copy.deepcopy(TINY["operators", "apply"])
+        cfg["operator"]["kernel"]["params"] = [5e-324, 1.0]
+        assert main(["operators", "apply", "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "r")]) == 3
+        rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        assert not all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("params", [[1e300, 1.0], [1.0, 1e300], [1.0, -1e300]])
+    def test_apply_huge_kernel_parameter_exit_0(self, tmp_path, capsys, params):
+        # the apply guard's norm overflows, the samples do not: exit 0, no warning
+        cfg = copy.deepcopy(TINY["operators", "apply"])
+        cfg["operator"]["kernel"]["params"] = params
+        assert main(["operators", "apply", "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "r")]) == 0
+        rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("change", [
+        {"eps_grid": [5e-324, 1e-2]}, {"kernel": dict(KERNEL["kernel"], params=[5e-324, 1.0])}],
+        ids=["eps-5e-324", "lambda-5e-324"])
+    def test_cancel_sup_nan_pair_exit_3(self, tmp_path, capsys, change):
+        # a pair whose integral is NaN makes the sup NaN, which max() would drop
+        cfg = write_cfg(tmp_path, "c.json", dict(TINY["operators", "cancel-sup"], **change))
+        assert main(["operators", "cancel-sup", "--config", cfg,
+                     "--out", str(tmp_path / "r")]) == 3
+        assert math.isnan(json.loads((tmp_path / "r.json").read_text())["sup"])
+        assert capsys.readouterr().err == ""
 
 
 class TestInterpSweepDecay:
@@ -598,6 +631,15 @@ class TestCommandTable:
         assert capsys.readouterr().err == ""
 
 
+    @pytest.mark.parametrize("p", [1e300, 2.0 ** 40])
+    def test_decay_underflowing_power_names_p(self, tmp_path, capsys, p):
+        # the members are nonzero, but |f|^p underflows to 0 for every one of them
+        cfg = write_cfg(tmp_path, "c.json", dict(TINY["decay", "fit"], p=p))
+        assert main(["decay", "fit", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (f"config error: p: every family member has zero "
+                                           f"norm, as |f|^p underflows at p = {p!r}\n")
+
+
 def _leaves(obj, keys=(), label=""):
     """(keys, dotted path, value) of every scalar in a JSON value."""
     if isinstance(obj, dict):
@@ -608,6 +650,16 @@ def _leaves(obj, keys=(), label=""):
             yield from _leaves(v, keys + (i,), f"{label}[{i}]")
     else:
         yield keys, label, obj
+
+
+def _with_leaf(cfg: dict, keys: tuple, value) -> dict:
+    """A copy of ``cfg`` whose leaf at ``keys`` is ``value``."""
+    cfg = copy.deepcopy(cfg)
+    holder = cfg
+    for k in keys[:-1]:
+        holder = holder[k]
+    holder[keys[-1]] = value
+    return cfg
 
 
 LEAVES = [(command, keys, label, value) for command, cfg in TINY.items()
@@ -634,12 +686,52 @@ def test_wrong_type_never_a_traceback(tmp_path, capsys, data):
     # never change, so no example can start an expensive run
     command, keys, label, value = data.draw(st.sampled_from(LEAVES))
     kind = data.draw(st.sampled_from([t for t in WRONG_TYPES if t != _json_type(value)]))
-    cfg = copy.deepcopy(TINY[command])
-    holder = cfg
-    for k in keys[:-1]:
-        holder = holder[k]
-    holder[keys[-1]] = data.draw(WRONG_TYPES[kind])
-    path = write_cfg(tmp_path, "c.json", cfg)
+    path = write_cfg(tmp_path, "c.json", _with_leaf(TINY[command], keys,
+                                                    data.draw(WRONG_TYPES[kind])))
     capsys.readouterr()
     assert main([*command, "--config", path, "--out", str(tmp_path / "res")]) == 2
     assert f"config error: {label}" in capsys.readouterr().err
+
+
+WALK_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e300, -1e300, 1e-300, 5e-324, 0.5,
+               2 ** 40]
+
+
+def _numbers(obj) -> list:
+    """Every number in a JSON value."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for v in obj for x in _numbers(v)]
+    return [obj] if isinstance(obj, (int, float)) else []
+
+
+@pytest.mark.parametrize("command", [c for c in TINY if c != ("suite", "run")], ids="-".join)
+def test_numeric_walk_exits_0_2_or_3(tmp_path, capsys, command):
+    # every numeric leaf in turn takes each of WALK_VALUES.  No run raises
+    # (RuntimeWarnings are errors here); exit 2 prints one diagnostic line,
+    # and exit 0 writes only finite results
+    failures = []
+    for keys, label, value in _leaves(TINY[command]):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        for bad in WALK_VALUES:
+            path = write_cfg(tmp_path, "c.json", _with_leaf(TINY[command], keys, bad))
+            status = main([*command, "--config", path, "--out", str(tmp_path / "r")])
+            err = capsys.readouterr().err
+            if status == 2:
+                ok = (err.count("\n") == 1 and err.endswith("\n")
+                      and err.startswith(("config error: ", "domain error: ")))
+            elif status == 0:
+                results = json.loads((tmp_path / "r.json").read_text())
+                del results["config"]
+                values = _numbers(results)
+                if command == ("operators", "apply"):
+                    values += [float(v) for row in (tmp_path / "r.csv").read_text()
+                               .splitlines()[1:] for v in row.split(",")[1:]]
+                ok = all(map(math.isfinite, values))
+            else:
+                ok = status == 3
+            if not ok:
+                failures.append((f"{label}={bad!r}", status, err))
+    assert not failures
