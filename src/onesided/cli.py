@@ -26,8 +26,8 @@ does not take, or a malformed config, a field no reader reads included
 (a diagnostic naming the field's path on stderr); 3 when divergence flags
 are present in the results, or a result is not finite: a campaign's ratio
 or fit, an applied operator's samples or a cancellation sup (the
-artifacts are still written).  Handlers run with numpy's floating-point
-warnings off: an overflow shows in the exit status, not as a warning.
+artifacts are still written).  The handlers of those four run with numpy's
+floating-point warnings off: an overflow shows in the exit status, not as a warning.
 ``suite run`` exits 0 only if every criterion passes.
 """
 
@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GridMismatchError, read, read_object
+from .errors import ConfigError, DomainError, GridMismatchError, opt, read, read_object
 from .experiments import (CSV_COLUMNS, STANDARD_N, STANDARD_SEED, STANDARD_WINDOW,
                           OperatorSpec, TestFunctionFamily, campaign_row,
                           coefficient_sweep, config_echo, decay_rows, dyadic_decay,
@@ -56,19 +56,19 @@ from .weights import (TripleSearchConfig, WeightSpec, a1_constant,
                       ap_minus_constant, ap_plus_constant, gamma_fourpoint_constant,
                       power_bump_search, rh_infty_constant, rh_plus_constant)
 
-# each estimator and the table of the fields it takes: fn(w, *fields, search)
+# each estimator and the table of the fields it takes (p first): fn(w, *fields, search)
+_P, _SIDE = {"p": opt(float, 2.0)}, {"side": opt(str, "plus")}
 _ESTIMATORS = {
-    "ap_plus": (ap_plus_constant, {"p": float}),
-    "ap_minus": (ap_minus_constant, {"p": float}),
-    "ap_both": (ap_both_constant, {"p": float}),
-    "ap_general": (ap_general_constant, {"p": float, "side": str}),
-    "a1": (a1_constant, {"side": str}),
-    "rh_plus": (rh_plus_constant, {"r": float, "variant": int}),
+    "ap_plus": (ap_plus_constant, _P),
+    "ap_minus": (ap_minus_constant, _P),
+    "ap_both": (ap_both_constant, _P),
+    "ap_general": (ap_general_constant, {**_P, **_SIDE}),
+    "a1": (a1_constant, _SIDE),
+    "rh_plus": (rh_plus_constant, {"r": opt(float, 1.2), "variant": opt(int, 4)}),
     "rh_infty": (rh_infty_constant, {}),
-    "gamma_fourpoint": (gamma_fourpoint_constant, {"p": float}),
+    "gamma_fourpoint": (gamma_fourpoint_constant, _P),
 }
-_STANDARD_GRID = (STANDARD_WINDOW, STANDARD_N)
-_MEMBER = {"index": int, "family": TestFunctionFamily.from_json}    # sampled by ``_member``
+_MEMBER = {"index": opt(int, 0), "family": TestFunctionFamily.from_json}  # sampled by ``_member``
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +77,8 @@ _MEMBER = {"index": int, "family": TestFunctionFamily.from_json}    # sampled by
 
 def _grid(obj: dict, path: str):
     """(window, n) of ``{"window": [lo, hi], "n": n}``."""
-    (lo, hi), n = read_object(obj, {"window": (float, float), "n": int}, path,
-                              window=STANDARD_WINDOW, n=STANDARD_N)
+    (lo, hi), n = read_object(obj, {"window": opt((float, float), STANDARD_WINDOW),
+                                    "n": opt(int, STANDARD_N)}, path)
     if not -np.inf < lo < hi < np.inf:
         raise ConfigError(f"{path}.window: need finite lo < hi, got {[lo, hi]}")
     if n < 2:
@@ -86,14 +86,18 @@ def _grid(obj: dict, path: str):
     return (lo, hi), n
 
 
+_GRID = {"grid": opt(_grid, (STANDARD_WINDOW, STANDARD_N))}
+
+
 def _pv(obj: dict, path: str) -> PVConfig:
-    return PVConfig(*read_object(obj, {"eps_cells": int}, path, eps_cells=1))
+    return PVConfig(*read_object(obj, {"eps_cells": opt(int, 1)}, path))
 
 
 def _operator(obj: dict, path: str) -> OperatorSpec:
     return OperatorSpec(*read_object(
-        obj, {"kind": str, "kernel": KernelSpec.from_json, "phase": PolynomialPhase.from_json,
-              "pv": _pv, "j": int}, path, kernel=None, phase=None, pv=PVConfig(), j=None))
+        obj, {"kind": str, "kernel": opt(KernelSpec.from_json, None),
+              "phase": opt(PolynomialPhase.from_json, None), "pv": opt(_pv, PVConfig()),
+              "j": opt(int, None)}, path))
 
 
 def _endpoints(obj: dict, path: str) -> InterpolationEndpoints:
@@ -120,14 +124,11 @@ def _weights_estimate(cfg: dict):
         raise ConfigError(f"estimator: unknown estimator {name!r}, "
                           f"expected one of {sorted(_ESTIMATORS)}")
     fn, fields = _ESTIMATORS[name]
-    _, w, search, *args = read_object(
-        cfg, {"estimator": str, "weight": WeightSpec.from_json,
-              "search": TripleSearchConfig.from_json, **fields},
-        p=2.0, r=1.2, variant=4, side="plus")
+    _, w, search, *args = read_object(cfg, {"estimator": str, "weight": WeightSpec.from_json,
+                                            "search": TripleSearchConfig.from_json, **fields})
     report = fn(w, *args, search)
-    p = dict(zip(fields, args))["p"] if "p" in cfg else ""
     return (["command", "estimator", "weight", "p", "constant", "finite_flag", "witness"],
-            [["weights estimate", name, w.label(), repr(p),
+            [["weights estimate", name, w.label(), repr(args[0] if "p" in cfg else ""),
               repr(report.constant), int(report.finite_flag),
               json.dumps(report.witness, sort_keys=True)]],
             {"report": report.to_json()}, 0 if report.finite_flag else 3)
@@ -136,7 +137,7 @@ def _weights_estimate(cfg: dict):
 def _weights_bump(cfg: dict):
     w, search, p, ceiling = read_object(
         cfg, {"weight": WeightSpec.from_json, "search": TripleSearchConfig.from_json,
-              "p": float, "ceiling": float}, p=2.0)
+              **_P, "ceiling": float})
     res = power_bump_search(w, p, search, ceiling)
     return (["command", "weight", "p", "ceiling", "epsilon", "found", "constant_at_epsilon"],
             [["weights bump", w.label(), repr(p), repr(ceiling), repr(res.epsilon),
@@ -145,10 +146,10 @@ def _weights_bump(cfg: dict):
              "constant_at_epsilon": res.constant_at_epsilon}, 0 if res.found else 3)
 
 
+@np.errstate(all="ignore")     # an overflow shows as a result that is not finite
 def _operators_apply(cfg: dict):
-    op, (window, n), inp = read_object(cfg, {"operator": _operator, "grid": _grid,
-                                             "input": dict}, grid=_STANDARD_GRID)
-    f = _member(*read_object(inp, _MEMBER, "input", index=0), "input", window, n)
+    op, (window, n), inp = read_object(cfg, {"operator": _operator, **_GRID, "input": dict})
+    f = _member(*read_object(inp, _MEMBER, "input"), "input", window, n)
     out = op.apply_batch(f[None], window[0], window[1])[0]
     return (["x", "re", "im"],
             [[repr(float(xi)), repr(float(v.real)), repr(float(v.imag))]
@@ -156,6 +157,7 @@ def _operators_apply(cfg: dict):
             _finite_status(out))
 
 
+@np.errstate(all="ignore")     # an overflow shows as a result that is not finite
 def _operators_cancel_sup(cfg: dict):
     kernel, eps_grid, N_grid = read_object(
         cfg, {"kernel": KernelSpec.from_json, "eps_grid": [float], "N_grid": [float]})
@@ -167,32 +169,29 @@ def _operators_cancel_sup(cfg: dict):
 def _interp_verify(cfg: dict):
     endpoints, g = read_object(cfg, {"endpoints": _endpoints, "g": dict})
     if "family" in g:
-        (window, n), index, fam = read_object(g, {"grid": _grid, **_MEMBER}, "g",
-                                              grid=_STANDARD_GRID, index=0)
+        (window, n), index, fam = read_object(g, {**_GRID, **_MEMBER}, "g")
         vals = _member(index, fam, "g", window, n)
     else:
-        (window, n), vals = read_object(g, {"grid": _grid, "values": [float]}, "g",
-                                        grid=_STANDARD_GRID)
+        (window, n), vals = read_object(g, {**_GRID, "values": [float]}, "g")
         vals = np.asarray(vals)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise ConfigError(f"g.values[{bad[0]}]: expected a finite number, got {vals[bad[0]]}")
         if "n" in g.get("grid", {}) and n != len(vals):
             raise ConfigError(f"g.grid.n: {n} differs from the {len(vals)} values")
-    report = verify_on_multiplier(SampledFunction(window[0], window[1], len(vals), vals),
-                                  endpoints)
+    report = verify_on_multiplier(SampledFunction(*window, len(vals), vals), endpoints)
     return (["command", "exact_norm", "c_bound", "pass"],
-            [["interp verify", repr(report.exact_norm), repr(report.c_bound),
-              int(report.passed)]],
+            [["interp verify", repr(report.exact_norm), repr(report.c_bound), int(report.passed)]],
             {"exact_norm": report.exact_norm, "c_bound": report.c_bound,
              "pass": report.passed}, 0 if report.passed else 3)
 
 
+@np.errstate(all="ignore")     # an overflow shows as a result that is not finite
 def _sweep_coeffs(cfg: dict):
     kernel, (k, l), coeffs, w, p, fam, (window, n), pv = read_object(
         cfg, {"kernel": KernelSpec.from_json, "monomial": (int, int), "coeffs": [float],
-              "weight": WeightSpec.from_json, "p": float, "family": TestFunctionFamily.from_json,
-              "grid": _grid, "pv": _pv}, weight=None, p=2.0, grid=_STANDARD_GRID, pv=PVConfig())
+              "weight": opt(WeightSpec.from_json, None), **_P,
+              "family": TestFunctionFamily.from_json, **_GRID, "pv": opt(_pv, PVConfig())})
     reports = coefficient_sweep(kernel, (k, l), coeffs, w, p, fam, window, n, pv)
     rows, results = [], []
     for a, rep in zip(coeffs, reports):
@@ -204,11 +203,12 @@ def _sweep_coeffs(cfg: dict):
     return CSV_COLUMNS, rows, {"rows": results}, _finite_status([r.best_ratio for r in reports])
 
 
+@np.errstate(all="ignore")     # an overflow shows as a result that is not finite
 def _decay_fit(cfg: dict):
     kernel, phase, p, w, fam, j_max, (window, n), pv = read_object(
-        cfg, {"kernel": KernelSpec.from_json, "phase": PolynomialPhase.from_json, "p": float,
-              "weight": WeightSpec.from_json, "family": TestFunctionFamily.from_json,
-              "j_max": int, "grid": _grid, "pv": _pv}, p=2.0, weight=None, pv=PVConfig())
+        cfg, {"kernel": KernelSpec.from_json, "phase": PolynomialPhase.from_json, **_P,
+              "weight": opt(WeightSpec.from_json, None), "family": TestFunctionFamily.from_json,
+              "j_max": int, "grid": _grid, "pv": opt(_pv, PVConfig())})
     fit = dyadic_decay(kernel, phase, p, w, fam, j_max, window, n, pv)
     rows = decay_rows(fit, "1" if w is None else w.label(), p, window, n, fam.seed)
     return (CSV_COLUMNS, [[r[c] for c in CSV_COLUMNS] for r in rows],
@@ -223,7 +223,7 @@ def _finite_status(values) -> int:
 
 def _suite_run(cfg: dict):
     from .suite import run_all
-    seed, out = read_object(cfg, {"seed": int, "out": str}, seed=STANDARD_SEED, out="suite_out")
+    seed, out = read_object(cfg, {"seed": opt(int, STANDARD_SEED), "out": opt(str, "suite_out")})
     t0 = time.time()
     ok = all(r.passed for r in run_all(out, seed=seed, echo=True))
     print(f"{'ALL PASS' if ok else 'FAILURES PRESENT'} "
@@ -327,8 +327,7 @@ def main(argv=None) -> int:
                 _override(cfg, paths[flag], _window(value) if flag == "window" else value)
             elif value is not None and flag != "out":   # otherwise --out is the prefix
                 raise ConfigError(f"--{flag}: {command} takes no --{flag}")
-        with np.errstate(all="ignore"):     # an overflow shows as a result that is not finite
-            header, rows, results, status = handler(cfg)
+        header, rows, results, status = handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

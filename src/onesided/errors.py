@@ -1,10 +1,10 @@
-"""Exception types shared across the toolkit, and the reader of JSON configs.
+"""Exception types shared across the toolkit, and the reader of JSON configs: each
+config object has one field table, key -> kind (``opt(kind, default)`` for a field that
+may be absent), which ``read_object`` reads in one call, refusing any other key."""
 
-Each config object has one field table, key -> kind, and ``read_object``
-reads it in one call: every field checked and named by its path, and any
-key outside the table refused."""
-
+import collections
 import contextlib
+from dataclasses import MISSING
 
 
 class DomainError(ValueError):
@@ -22,7 +22,9 @@ class ConfigError(ValueError):
     for the requested interval lengths, gamma out of range, ...)."""
 
 
-_REQUIRED = object()
+_REQUIRED = MISSING     # as a dataclass field without a default
+# a field table entry for a field that may be absent: read as ``kind``, else ``default``
+opt = collections.namedtuple("opt", "kind default")
 
 
 def read(obj: dict, key: str, kind, default=_REQUIRED, path: str = ""):
@@ -31,10 +33,9 @@ def read(obj: dict, key: str, kind, default=_REQUIRED, path: str = ""):
 
     ``kind`` is float or int (a JSON number, not a bool or NaN, integral
     and in the int64 range for int), str, dict, ``[kind]`` (an array of
-    such), a tuple of kinds (an array of exactly those, read as a tuple), or
-    a function of (object, path) that builds a sub-config.  Every failure is
-    a ConfigError that starts with the field's path, e.g. ``search.n_grid:``
-    or ``g.values[3]:``.
+    such), a tuple of kinds (an array of exactly those, read as a tuple), or a function
+    of (object, path) that builds a sub-config.  Every failure is a ConfigError that
+    starts with the field's path, e.g. ``search.n_grid:`` or ``g.values[3]:``.
     """
     where = f"{path}.{key}" if path else key
     if key not in obj:
@@ -46,13 +47,12 @@ def read(obj: dict, key: str, kind, default=_REQUIRED, path: str = ""):
     return _check(obj[key], kind, where)
 
 
-def read_object(obj: dict, fields: dict, path: str = "", **defaults) -> list:
-    """The fields of ``obj`` in the order of the table ``fields`` (key -> kind),
-    each as ``read`` gives it with its default from ``defaults`` (required when it
-    has none); then the first key outside the table is refused, since a
-    misspelled field would otherwise run at its default."""
-    values = [read(obj, key, kind, defaults.get(key, _REQUIRED), path)
-              for key, kind in fields.items()]
+def read_object(obj: dict, fields: dict, path: str = "") -> list:
+    """The fields of ``obj`` in the order of the table ``fields`` (key -> kind, or
+    ``opt``), each as ``read`` gives it; then the first key outside the table is
+    refused, since a misspelled field would otherwise run at its default."""
+    values = [read(obj, key, *((k.kind, k.default) if isinstance(k, opt) else (k,)), path=path)
+              for key, k in fields.items()]
     for key in obj:
         if key not in fields:
             raise ConfigError(f"{f'{path}.{key}' if path else key}: no such field "

@@ -222,7 +222,7 @@ def _norm_ratio(op: OperatorSpec, w: Optional[WeightSpec], p: float, family, win
     ok = nf > 0.0
     ratios = np.where(ok, ng / np.where(ok, nf, 1.0), -math.inf)
     if not np.any(ok):
-        if np.any(F):       # |f|^p underflowed: p names the field to change
+        if np.any(F) and not np.any(np.abs(F) ** p):    # p names the field to change
             raise ConfigError(f"p: every family member has zero norm, as |f|^p underflows "
                               f"at p = {p!r}")
         raise ConfigError("every family member has zero norm")

@@ -86,7 +86,8 @@ def multiplier_norm(g: SampledFunction, u: WeightSpec, v: WeightSpec,
     the nodewise supremum of |g| (u/v)^{1/p}."""
     uu = u.realize(g.x_lo, g.x_hi, g.n)
     vv = v.realize(g.x_lo, g.x_hi, g.n)
-    return float(np.max(np.abs(g.values) * (uu / vv) ** (1.0 / p)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf weight: an inf or NaN norm,
+        return float(np.max(np.abs(g.values) * (uu / vv) ** (1.0 / p)))    # which callers refuse
 
 
 def verify_on_multiplier(g: SampledFunction, e: InterpolationEndpoints) -> MultiplierReport:

@@ -89,7 +89,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, read_object
+from .errors import ConfigError, DomainError, opt, read_object
 from .grid import SampledFunction, cumulative_trapezoid, grid_nodes
 
 __all__ = [
@@ -237,8 +237,8 @@ class KernelSpec:
     def from_json(obj: dict, path: str = "kernel") -> "KernelSpec":
         """From ``{"tag", "side", "params", "size_const", "smooth_const"}``."""
         return KernelSpec(*read_object(
-            obj, {"tag": str, "side": str, "params": [float], "size_const": float,
-                  "smooth_const": float}, path, size_const=1.0, smooth_const=2.0))
+            obj, {"tag": str, "side": str, "params": [float], "size_const": opt(float, 1.0),
+                  "smooth_const": opt(float, 2.0)}, path))
 
 
 def _bump(u: np.ndarray, r_lo: float, r_hi: float) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators as _ops
-from .errors import ConfigError, DomainError, GridMismatchError, read, read_object
+from .errors import ConfigError, DomainError, GridMismatchError, opt, read, read_object
 from .grid import (SampledFunction, check_working_bytes, cumulative_trapezoid, dual_exponent,
                    grid_node, trapezoid_cells)
 
@@ -347,11 +347,11 @@ class TripleSearchConfig:
 
     @staticmethod
     def from_json(obj: dict, path: str = "search") -> "TripleSearchConfig":
-        defaults = {f.name: f.default for f in dataclasses.fields(TripleSearchConfig)[1:]}
-        return TripleSearchConfig(*read_object(
-            obj, {"window": (float, float), "n_anchor": int, "n_h": int, "h_min": float,
-                  "h_max": float, "gamma": float, "n_grid": int, "ceiling": float},
-            path, **defaults))
+        kinds = {"window": (float, float), "n_anchor": int, "n_h": int, "h_min": float,
+                 "h_max": float, "gamma": float, "n_grid": int, "ceiling": float}
+        return TripleSearchConfig(*read_object(obj, {    # each with its dataclass default
+            f.name: opt(kinds[f.name], f.default) for f in dataclasses.fields(TripleSearchConfig)},
+            path))
 
 
 @dataclass(frozen=True)

@@ -631,13 +631,18 @@ class TestCommandTable:
         assert capsys.readouterr().err == ""
 
 
-    @pytest.mark.parametrize("p", [1e300, 2.0 ** 40])
-    def test_decay_underflowing_power_names_p(self, tmp_path, capsys, p):
-        # the members are nonzero, but |f|^p underflows to 0 for every one of them
-        cfg = write_cfg(tmp_path, "c.json", dict(TINY["decay", "fit"], p=p))
+    @pytest.mark.parametrize("change, blamed", [
+        ({"p": 1e300}, "p: "), ({"p": 2.0 ** 40}, "p: "),
+        ({"weight": {"form": "constant", "params": [5e-324]}}, "")],
+        ids=["p-1e300", "p-2^40", "weight-5e-324"])
+    def test_decay_underflowing_power_names_p(self, tmp_path, capsys, change, blamed):
+        # the members are nonzero, but |f|^p w underflows to 0 for every one of them;
+        # p is named only when |f|^p itself does, not when the tiny weight makes it
+        cfg = write_cfg(tmp_path, "c.json", dict(TINY["decay", "fit"], **change))
         assert main(["decay", "fit", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-        assert capsys.readouterr().err == (f"config error: p: every family member has zero "
-                                           f"norm, as |f|^p underflows at p = {p!r}\n")
+        why = f", as |f|^p underflows at p = {change['p']!r}" if blamed else ""
+        assert capsys.readouterr().err == (f"config error: {blamed}every family member has "
+                                           f"zero norm{why}\n")
 
 
 def _leaves(obj, keys=(), label=""):
