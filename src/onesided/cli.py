@@ -34,7 +34,6 @@ floating-point warnings off: an overflow shows in the exit status, not as a warn
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -46,7 +45,7 @@ from .errors import ConfigError, DomainError, GridMismatchError, opt, read, read
 from .experiments import (CSV_COLUMNS, STANDARD_N, STANDARD_SEED, STANDARD_WINDOW,
                           OperatorSpec, TestFunctionFamily, campaign_row,
                           coefficient_sweep, config_echo, decay_rows, dyadic_decay,
-                          family_member, json_digest)
+                          family_member, json_digest, write_csv)
 from .grid import SampledFunction, grid_nodes
 from .interpolate import InterpolationEndpoints, verify_on_multiplier
 from .operators import (KernelSpec, PolynomialPhase, PVConfig,
@@ -188,19 +187,16 @@ def _interp_verify(cfg: dict):
 
 @np.errstate(all="ignore")     # an overflow shows as a result that is not finite
 def _sweep_coeffs(cfg: dict):
-    kernel, (k, l), coeffs, w, p, fam, (window, n), pv = read_object(
+    kernel, monomial, coeffs, w, p, fam, (window, n), pv = read_object(
         cfg, {"kernel": KernelSpec.from_json, "monomial": (int, int), "coeffs": [float],
               "weight": opt(WeightSpec.from_json, None), **_P,
               "family": TestFunctionFamily.from_json, **_GRID, "pv": opt(_pv, PVConfig())})
-    reports = coefficient_sweep(kernel, (k, l), coeffs, w, p, fam, window, n, pv)
-    rows, results = [], []
-    for a, rep in zip(coeffs, reports):
-        op = OperatorSpec("oscillatory", kernel, PolynomialPhase.monomial(k, l, a), pv)
-        row = campaign_row("sweep", op, w, p, a, rep, window, n)
-        rows.append([row[c] for c in CSV_COLUMNS])
-        results.append({"param": a, "digest": rep.config_digest,
-                        "best_ratio": rep.best_ratio, "argmax_index": rep.argmax_index})
-    return CSV_COLUMNS, rows, {"rows": results}, _finite_status([r.best_ratio for r in reports])
+    swept = list(zip(coeffs, coefficient_sweep(kernel, monomial, coeffs, w, p, fam,
+                                               window, n, pv)))
+    return (CSV_COLUMNS, [campaign_row("sweep", w, p, a, rep, window, n) for a, rep in swept],
+            {"rows": [{"param": a, "digest": rep.config_digest, "best_ratio": rep.best_ratio,
+                       "argmax_index": rep.argmax_index} for a, rep in swept]},
+            _finite_status([rep.best_ratio for _, rep in swept]))
 
 
 @np.errstate(all="ignore")     # an overflow shows as a result that is not finite
@@ -210,8 +206,7 @@ def _decay_fit(cfg: dict):
               "weight": opt(WeightSpec.from_json, None), "family": TestFunctionFamily.from_json,
               "j_max": int, "grid": _grid, "pv": opt(_pv, PVConfig())})
     fit = dyadic_decay(kernel, phase, p, w, fam, j_max, window, n, pv)
-    rows = decay_rows(fit, "1" if w is None else w.label(), p, window, n, fam.seed)
-    return (CSV_COLUMNS, [[r[c] for c in CSV_COLUMNS] for r in rows],
+    return (CSV_COLUMNS, decay_rows(fit, "1" if w is None else w.label(), p, window, n, fam.seed),
             {"slope": fit.slope, "intercept": fit.intercept},
             _finite_status((fit.slope, fit.intercept, *fit.best_ratios)))
 
@@ -292,22 +287,18 @@ def _window(text: str) -> list:
 
 
 def _write_outputs(prefix: Path, cfg: dict, header, rows, results: dict) -> None:
+    """``PREFIX.csv`` and ``PREFIX.json``, appended to the prefix: a dot in it stays."""
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    with open(prefix.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    with open(prefix.with_suffix(".json"), "w") as fh:
+    write_csv(f"{prefix}.csv", header, rows)
+    with open(f"{prefix}.json", "w") as fh:
         fh.write(_sidecar(cfg, results) + "\n")
 
 
 def _sidecar(cfg: dict, results: dict) -> str:
-    """``json.dumps(dict(results, config=config_echo(cfg), digest=config_digest(cfg)),
-    sort_keys=True)`` with the echoed config encoded once, for the sidecar and its digest."""
-    config = json.dumps(config_echo(cfg), sort_keys=True)
-    fields = {k: json.dumps(v, sort_keys=True) for k, v in results.items()}
-    fields.update(config=config, digest=json.dumps(json_digest(config)))
-    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in sorted(fields.items())) + "}"
+    """``results`` beside the echoed config and its ``config_digest``, as sorted-keys JSON."""
+    echo = config_echo(cfg)
+    digest = json_digest(json.dumps(echo, sort_keys=True))
+    return json.dumps(dict(results, config=echo, digest=digest), sort_keys=True)
 
 
 def main(argv=None) -> int:

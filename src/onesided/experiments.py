@@ -34,7 +34,7 @@ __all__ = [
     "STANDARD_WINDOW", "STANDARD_N", "STANDARD_P", "STANDARD_SEED",
     "TestFunctionFamily", "OperatorSpec", "NormRatioReport", "DecayFit",
     "generate_family", "family_member", "norm_ratio", "coefficient_sweep",
-    "dyadic_decay", "weighted_norms_batch", "write_campaign_csv", "config_digest",
+    "dyadic_decay", "weighted_norms_batch", "write_csv", "config_digest",
     "config_echo", "json_digest",
 ]
 
@@ -180,11 +180,12 @@ def json_digest(text: str) -> str:
 
 @dataclass(frozen=True)
 class NormRatioReport:
-    """Best weighted norm ratio over a family: a lower bound of the
-    operator norm by construction."""
+    """Best weighted norm ratio of ``operator`` over a family: a lower
+    bound of its norm by construction."""
 
     best_ratio: float
     argmax_index: int
+    operator: OperatorSpec
     family: TestFunctionFamily
     config_digest: str
     skipped: int = 0
@@ -231,7 +232,7 @@ def _norm_ratio(op: OperatorSpec, w: Optional[WeightSpec], p: float, family, win
                             "w": None if w is None else w.to_json(),
                             "p": p, "family": family.to_json(),
                             "window": list(window), "n": n})
-    return NormRatioReport(float(ratios[arg]), arg, family, digest,
+    return NormRatioReport(float(ratios[arg]), arg, op, family, digest,
                            int(np.sum(~ok)), tuple(np.where(ok, ratios, 0.0)))
 
 
@@ -301,31 +302,26 @@ CSV_COLUMNS = ("campaign", "operator", "weight", "p", "param",
                "best_ratio", "argmax_index", "window", "n", "seed")
 
 
-def campaign_row(campaign: str, op: OperatorSpec, w: Optional[WeightSpec],
-                 p: float, param, report: NormRatioReport,
-                 window: tuple, n: int) -> dict:
-    return {"campaign": campaign, "operator": op.describe(),
-            "weight": "1" if w is None else w.label(), "p": repr(p),
-            "param": repr(param), "best_ratio": repr(report.best_ratio),
-            "argmax_index": report.argmax_index,
-            "window": f"{window[0]},{window[1]}", "n": n,
-            "seed": report.family.seed}
+def campaign_row(campaign: str, w: Optional[WeightSpec], p: float, param,
+                 report: NormRatioReport, window: tuple, n: int) -> list:
+    """The ``CSV_COLUMNS`` row of ``report``, naming the operator it applied."""
+    return [campaign, report.operator.describe(), "1" if w is None else w.label(), repr(p),
+            repr(param), repr(report.best_ratio), report.argmax_index,
+            f"{window[0]},{window[1]}", n, report.family.seed]
 
 
 def decay_rows(fit: DecayFit, weight_label: str, p: float, window: tuple,
                n: int, seed: int) -> list:
-    """One campaign row per dyadic piece of a decay fit."""
-    return [{"campaign": "decay", "operator": f"dyadic_piece|j={j}",
-             "weight": weight_label, "p": repr(p), "param": repr(j),
-             "best_ratio": repr(ratio), "argmax_index": arg,
-             "window": f"{window[0]},{window[1]}", "n": n, "seed": seed}
+    """The ``CSV_COLUMNS`` row of each dyadic piece of a decay fit."""
+    return [["decay", f"dyadic_piece|j={j}", weight_label, repr(p), repr(j), repr(ratio), arg,
+             f"{window[0]},{window[1]}", n, seed]
             for j, ratio, arg in zip(fit.j_values, fit.best_ratios, fit.argmax_indices)]
 
 
-def write_campaign_csv(path, rows):
-    """Campaign CSV with the ``CSV_COLUMNS`` of each row.  Output is
-    byte-deterministic: no timestamps, repr-formatted floats."""
+def write_csv(path, header, rows):
+    """A CSV of ``header`` and ``rows``.  Byte-deterministic: no timestamps,
+    and floats as the repr text the rows hold."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         writer.writerows(rows)

@@ -12,7 +12,6 @@ reproducibility by diffing two runs.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -22,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .experiments import (STANDARD_N, STANDARD_P, STANDARD_SEED,
+from .experiments import (CSV_COLUMNS, STANDARD_N, STANDARD_P, STANDARD_SEED,
                           STANDARD_WINDOW, OperatorSpec, TestFunctionFamily,
                           campaign_row, coefficient_sweep, decay_rows,
-                          dyadic_decay, norm_ratio, write_campaign_csv)
+                          dyadic_decay, norm_ratio, write_csv)
 from .grid import SampledFunction, grid_nodes
 from .interpolate import InterpolationEndpoints, verify_on_multiplier
 from .operators import (PolynomialPhase, PVConfig, dyadic_band_cells,
@@ -330,9 +329,7 @@ def criterion_14(seed: int) -> CriterionResult:
         details[f"spread[{name}]"] = spread
         passed = passed and spread <= 20.0
         for a, rep in zip(coeffs, reps):
-            op = OperatorSpec("oscillatory", K, PolynomialPhase.monomial(1, 1, a))
-            rows.append(campaign_row("sweep", op, w, STANDARD_P, a, rep,
-                                     STANDARD_WINDOW, STANDARD_N))
+            rows.append(campaign_row("sweep", w, STANDARD_P, a, rep, STANDARD_WINDOW, STANDARD_N))
             configs.append({"campaign": "sweep", "param": a, "weight": name,
                             "digest": rep.config_digest})
     return CriterionResult(14, "coefficient independence", passed, details,
@@ -359,7 +356,7 @@ def criterion_15(seed: int) -> CriterionResult:
             fam = TestFunctionFamily("random-bump-sums", 64, seed, support)
             rep = norm_ratio(op, w, STANDARD_P, fam, win, n)
             vals[win] = rep.best_ratio
-            rows.append(campaign_row("doubling", op, w, STANDARD_P, name, rep, win, n))
+            rows.append(campaign_row("doubling", w, STANDARD_P, name, rep, win, n))
             configs.append({"campaign": "doubling", "pair": name,
                             "window": list(win), "digest": rep.config_digest})
         small, big = vals[STANDARD_WINDOW], vals[(-16.0, 16.0)]
@@ -403,22 +400,16 @@ def run_all(out_dir: Optional[str] = None, seed: int = STANDARD_SEED,
     if out_dir is not None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
-        write_campaign_csv(path / "campaigns.csv", [row for r in results for row in r.rows])
+        write_csv(path / "campaigns.csv", CSV_COLUMNS, [row for r in results for row in r.rows])
         with open(path / "campaigns.json", "w") as fh:
             json.dump([cfg for r in results for cfg in r.configs], fh,
                       sort_keys=True, indent=1)
             fh.write("\n")
-        _write_summary(path / "summary.csv", results, seed)
+        write_csv(path / "summary.csv", ["criterion", "name", "passed", "details", "seed"],
+                  [[r.cid, r.name, int(r.passed),
+                    ";".join(f"{k}={_fmt(v)}" for k, v in sorted(r.details.items())), seed]
+                   for r in results])
     return results
-
-
-def _write_summary(path, results, seed):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["criterion", "name", "passed", "details", "seed"])
-        for r in results:
-            det = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(r.details.items()))
-            writer.writerow([r.cid, r.name, int(r.passed), det, seed])
 
 
 def _fmt(v):

@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from onesided import cli, experiments, weights
 from onesided.cli import main
-from onesided.experiments import config_digest, config_echo
+from onesided.experiments import (CSV_COLUMNS, TestFunctionFamily, campaign_row,
+                                  coefficient_sweep, config_digest, config_echo, write_csv)
+from onesided.operators import KernelSpec, PVConfig
 
 
 def write_cfg(tmp_path, name, obj):
@@ -455,6 +457,22 @@ class TestInterpSweepDecay:
         lines = (tmp_path / "res.csv").read_text().splitlines()
         assert len(lines) == 3 and lines[0].startswith("campaign,operator")
 
+    def test_sweep_rows_are_its_reports(self, tmp_path):
+        # each report names the operator it applied, coefficient included, and
+        # the command writes exactly the campaign_row of each report
+        cfg = dict(TINY["sweep", "coeffs"], coeffs=[0.25, -3.0, 1e3])
+        reports = coefficient_sweep(KernelSpec.from_json(cfg["kernel"]), (1, 1), cfg["coeffs"],
+                                    None, 2.0, TestFunctionFamily.from_json(FAMILY),
+                                    (-4.0, 4.0), 129, PVConfig(1))
+        for a, rep in zip(cfg["coeffs"], reports):
+            assert rep.operator.describe() == f"oscillatory|oscillating-log|plus|P={a}x^1y^1"
+        write_csv(tmp_path / "oracle.csv", CSV_COLUMNS,
+                  [campaign_row("sweep", None, 2.0, a, rep, (-4.0, 4.0), 129)
+                   for a, rep in zip(cfg["coeffs"], reports)])
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["sweep", "coeffs", "--config", path, "--out", str(tmp_path / "r")]) == 0
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
     def test_decay(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", dict(
             {"phase": {"coeffs": [[1, 1, 1.0]]}, "p": 2.0, "weight": None,
@@ -585,6 +603,16 @@ class TestCommandTable:
             assert main(["sweep", "coeffs", "--config", path, "--out", str(out), *flags]) == 0
             digests.add(json.loads((tmp_path / f"r{i}.json").read_text())["digest"])
         assert len(digests) == 4
+
+    def test_dotted_prefix_kept(self, tmp_path):
+        # every command writes PREFIX.csv and PREFIX.json, a dot in PREFIX included
+        for command, cfg in TINY.items():
+            if command != ("suite", "run"):
+                out = tmp_path / "-".join(command) / "run.p1.5"
+                assert main([*command, "--config", write_cfg(tmp_path, "c.json", cfg),
+                             "--out", str(out)]) in (0, 3)
+                assert sorted(p.name for p in out.parent.iterdir()) == \
+                    ["run.p1.5.csv", "run.p1.5.json"]
 
     @pytest.mark.parametrize("argv", [["weights", "estimat"], ["sweep", "run"]])
     def test_unknown_command_exit_2(self, capsys, argv):

@@ -11,7 +11,7 @@ from onesided.experiments import (CSV_COLUMNS, OperatorSpec,
                                   TestFunctionFamily, campaign_row,
                                   coefficient_sweep, config_digest, decay_rows,
                                   dyadic_decay, family_member, generate_family,
-                                  norm_ratio, write_campaign_csv)
+                                  norm_ratio, write_csv)
 from onesided.operators import (PolynomialPhase, PVConfig, dyadic_band_cells,
                                 oscillating_log_kernel, oscillatory_apply_batch,
                                 truncated_power_kernel)
@@ -253,7 +253,7 @@ class TestDecay:
         window, n = (-10.0, 2.0), 2049
         fit = dyadic_decay(KP, P, 2.0, w, fam, 3, window, n)
         path = tmp_path / "decay.csv"
-        write_campaign_csv(path, decay_rows(fit, w.label(), 2.0, window, n, fam.seed))
+        write_csv(path, CSV_COLUMNS, decay_rows(fit, w.label(), 2.0, window, n, fam.seed))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["param"]) for r in rows] == list(fit.j_values)
@@ -278,19 +278,17 @@ class TestDecay:
 class TestCSV:
     def test_deterministic_bytes(self, tmp_path):
         rep = norm_ratio(OperatorSpec("identity"), None, 2.0, FAM, *GRID)
-        row = campaign_row("test", OperatorSpec("identity"), None, 2.0, 0.0,
-                           rep, GRID[0], GRID[1])
+        row = campaign_row("test", None, 2.0, 0.0, rep, GRID[0], GRID[1])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_campaign_csv(p1, [row])
-        write_campaign_csv(p2, [row])
+        write_csv(p1, CSV_COLUMNS, [row])
+        write_csv(p2, CSV_COLUMNS, [row])
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_columns(self, tmp_path):
         rep = norm_ratio(OperatorSpec("identity"), None, 2.0, FAM, *GRID)
-        row = campaign_row("test", OperatorSpec("identity"), None, 2.0, 0.0,
-                           rep, GRID[0], GRID[1])
+        row = campaign_row("test", None, 2.0, 0.0, rep, GRID[0], GRID[1])
         path = tmp_path / "c.csv"
-        write_campaign_csv(path, [row])
+        write_csv(path, CSV_COLUMNS, [row])
         header = path.read_text().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
 
