@@ -18,7 +18,7 @@ Numerical contract
   reflected window ``[-x_hi, -x_lo]`` is exactly ``-x_{n-1-i}``.
 * ``grid_nodes`` and ``cumulative_trapezoid`` work in place, with the
   operations and order of the plain expressions (bit-identical), so a
-  grid costs two arrays and its running sums one.
+  grid costs two arrays and real running sums one.
 * A request whose estimated working set passes WORKING_BYTES_LIMIT
   (4 GiB) is refused up front (``check_working_bytes``).
 """
@@ -77,8 +77,9 @@ def cumulative_trapezoid(values: np.ndarray, spacing: float) -> np.ndarray:
     integrates from node 0 to node i, so an interval integral is a difference."""
     out = np.empty(values.shape, dtype=np.result_type(spacing, values))
     cells = np.add(values[..., :-1], values[..., 1:], out=out[..., 1:])
-    np.multiply(spacing, cells, out=cells)
-    cells /= 2.0
+    # complex cells out of place: in place, numpy's product can round a zero's sign apart
+    np.divide(np.multiply(spacing, cells, out=None if out.dtype.kind == "c" else cells), 2.0,
+              out=cells)
     out[..., 0] = 0.0
     np.cumsum(cells, axis=-1, out=cells)
     return out

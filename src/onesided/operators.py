@@ -898,9 +898,9 @@ class OperatorSpec:
         return "|".join(parts)
 
     def apply_batch(self, F: np.ndarray, x_lo: float, x_hi: float) -> np.ndarray:
-        """The operator on every row of F, sampled on [x_lo, x_hi].  A
-        dyadic piece whose band starts at or past the last node is empty
-        and gives zeros."""
+        """The operator on every row of F on [x_lo, x_hi]: float64 for M+-, a copy
+        of F for identity, else complex128 whatever F's dtype.  A dyadic piece
+        whose band starts at or past the last node is empty and gives zeros."""
         phase = PolynomialPhase.zero() if self.phase is None else self.phase
         if self.kind in ("singular", "oscillatory"):     # which checks F itself
             return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.pv)
@@ -910,14 +910,14 @@ class OperatorSpec:
         if self.kind == "identity":
             return F.copy()
         if self.kind == "m_plus":
-            return forward_extremal_averages(F, d).astype(np.complex128)
+            return forward_extremal_averages(F, d)
         if self.kind == "m_minus":
-            return backward_extremal_averages(F, d).astype(np.complex128)
+            return backward_extremal_averages(F, d)
         if self.j < 0:
             raise DomainError("need j >= 0")
         if (self.j > (n - 1).bit_length()       # then k0 2^(j-1) >= n: skip forming it
                 or (band := dyadic_band_cells(d, self.j, self.pv.eps_cells))[0] >= n - 1):
-            return np.zeros_like(F)
+            return np.zeros(F.shape, np.complex128)
         return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.pv, band)
 
     def to_json(self) -> dict:

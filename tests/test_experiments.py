@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onesided import experiments
 from onesided.errors import ConfigError, DomainError
@@ -11,11 +12,13 @@ from onesided.experiments import (CSV_COLUMNS, OperatorSpec,
                                   TestFunctionFamily, campaign_row,
                                   coefficient_sweep, config_digest, decay_rows,
                                   dyadic_decay, family_member, generate_family,
-                                  norm_ratio, write_csv)
+                                  norm_ratio, weighted_norms_batch, write_csv)
+from onesided.grid import grid_nodes
 from onesided.operators import (PolynomialPhase, PVConfig, dyadic_band_cells,
                                 oscillating_log_kernel, oscillatory_apply_batch,
                                 truncated_power_kernel)
 from onesided.weights import WeightSpec
+from test_grid import same_bits
 from test_operators import scan_extremal_averages
 
 KP = oscillating_log_kernel("plus")
@@ -294,3 +297,161 @@ class TestCSV:
 
     def test_digest_stable(self):
         assert config_digest({"a": 1, "b": [2, 3]}) == config_digest({"b": [2, 3], "a": 1})
+
+
+# ---------------------------------------------------------------------------
+# real families stay real: against the complex forms they replaced
+# ---------------------------------------------------------------------------
+
+def old_members(family, indices, x_lo, x_hi, n):
+    """The member loop as it wrote every kind into complex128, kept as the oracle."""
+    lo, hi = family.support
+    x = grid_nodes(x_lo, x_hi, n)
+    d = (x_hi - x_lo) / (n - 1)
+    inside = np.flatnonzero((x >= lo) & (x <= hi))
+    x = x[inside]
+    out = np.zeros((len(indices), n), dtype=np.complex128)
+    for q, i in enumerate(indices):
+        rng = np.random.default_rng([family.seed, i])
+        if family.kind == "random-bump-sums":
+            vals = np.zeros(x.size)
+            for _ in range(int(rng.integers(1, 9))):
+                c = rng.uniform(lo, hi)
+                w = rng.uniform(0.1, max(0.2, 0.4 * (hi - lo)))
+                a = rng.uniform(-1.0, 1.0)
+                vals += a * np.maximum(0.0, 1.0 - np.abs(x - c) / w)
+            out[q, inside] = vals
+        elif family.kind == "modulated-gaussians":
+            c = rng.uniform(lo, hi)
+            sigma = rng.uniform(0.1, 0.5)
+            omega = rng.uniform(0.0, math.pi / (4.0 * d))
+            prof = np.exp(-((x - c) ** 2) / (2.0 * sigma ** 2))
+            out[q, inside] = np.exp(1j * omega * x) * prof
+        else:  # haar-like-steps
+            nseg = int(rng.integers(4, 17))
+            cuts = np.sort(rng.uniform(lo, hi, nseg - 1))
+            edges = np.concatenate([[lo], cuts, [hi]])
+            signs = rng.choice([-1.0, 1.0], nseg)
+            vals = np.zeros(x.size)
+            for s, (e0, e1) in zip(signs, zip(edges[:-1], edges[1:])):
+                vals += s * ((x >= e0) & (x < e1))
+            out[q, inside] = vals
+    return out
+
+
+def old_weighted_norms_batch(G, wv, d, p):
+    """weighted_norms_batch as out-of-place expressions, before rows were
+    taken again scaled, kept as the oracle."""
+    integ = np.abs(G) ** p
+    if wv is not None:
+        integ = integ * wv
+    return (d * np.sum((integ[:, :-1] + integ[:, 1:]) / 2.0, axis=1)) ** (1.0 / p)
+
+
+REAL_KINDS = ("random-bump-sums", "haar-like-steps")
+# (seed, support, window, n): a narrow and a wide support, odd and power-of-two grids
+FAMILY_GRIDS = [(20240901, (-2.0, 2.0), (-8.0, 8.0), 1025), (7, (0.0, 1.0), (-10.0, 2.0), 257),
+                (3, (-3.9, 3.9), (-4.0, 4.0), 4096)]
+
+
+class TestRealFamilies:
+    @pytest.mark.parametrize("kind", REAL_KINDS + ("modulated-gaussians",))
+    @pytest.mark.parametrize("seed, support, window, n", FAMILY_GRIDS)
+    def test_rows_are_the_complex_rows(self, kind, seed, support, window, n):
+        fam = TestFunctionFamily(kind, 9, seed, support)
+        old = old_members(fam, range(fam.count), *window, n)
+        F = generate_family(fam, *window, n)
+        if kind == "modulated-gaussians":
+            assert same_bits(F, old)
+        else:
+            # each real row is the complex row's real part, whose imaginary part is +0.0
+            assert same_bits(F, old.real) and same_bits(old.imag, np.zeros(old.shape))
+
+    @pytest.mark.parametrize("kind", REAL_KINDS)
+    @pytest.mark.parametrize("name", ["m_plus", "m_minus"])
+    def test_maximal_of_real_batch_equals_complex_batch(self, kind, name):
+        for seed, support, window, n in FAMILY_GRIDS:
+            F = generate_family(TestFunctionFamily(kind, 9, seed, support), *window, n)
+            got = OperatorSpec(name).apply_batch(F, *window)
+            assert got.dtype == np.float64
+            assert same_bits(got, OperatorSpec(name).apply_batch(F.astype(np.complex128), *window))
+
+    @pytest.mark.parametrize("kind", REAL_KINDS)
+    @pytest.mark.parametrize("name", ["m_plus", "m_minus"])
+    @pytest.mark.parametrize("w", [None, WeightSpec.exponential(1.0),
+                                   WeightSpec.exponential(-1.0)], ids=["1", "ex", "e-x"])
+    def test_maximal_reports_match_complex_family(self, kind, name, w):
+        fam = TestFunctionFamily(kind, 16, 5, (-2.0, 2.0))
+        real = norm_ratio(OperatorSpec(name), w, 2.0, fam, *GRID)
+        with mock.patch.object(experiments, "generate_family",
+                               lambda *a: generate_family(*a).astype(np.complex128)):
+            cplx = norm_ratio(OperatorSpec(name), w, 2.0, fam, *GRID)
+        assert real.best_ratio == cplx.best_ratio and real.argmax_index == cplx.argmax_index
+        assert same_bits(np.array(real.ratios), np.array(cplx.ratios))
+
+    @pytest.mark.parametrize("phase", [PolynomialPhase.zero(), PolynomialPhase.monomial(1, 1, 3.0),
+                                       PolynomialPhase.monomial(2, 1, 1.0),
+                                       PolynomialPhase.monomial(1, 2, 1.0)],
+                             ids=["singular", "xy", "x2y", "xy2"])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_oscillatory_of_real_batch_is_complex(self, phase, side):
+        # every apply path takes a real F as the exact complex cast of it
+        F = generate_family(TestFunctionFamily("random-bump-sums", 6, 2, (-2.0, 2.0)),
+                            -4.0, 4.0, 257)
+        for j in (None, 2, 40):         # the whole band, a dyadic piece, an empty piece
+            op = (OperatorSpec("oscillatory", oscillating_log_kernel(side), phase) if j is None
+                  else OperatorSpec("dyadic_piece", oscillating_log_kernel(side), phase, j=j))
+            got = op.apply_batch(F, -4.0, 4.0)
+            assert got.dtype == np.complex128
+            assert same_bits(got, op.apply_batch(F.astype(np.complex128), -4.0, 4.0))
+
+
+class TestWeightedNorms:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 300), st.floats(1.0, 10.0, exclude_min=True),
+           st.booleans(), st.booleans(), st.booleans(), st.integers(-300, 300),
+           st.floats(1e-3, 10.0), st.integers(0, 2 ** 32 - 1))
+    def test_against_old_expression(self, rows, n, p, weighted, complex_rows, zero_row,
+                                    exp10, d, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.uniform(-1.0, 1.0, (rows, n)) * 10.0 ** exp10
+        if complex_rows:
+            G = G + 1j * rng.uniform(-1.0, 1.0, (rows, n)) * 10.0 ** exp10
+        if zero_row:
+            G[0] = 0.0
+        wv = rng.uniform(0.1, 10.0, n) if weighted else None
+        with np.errstate(over="ignore"):
+            old = old_weighted_norms_batch(G, wv, d, p)
+        got = weighted_norms_batch(G, wv, d, p)
+        # a finite nonzero norm keeps its bits; any other row is max|g| times
+        # the norm of |g| / max|g| (a row of zeros: 0)
+        keep = np.isfinite(old) & (old > 0.0)
+        a = np.abs(G[~keep])
+        top = np.max(a, axis=1)
+        want = old.copy()
+        want[~keep] = old_weighted_norms_batch(a / np.where(top > 0.0, top, 1.0)[:, None],
+                                               wv, d, p) * top
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("g", [2.0, 2j, -2.0])
+    def test_constant_two_at_p_2000(self, g):
+        # |g| = 2 on [0, 1]: 2^2000 overflows, the norm is 2
+        n = 101
+        got = weighted_norms_batch(np.full((1, n), g), None, 1.0 / (n - 1), 2000.0)
+        assert got[0] == pytest.approx(2.0, rel=0.0, abs=1e-12)
+
+    def test_rows_of_zeros_inf_or_nan_keep_their_norm(self):
+        G = np.zeros((3, 5))
+        G[1, 2], G[2, 3] = math.inf, math.nan
+        got = weighted_norms_batch(G, None, 0.25, 3.0)
+        assert got[0] == 0.0 and got[1] == math.inf and math.isnan(got[2])
+
+    @pytest.mark.parametrize("p", [1e300, 2.0 ** 40, 2000.0])
+    def test_member_at_huge_p_is_finite(self, p):
+        # |f|^p underflows below 1 and overflows above it; the norm tends to max|f|
+        (lo, hi), n = GRID
+        f = 3.0 * family_member(FAM, 2, lo, hi, n)
+        got = weighted_norms_batch(f[None], None, (hi - lo) / (n - 1), p)[0]
+        assert math.isfinite(got) and 0.0 < got <= np.max(np.abs(f))
+        if p == 1e300:
+            assert got == np.max(np.abs(f))
