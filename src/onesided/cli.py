@@ -127,7 +127,7 @@ def _weights_estimate(cfg: dict):
                                             "search": TripleSearchConfig.from_json, **fields})
     report = fn(w, *args, search)
     return (["command", "estimator", "weight", "p", "constant", "finite_flag", "witness"],
-            [["weights estimate", name, w.label(), repr(args[0] if "p" in cfg else ""),
+            [["weights estimate", name, w.label(), repr(args[0]) if "p" in fields else "",
               repr(report.constant), int(report.finite_flag),
               json.dumps(report.witness, sort_keys=True)]],
             {"report": report.to_json()}, 0 if report.finite_flag else 3)

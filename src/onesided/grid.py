@@ -87,11 +87,13 @@ def cumulative_trapezoid(values: np.ndarray, spacing: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A complex-valued function sampled on a uniform grid.
+    """A function sampled on a uniform grid.
 
-    Real-valued functions carry zero imaginary parts.  Instances are
-    immutable; all operations return new objects, so sharing across
-    threads is safe.
+    ``values`` is the instance's own read-only copy of the samples:
+    float64 when they are real (a real dtype, or complex with every
+    imaginary part +-0.0), complex128 only when some imaginary part is
+    nonzero.  Instances are immutable; all operations return new
+    objects, so sharing across threads is safe.
     """
 
     x_lo: float
@@ -104,7 +106,10 @@ class SampledFunction:
             raise DomainError(f"need finite x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
         if self.n < 2:
             raise DomainError(f"need n >= 2, got n={self.n}")
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = np.asarray(self.values)
+        if vals.dtype.kind == "c" and not np.any(vals.imag):
+            vals = vals.real
+        vals = np.array(vals, dtype=np.complex128 if vals.dtype.kind == "c" else np.float64)
         if vals.shape != (self.n,):
             raise DomainError(f"values must have exactly n={self.n} entries, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
@@ -118,10 +123,6 @@ class SampledFunction:
 
     def nodes(self) -> np.ndarray:
         return grid_nodes(self.x_lo, self.x_hi, self.n)
-
-    @property
-    def is_real(self) -> bool:
-        return bool(np.all(self.values.imag == 0.0))
 
     def check_covers(self, x_lo: float, x_hi: float) -> None:
         """DomainError unless [x_lo, x_hi] lies in the window (up to 1e-9 relative)."""
@@ -138,12 +139,12 @@ class SampledFunction:
 
     def reflected(self) -> "SampledFunction":
         """The function x -> f(-x), sampled on the mirrored window."""
-        return SampledFunction(-self.x_hi, -self.x_lo, self.n, self.values[::-1].copy())
+        return SampledFunction(-self.x_hi, -self.x_lo, self.n, self.values[::-1])
 
     @staticmethod
     def from_callable(fn, x_lo: float, x_hi: float, n: int) -> "SampledFunction":
         x = grid_nodes(x_lo, x_hi, n)
-        return SampledFunction(x_lo, x_hi, n, np.asarray(fn(x), dtype=np.complex128))
+        return SampledFunction(x_lo, x_hi, n, fn(x))
 
 
 def dual_exponent(p: float) -> float:
@@ -158,9 +159,10 @@ def resample(f: SampledFunction, x_lo: float, x_hi: float, n: int) -> SampledFun
     """Linear interpolation of ``f`` onto a new grid inside its window."""
     f.check_covers(x_lo, x_hi)
     if x_lo == f.x_lo and x_hi == f.x_hi and n == f.n:
-        return SampledFunction(x_lo, x_hi, n, f.values.copy())
+        return SampledFunction(x_lo, x_hi, n, f.values)
     x_new = grid_nodes(x_lo, x_hi, n)
     x_old = f.nodes()
-    re = np.interp(x_new, x_old, f.values.real)
-    im = np.interp(x_new, x_old, f.values.imag)
-    return SampledFunction(x_lo, x_hi, n, re + 1j * im)
+    vals = np.interp(x_new, x_old, f.values.real)
+    if f.values.dtype.kind == "c":
+        vals = vals + 1j * np.interp(x_new, x_old, f.values.imag)
+    return SampledFunction(x_lo, x_hi, n, vals)

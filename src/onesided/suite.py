@@ -165,7 +165,7 @@ def criterion_06(seed: int) -> CriterionResult:
     n = 4097
     f = SampledFunction.from_callable(
         lambda x: ((x >= 0) & (x < 1)).astype(float), -4.0, 4.0, n)
-    got = m_plus(f).values.real
+    got = m_plus(f).values
     x = f.nodes()
     expect = np.where(x < 0, 1.0 / np.where(x < 0, 1.0 - x, 1.0),
                       np.where(x < 1.0, 1.0, 0.0))
@@ -210,7 +210,7 @@ def criterion_09(seed: int) -> CriterionResult:
     rng = np.random.default_rng(seed)
     ok = 0
     for _ in range(100):
-        g = SampledFunction(-4.0, 4.0, 257, rng.normal(size=257) + 0j)
+        g = SampledFunction(-4.0, 4.0, 257, rng.normal(size=257))
         e = InterpolationEndpoints(
             float(rng.uniform(1.2, 4.0)), float(rng.uniform(1.2, 4.0)),
             WeightSpec.exponential(float(rng.uniform(-1.0, 1.0))),
@@ -269,7 +269,7 @@ def criterion_12(seed: int) -> CriterionResult:
     x = grid_nodes(lo, hi, n)
     k0 = dyadic_band_cells(d, 0, pv.eps_cells)[1]
 
-    F2 = rng.normal(size=(2, n)) * (np.abs(x) < 2.0) + 0j
+    F2 = rng.normal(size=(2, n)) * (np.abs(x) < 2.0)
     pieces = [OperatorSpec("dyadic_piece", K, P, pv, j=j).apply_batch(F2, lo, hi)
               for j in range(6)]
     sum_err = 0.0
@@ -279,7 +279,7 @@ def criterion_12(seed: int) -> CriterionResult:
                                          (pv.eps_cells, k0 * 2 ** J))
         sum_err = max(sum_err, float(np.max(np.abs(total - ranged))))
 
-    F16 = rng.normal(size=(16, n)) * (np.abs(x) < 2.0) + 0j
+    F16 = rng.normal(size=(16, n)) * (np.abs(x) < 2.0)
     M = forward_extremal_averages(F16, d)
     bound_ok = True
     worst_margin = -math.inf

@@ -93,7 +93,7 @@ class WeightSpec:
             if self.samples is None:
                 raise DomainError("sampled weight requires samples")
             v = self.samples.values
-            if not self.samples.is_real or np.any(v.real <= 0):
+            if v.dtype != np.float64 or not np.all(v > 0.0):
                 raise DomainError("sampled weight must be real and strictly positive")
         elif self.form not in ("constant", "power", "exponential", "product"):
             raise DomainError(f"unknown weight form {self.form!r}")
@@ -167,12 +167,11 @@ class WeightSpec:
         if self.form == "sampled":
             s = self.samples
             s.check_covers(x_lo, x_hi)
-            x_old = None if (x_lo, x_hi, n) == (s.x_lo, s.x_hi, s.n) else s.nodes()
+            x_old = s.nodes()       # np.interp gives a sample at its own node as it is
         for start in range(0, n, size):
             x = np.arange(start, min(start + size, n), dtype=np.float64)   # nodes, by grid_node
             if self.form == "sampled":
-                vals = (s.values.real[start:start + size].copy() if x_old is None
-                        else np.interp(grid_node(x_lo, x_hi, n, x), x_old, s.values.real))
+                vals = np.interp(grid_node(x_lo, x_hi, n, x), x_old, s.values)
             else:
                 # in place; 1.0 * and * exp(0 x) are exact identities, so skipped
                 scale, alpha, c = self.canonical()
@@ -197,7 +196,7 @@ class WeightSpec:
         if self.form == "sampled":
             s = self.samples
             return {"form": "sampled", "x_lo": s.x_lo, "x_hi": s.x_hi,
-                    "n": s.n, "values": s.values.real.tolist()}
+                    "n": s.n, "values": s.values.tolist()}
         return {"form": self.form, "params": list(self.params)}
 
     @staticmethod
@@ -206,8 +205,7 @@ class WeightSpec:
         if form == "sampled":
             _, *grid, values = read_object(obj, {"form": str, "x_lo": float, "x_hi": float,
                                                  "n": int, "values": [float]}, path)
-            # numpy takes a list to float64 and then complex128 faster than in one step
-            return WeightSpec.sampled(SampledFunction(*grid, np.asarray(values)))
+            return WeightSpec.sampled(SampledFunction(*grid, values))
         arity = {"constant": 1, "power": 1, "exponential": 1, "product": 3}.get(form)
         if arity is None:
             raise ConfigError(f"{path}.form: unknown tag {form!r}")
@@ -222,7 +220,7 @@ def weight_power(w: WeightSpec, e: float) -> WeightSpec:
     if w.form == "sampled":
         s = w.samples
         with np.errstate(over="ignore"):    # a power past the float range is inf, which is refused
-            vals = s.values.real ** e
+            vals = s.values ** e
         try:
             return WeightSpec.sampled(s.with_values(vals))
         except DomainError as exc:
@@ -247,12 +245,11 @@ def weight_product(w1: WeightSpec, w2: WeightSpec) -> WeightSpec:
     if w1.form == "sampled" and w2.form == "sampled":
         if not w1.samples.same_grid(w2.samples):
             raise GridMismatchError("sampled factors live on different grids")
-        return WeightSpec.sampled(
-            w1.samples.with_values(w1.samples.values.real * w2.samples.values.real))
+        return WeightSpec.sampled(w1.samples.with_values(w1.samples.values * w2.samples.values))
     sf = w1.samples if w1.form == "sampled" else w2.samples
     other = w2 if w1.form == "sampled" else w1
     vals = other.realize(sf.x_lo, sf.x_hi, sf.n)
-    return WeightSpec.sampled(sf.with_values(sf.values.real * vals))
+    return WeightSpec.sampled(sf.with_values(sf.values * vals))
 
 
 def dilate(w: WeightSpec, lam: float) -> WeightSpec:
@@ -262,8 +259,7 @@ def dilate(w: WeightSpec, lam: float) -> WeightSpec:
     if w.form == "sampled":
         s = w.samples
         # w(lambda x) sampled at x_i/lambda carries the same values
-        return WeightSpec.sampled(SampledFunction(
-            s.x_lo / lam, s.x_hi / lam, s.n, s.values.copy()))
+        return WeightSpec.sampled(SampledFunction(s.x_lo / lam, s.x_hi / lam, s.n, s.values))
     scale, alpha, c = w.canonical()
     with np.errstate(over="ignore"):    # as in weight_power
         return WeightSpec.product(scale * np.float64(lam) ** alpha, alpha, c * lam)
@@ -449,12 +445,11 @@ def _exact_sums(cells: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
     partials (half-even).  Where sigma would overflow a level works at 2^-s,
     and an interval rounds at the scale of its top nonzero level.
     """
-    marks, where = np.unique(np.concatenate([starts, ends]), return_inverse=True)
     finite = np.isfinite(cells)
     r = np.where(finite, cells, 0.0)
     h = np.zeros(len(cells) + 1)      # h[1:] takes a level's hi, then h its running sums
     b = len(cells).bit_length() + 1
-    levels = []                        # (e, s, running sums at the marks, scaled by 2^-s)
+    sums = []                          # (e, s, the intervals' level sums, scaled by 2^-s)
     while (top := max(r.max(initial=0.0), -r.min(initial=0.0))) > 0.0:
         e = math.frexp(top)[1] + b
         s = max(0, e - 1023)
@@ -466,9 +461,8 @@ def _exact_sums(cells: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
         else:
             r -= hi
         np.cumsum(h, out=h)
-        levels.append((e, s, h[marks]))
+        sums.append((e, s, h[ends] - h[starts]))
     k = len(starts)
-    sums = [(e, s, v[where[k:]] - v[where[:k]]) for e, s, v in levels]
     for (e, s, up), (_, s_low, low) in zip(sums[-2::-1], sums[:0:-1]):   # bottom up
         sigma = 3.0 * 2.0 ** (e - 2 - s)     # 1.5 sigma: the carry is a multiple of 2^(e-53)
         carry = np.ldexp(low, s_low - s) + sigma - sigma

@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 import math
@@ -185,6 +186,21 @@ class TestWeightsCommands:
         payload = json.loads((tmp_path / "res.json").read_text())
         assert payload["report"]["constant"] == 1.0
         assert payload["report"]["finite_flag"] is True
+
+    @pytest.mark.parametrize("estimator, fields, cell", [
+        ("ap_plus", {}, "2.0"), ("ap_plus", {"p": 3.0}, "3.0"),
+        ("ap_general", {"side": "minus"}, "2.0"), ("a1", {}, ""),
+        ("rh_plus", {"r": 1.5}, ""), ("rh_infty", {}, "")])
+    def test_estimate_csv_records_the_p_used(self, tmp_path, estimator, fields, cell):
+        # the default p included; an estimator that takes no p leaves the cell empty
+        cfg = write_cfg(tmp_path, "c.json", {
+            "estimator": estimator, **fields,
+            "weight": {"form": "constant", "params": [1.0]}, "search": SEARCH})
+        assert main(["weights", "estimate", "--config", cfg, "--out",
+                     str(tmp_path / "res")]) == 0
+        with open(tmp_path / "res.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["p"] == cell
 
     def test_estimate_divergent_exit_3(self, tmp_path):
         # e^x fails both-sided A_2; |x|^-350 overflows the fsum lattice
@@ -550,7 +566,11 @@ class TestSidecar:
     @given(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5),
            st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=5))
     def test_any_json_equals_two_encode_form(self, cfg, results):
-        assert cli._sidecar(cfg, results) == two_encode_sidecar(cfg, results)
+        # the README's rule, built without config_echo or json_digest: no text
+        # here is "sampled", so the config is echoed as it is
+        digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+        expected = json.dumps(dict(results, config=cfg, digest=digest), sort_keys=True)
+        assert cli._sidecar(cfg, results) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(JSON_VALUES)

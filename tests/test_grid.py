@@ -63,6 +63,44 @@ class TestSampledFunction:
         x = grid_node(lo, lo + span, n, i)
         assert type(x) is float and x == grid_nodes(lo, lo + span, n)[i]
 
+    @pytest.mark.parametrize("vals", [
+        [1.5, -2.0, 0.0, 3.25], np.array([1, -2, 0, 3]), np.array([1.5, -2.0, 0.0, 3.25]),
+        np.array([1.5, -2.0, 0.0, 3.25], dtype=np.float32),
+        np.array([1.5, -2.0, -0.0, 3.25]) + 0j, (np.array([1.5, -2.0, 0.0, 3.25]) + 0j).conj(),
+        np.array([1.5, -2.0, 0.0, 3.25], dtype=np.complex64)])
+    def test_real_samples_are_float64(self, vals):
+        # a real dtype, or complex with every imaginary part +-0.0
+        f = SampledFunction(0.0, 1.0, 4, vals)
+        assert same_bits(f.values, np.asarray(vals).real.astype(np.float64))
+
+    @pytest.mark.parametrize("imag", [[0.0, 0.0, 0.0, 1e-300], [-1.0, 0.0, 2.0, 0.0]])
+    def test_complex_only_with_a_nonzero_imaginary_part(self, imag):
+        vals = np.array([1.5, -2.0, 0.0, 3.25]) + 1j * np.array(imag)
+        assert same_bits(SampledFunction(0.0, 1.0, 4, vals).values, vals)
+        single = np.array([1.5, -2.0j], dtype=np.complex64)
+        assert same_bits(SampledFunction(0.0, 1.0, 2, single).values, single.astype(np.complex128))
+
+    @pytest.mark.parametrize("vals", [np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5) + 0j,
+                                      np.linspace(-1.0, 1.0, 5) + 1j])
+    def test_values_are_an_own_read_only_copy(self, vals):
+        f = SampledFunction(0.0, 1.0, 5, vals)
+        kept = f.values.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 7.0
+        assert vals.flags.writeable
+        vals[0] = 9.0
+        assert same_bits(f.values, kept)
+
+    def test_operations_keep_the_dtype(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=33)
+        for vals in (x, x + 1j * rng.normal(size=33)):
+            f = SampledFunction(-2.0, 5.0, 33, vals)
+            for g in (f.reflected(), f.with_values(f.values), resample(f, -2.0, 5.0, 33),
+                      resample(f, -1.0, 4.0, 20)):
+                assert g.values.dtype == f.values.dtype
+        assert SampledFunction.from_callable(np.exp, 0.0, 1.0, 9).values.dtype == np.float64
+
     def test_reflection_involution(self):
         rng = np.random.default_rng(0)
         f = SampledFunction(-2.0, 5.0, 33, rng.normal(size=33) + 0j)

@@ -192,6 +192,13 @@ class TestMaximal:
         assert m_plus(f).values.real[-1] == abs(f.values[-1])
         assert m_minus(f).values.real[0] == abs(f.values[0])
 
+    def test_returns_float64(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=65)
+        for vals in (x, x + 1j * rng.normal(size=65)):
+            f = SampledFunction(0.0, 1.0, 65, vals)
+            assert m_plus(f).values.dtype == m_minus(f).values.dtype == np.float64
+
     def test_min_below_max(self):
         rng = np.random.default_rng(5)
         f = SampledFunction(0.0, 1.0, 257, rng.normal(size=257) + 0j)

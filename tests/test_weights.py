@@ -1015,3 +1015,51 @@ class TestStreamedSumsAgainstWholeGrid:
         _check_streamed(w, (0.0, 8.0, n), None)
         with pytest.raises(DomainError, match="not strictly positive"):
             ap_plus_constant(w, 2.0, TripleSearchConfig((0.0, 8.0), n_grid=n))
+
+
+# ---------------------------------------------------------------------------
+# sampled weights: float64 samples, realized by np.interp on every grid
+# ---------------------------------------------------------------------------
+
+def _every_estimator(w, c):
+    """(name, outcome) of every estimator on ``w``: reports as ``_outcome`` gives them."""
+    runs = {"ap_plus": lambda w, c: ap_plus_constant(w, 1.5, c),
+            "ap_minus": lambda w, c: ap_minus_constant(w, 2.0, c),
+            "ap_both": lambda w, c: ap_both_constant(w, 3.0, c),
+            "ap_general": lambda w, c: ap_general_constant(w, 2.0, "minus", c),
+            "a1": lambda w, c: a1_constant(w, "plus", c),
+            "rh_plus": lambda w, c: rh_plus_constant(w, 1.2, 4, c),
+            "rh_infty": rh_infty_constant,
+            "gamma_fourpoint": lambda w, c: gamma_fourpoint_constant(w, 2.0, c)}
+    return [(name, _outcome(run, w, c)) for name, run in runs.items()]
+
+
+class TestSampledWeights:
+    def test_refuses_complex_and_nonpositive_samples(self):
+        for vals in (np.array([1.0, 2.0, 1.0]) + 1e-300j, np.array([1.0, -2.0, 1.0])):
+            with pytest.raises(DomainError, match="real and strictly positive"):
+                WeightSpec.sampled(SampledFunction(0.0, 1.0, 3, vals))
+        w = WeightSpec.sampled(SampledFunction(0.0, 1.0, 3, np.array([1.0, 2.0, 1.0]) + 0j))
+        assert w.samples.values.dtype == np.float64
+
+    @pytest.mark.parametrize("window", [(-8.0, 8.0), (-3.7, 5.3), (0.5, 8.0), (-8.0, -0.5)])
+    @pytest.mark.parametrize("n", [2, 3, 17, weights._BLOCK_NODES - 1, weights._BLOCK_NODES,
+                                   weights._BLOCK_NODES + 1, 2 * weights._BLOCK_NODES + 3])
+    def test_own_grid_realizes_the_samples(self, window, n):
+        rng = np.random.default_rng(n)
+        vals = np.exp(rng.uniform(-90.0, 90.0, n))
+        vals[::5] = 1e-8
+        w = WeightSpec.sampled(SampledFunction(*window, n, vals))
+        got = w.realize(*window, n)
+        assert same_bits(got, vals) and got.flags.writeable
+        blocks = w._node_blocks(*window, n, weights._BLOCK_NODES)
+        assert same_bits(np.concatenate(list(blocks)), vals)
+
+    @pytest.mark.parametrize("grid", [(-8.0, 8.0, 1025), (-9.0, 9.0, 300)])
+    def test_reports_equal_for_real_and_zero_imaginary_samples(self, grid):
+        # on the search grid (own-grid realization) and resampled onto it
+        x = np.linspace(-1.0, 1.0, grid[2])
+        vals = np.exp(np.sin(9.0 * x)) * (1.0 + x ** 2) ** 0.3
+        c = cfg(n_grid=1025, n_anchor=17, n_h=8)
+        real, zero_imag = (WeightSpec.sampled(SampledFunction(*grid, v)) for v in (vals, vals + 0j))
+        assert _every_estimator(real, c) == _every_estimator(zero_imag, c)
