@@ -37,11 +37,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GridMismatchError, opt, read, read_object
+from .errors import (ConfigError, DomainError, GridMismatchError, opt, read, read_fields,
+                     read_object)
 from .experiments import (CSV_COLUMNS, STANDARD_N, STANDARD_SEED, STANDARD_WINDOW,
                           OperatorSpec, TestFunctionFamily, campaign_row,
                           coefficient_sweep, config_echo, decay_rows, dyadic_decay,
@@ -89,21 +91,20 @@ _GRID = {"grid": opt(_grid, (STANDARD_WINDOW, STANDARD_N))}
 
 
 def _pv(obj: dict, path: str) -> PVConfig:
-    return PVConfig(*read_object(obj, {"eps_cells": opt(int, 1)}, path))
+    return read_fields(PVConfig, obj, {"eps_cells": int}, path)
 
 
 def _operator(obj: dict, path: str) -> OperatorSpec:
-    return OperatorSpec(*read_object(
-        obj, {"kind": str, "kernel": opt(KernelSpec.from_json, None),
-              "phase": opt(PolynomialPhase.from_json, None), "pv": opt(_pv, PVConfig()),
-              "j": opt(int, None)}, path))
+    return read_fields(OperatorSpec, obj, {"kind": str, "kernel": KernelSpec.from_json,
+                                           "phase": PolynomialPhase.from_json, "pv": _pv,
+                                           "j": int}, path)
 
 
 def _endpoints(obj: dict, path: str) -> InterpolationEndpoints:
     # no c0 or c1: the check works the endpoint constants out as the exact norms
     weights = dict.fromkeys(("u0", "v0", "u1", "v1"), WeightSpec.from_json)
-    return InterpolationEndpoints(*read_object(
-        obj, {"p0": float, "p1": float, **weights, "theta": float}, path))
+    return read_fields(InterpolationEndpoints, obj,
+                       {"p0": float, "p1": float, **weights, "theta": float}, path)
 
 
 def _member(index: int, fam: TestFunctionFamily, path: str, window: tuple, n: int):
@@ -130,7 +131,7 @@ def _weights_estimate(cfg: dict):
             [["weights estimate", name, w.label(), repr(args[0]) if "p" in fields else "",
               repr(report.constant), int(report.finite_flag),
               json.dumps(report.witness, sort_keys=True)]],
-            {"report": report.to_json()}, 0 if report.finite_flag else 3)
+            {"report": asdict(report)}, 0 if report.finite_flag else 3)
 
 
 def _weights_bump(cfg: dict):
@@ -141,8 +142,7 @@ def _weights_bump(cfg: dict):
     return (["command", "weight", "p", "ceiling", "epsilon", "found", "constant_at_epsilon"],
             [["weights bump", w.label(), repr(p), repr(ceiling), repr(res.epsilon),
               int(res.found), repr(res.constant_at_epsilon)]],
-            {"epsilon": res.epsilon, "found": res.found,
-             "constant_at_epsilon": res.constant_at_epsilon}, 0 if res.found else 3)
+            asdict(res), 0 if res.found else 3)
 
 
 @np.errstate(all="ignore")     # an overflow shows as a result that is not finite
@@ -178,6 +178,10 @@ def _interp_verify(cfg: dict):
             raise ConfigError(f"g.values[{bad[0]}]: expected a finite number, got {vals[bad[0]]}")
         if "n" in g.get("grid", {}) and n != len(vals):
             raise ConfigError(f"g.grid.n: {n} differs from the {len(vals)} values")
+    if not np.any(vals):    # then both exact endpoint norms are 0
+        raise ConfigError("g.values: every sample is 0" if "values" in g else
+                          f"g.grid.window: every sample of the member on {list(window)} "
+                          f"at n = {n} is 0")
     report = verify_on_multiplier(SampledFunction(*window, len(vals), vals), endpoints)
     return (["command", "exact_norm", "c_bound", "pass"],
             [["interp verify", repr(report.exact_norm), repr(report.c_bound), int(report.passed)]],

@@ -1,10 +1,11 @@
 """Exception types shared across the toolkit, and the reader of JSON configs: each
 config object has one field table, key -> kind (``opt(kind, default)`` for a field that
-may be absent), which ``read_object`` reads in one call, refusing any other key."""
+may be absent), which ``read_object`` reads in one call, refusing any other key; a
+dataclass's table is its fields, each with its own default (``read_fields``)."""
 
 import collections
 import contextlib
-from dataclasses import MISSING
+import dataclasses
 
 
 class DomainError(ValueError):
@@ -22,7 +23,7 @@ class ConfigError(ValueError):
     for the requested interval lengths, gamma out of range, ...)."""
 
 
-_REQUIRED = MISSING     # as a dataclass field without a default
+_REQUIRED = dataclasses.MISSING     # as a dataclass field without a default
 # a field table entry for a field that may be absent: read as ``kind``, else ``default``
 opt = collections.namedtuple("opt", "kind default")
 
@@ -60,6 +61,13 @@ def read_object(obj: dict, fields: dict, path: str = "") -> list:
     return values
 
 
+def read_fields(cls, obj: dict, kinds: dict, path: str = ""):
+    """``cls`` built from ``obj`` by ``read_object``: its fields in order, each read as
+    ``kinds[name]`` with the field's own default (required when it has none)."""
+    table = {f.name: opt(kinds[f.name], f.default) for f in dataclasses.fields(cls)}
+    return cls(*read_object(obj, table, path))
+
+
 def _check(v, kind, where: str):
     if isinstance(kind, (list, tuple)):
         if not isinstance(v, list) or (isinstance(kind, tuple) and len(v) != len(kind)):
@@ -67,7 +75,10 @@ def _check(v, kind, where: str):
             raise ConfigError(f"{where}: expected a list{size}, got {v!r:.60}")
         if kind == [float] and set(map(type, v)) <= {int, float}:
             with contextlib.suppress(OverflowError):    # then name the int past the float range
-                return list(map(float, v))     # long sample arrays, checked at C speed
+                floats = list(map(float, v))   # long sample arrays, checked at C speed
+                total = sum(floats)
+                if total == total:             # else the element path names the NaN
+                    return floats
         kinds = kind if isinstance(kind, tuple) else kind * len(v)
         return type(kind)(_check(x, k, f"{where}[{i}]") for i, (x, k) in enumerate(zip(v, kinds)))
     if kind in (int, float):

@@ -20,12 +20,12 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, read_object
+from .errors import ConfigError, DomainError, read_fields
 from .grid import check_working_bytes, dual_exponent, grid_nodes
 from .operators import KernelSpec, OperatorSpec, PolynomialPhase, PVConfig
 from .weights import WeightSpec
@@ -72,14 +72,10 @@ class TestFunctionFamily:
             raise ConfigError("support must satisfy finite lo < hi")
         object.__setattr__(self, "support", (float(lo), float(hi)))
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "count": self.count, "seed": self.seed,
-                "support": list(self.support)}
-
     @staticmethod
     def from_json(obj: dict, path: str = "family") -> "TestFunctionFamily":
-        return TestFunctionFamily(*read_object(
-            obj, {"kind": str, "count": int, "seed": int, "support": (float, float)}, path))
+        return read_fields(TestFunctionFamily, obj, {"kind": str, "count": int, "seed": int,
+                                                     "support": (float, float)}, path)
 
 
 def generate_family(family: TestFunctionFamily, x_lo: float, x_hi: float,
@@ -239,7 +235,7 @@ def _norm_ratio(op: OperatorSpec, w: Optional[WeightSpec], p: float, family, win
     arg = int(np.argmax(ratios))
     digest = config_digest({"op": op.to_json(),
                             "w": None if w is None else w.to_json(),
-                            "p": p, "family": family.to_json(),
+                            "p": p, "family": asdict(family),
                             "window": list(window), "n": n})
     return NormRatioReport(float(ratios[arg]), arg, op, family, digest,
                            int(np.sum(~ok)), tuple(np.where(ok, ratios, 0.0)))

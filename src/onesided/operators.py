@@ -84,12 +84,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, opt, read_object
+from .errors import ConfigError, DomainError, read_fields, read_object
 from .grid import SampledFunction, cumulative_trapezoid, grid_nodes
 
 __all__ = [
@@ -144,8 +144,8 @@ class KernelSpec:
     tag: str                  # oscillating-log | truncated-power
     side: str                 # plus | minus
     params: tuple
-    size_const: float
-    smooth_const: float
+    size_const: float = 1.0
+    smooth_const: float = 2.0
 
     def __post_init__(self):
         names = {"oscillating-log": ("lambda", "sign"),
@@ -229,16 +229,11 @@ class KernelSpec:
         num = np.abs(self.evaluate(t - s) - self.evaluate(t)) * t ** 2
         return float(np.max(num / (np.abs(s) * self.smooth_const)))
 
-    def to_json(self) -> dict:
-        return {"tag": self.tag, "side": self.side, "params": list(self.params),
-                "size_const": self.size_const, "smooth_const": self.smooth_const}
-
     @staticmethod
     def from_json(obj: dict, path: str = "kernel") -> "KernelSpec":
         """From ``{"tag", "side", "params", "size_const", "smooth_const"}``."""
-        return KernelSpec(*read_object(
-            obj, {"tag": str, "side": str, "params": [float], "size_const": opt(float, 1.0),
-                  "smooth_const": opt(float, 2.0)}, path))
+        return read_fields(KernelSpec, obj, {"tag": str, "side": str, "params": [float],
+                                             "size_const": float, "smooth_const": float}, path)
 
 
 def _bump(u: np.ndarray, r_lo: float, r_hi: float) -> np.ndarray:
@@ -261,14 +256,14 @@ def oscillating_log_kernel(side: str = "plus") -> KernelSpec:
     bounded by 1 for every 0 < eps < N, though their eps -> 0 limit
     does not exist (the cosine keeps oscillating).
     """
-    return KernelSpec("oscillating-log", side, (1.0, 1.0), 1.0, 2.0)
+    return KernelSpec("oscillating-log", side, (1.0, 1.0))
 
 
 def truncated_power_kernel(side: str = "plus", r_lo: float = 0.5,
                            r_hi: float = 3.5) -> KernelSpec:
     """K(t) = eta(|t|)/t with a smooth bump profile supported on
     r_lo <= |t| <= r_hi (declared smoothness bound measured, padded)."""
-    kernel = KernelSpec("truncated-power", side, (r_lo, r_hi, 1.0, 1.0), 1.0, 1.0)
+    kernel = KernelSpec("truncated-power", side, (r_lo, r_hi, 1.0, 1.0))
     return replace(kernel, smooth_const=16.0 * max(1.0, r_hi / (r_hi - r_lo)))
 
 
@@ -921,14 +916,9 @@ class OperatorSpec:
         return oscillatory_apply_batch(F, x_lo, x_hi, self.kernel, phase, self.pv, band)
 
     def to_json(self) -> dict:
-        obj = {"kind": self.kind, "pv": {"eps_cells": self.pv.eps_cells}}
-        if self.kernel is not None:
-            obj["kernel"] = self.kernel.to_json()
-        if self.phase is not None:
-            obj["phase"] = self.phase.to_json()
-        if self.j is not None:
-            obj["j"] = self.j
-        return obj
+        """Its fields as ``asdict`` gives them, absent ones left out, the phase as ``coeffs``."""
+        obj = {k: v for k, v in asdict(self).items() if v is not None}
+        return obj if self.phase is None else dict(obj, phase=self.phase.to_json())
 
 
 def _apply_one(op: OperatorSpec, f: SampledFunction) -> SampledFunction:

@@ -33,7 +33,6 @@ answer the experiments need.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -41,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators as _ops
-from .errors import ConfigError, DomainError, GridMismatchError, opt, read, read_object
+from .errors import ConfigError, DomainError, GridMismatchError, read, read_fields, read_object
 from .grid import (SampledFunction, check_working_bytes, cumulative_trapezoid, dual_exponent,
                    grid_node, trapezoid_cells)
 
@@ -336,18 +335,11 @@ class TripleSearchConfig:
         lo, hi = self.window
         return replace(self, window=(-hi, -lo))
 
-    def to_json(self) -> dict:
-        return {"window": list(self.window), "n_anchor": self.n_anchor,
-                "n_h": self.n_h, "h_min": self.h_min, "h_max": self.h_max,
-                "gamma": self.gamma, "n_grid": self.n_grid, "ceiling": self.ceiling}
-
     @staticmethod
     def from_json(obj: dict, path: str = "search") -> "TripleSearchConfig":
-        kinds = {"window": (float, float), "n_anchor": int, "n_h": int, "h_min": float,
-                 "h_max": float, "gamma": float, "n_grid": int, "ceiling": float}
-        return TripleSearchConfig(*read_object(obj, {    # each with its dataclass default
-            f.name: opt(kinds[f.name], f.default) for f in dataclasses.fields(TripleSearchConfig)},
-            path))
+        return read_fields(TripleSearchConfig, obj, {
+            "window": (float, float), "n_anchor": int, "n_h": int, "h_min": float,
+            "h_max": float, "gamma": float, "n_grid": int, "ceiling": float}, path)
 
 
 @dataclass(frozen=True)
@@ -359,11 +351,6 @@ class ConstantReport:
     witness: Optional[dict]
     resolution: TripleSearchConfig
     finite_flag: bool
-
-    def to_json(self) -> dict:
-        return {"constant": self.constant, "witness": self.witness,
-                "finite_flag": self.finite_flag,
-                "resolution": self.resolution.to_json()}
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,25 @@ import csv
 import hashlib
 import json
 import math
+import re
 import struct
 import warnings
+from dataclasses import asdict
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from onesided import cli, experiments, weights
 from onesided.cli import main
+from onesided.errors import ConfigError, read
 from onesided.experiments import (CSV_COLUMNS, TestFunctionFamily, campaign_row,
                                   coefficient_sweep, config_digest, config_echo, write_csv)
-from onesided.operators import KernelSpec, PVConfig
+from onesided.grid import grid_nodes
+from onesided.operators import (KernelSpec, OperatorSpec, PolynomialPhase, PVConfig,
+                                oscillating_log_kernel, truncated_power_kernel)
+from onesided.weights import TripleSearchConfig
 
 
 def write_cfg(tmp_path, name, obj):
@@ -101,10 +108,10 @@ MALFORMED = [
     (("decay", "fit"), {"phase": {"phase": {"coeffs": [[1, 1, 1.0]]}}}, [], "phase.coeffs"),
     # NaN, which json.load accepts, never reaches a computation
     (("sweep", "coeffs"), {"kernel": dict(KERNEL["kernel"], params=[1.0, math.nan])}, [],
-     "kernel"),
+     "kernel.params[1]", "kernel0"),
     (("operators", "cancel-sup"), {"kernel": dict(KERNEL["kernel"], params=[1.0, math.nan])},
-     [], "kernel"),
-    (("sweep", "coeffs"), {"coeffs": [math.nan]}, [], "coeffs"),
+     [], "kernel.params[1]", "kernel1"),
+    (("sweep", "coeffs"), {"coeffs": [math.nan]}, [], "coeffs[0]", "coeffs"),
     (("weights", "bump"), {"ceiling": math.nan}, [], "ceiling"),
     (("weights", "estimate"), {"estimator": "ap_both", "p": 2.0,
                                "weight": {"form": "exponential", "params": [1.0]},
@@ -399,7 +406,8 @@ class TestOperatorCommands:
         cfg = write_cfg(tmp_path, "c.json", dict(radii, **KERNEL))
         assert main(["operators", "cancel-sup", "--config", cfg,
                      "--out", str(tmp_path / "res")]) == 2
-        assert f"{field}:" in capsys.readouterr().err
+        # the reader refuses NaN at its index, the radius check refuses inf
+        assert (f"{field}[2]:" if math.isnan(bad) else f"{field}:") in capsys.readouterr().err
         assert not (tmp_path / "res.json").exists()
 
 
@@ -801,3 +809,202 @@ def test_numeric_walk_exits_0_2_or_3(tmp_path, capsys, command):
             if not ok:
                 failures.append((f"{label}={bad!r}", status, err))
     assert not failures
+
+
+class TestCheckedThroughTheEntryPoint:
+    # what the CLI writes for these runs, read back from its CSV and sidecar
+
+    def test_ap_both_keeps_its_bits_for_a_weight_sampled_on_the_search_grid(self, tmp_path):
+        # e^x sampled on the search grid itself, realized there bit for bit
+        search = {"window": [-8.0, 8.0], "n_anchor": 9, "n_h": 4, "h_min": 0.5, "n_grid": 257}
+        sampled = {"form": "sampled", "x_lo": -8.0, "x_hi": 8.0, "n": 257,
+                   "values": np.exp(grid_nodes(-8.0, 8.0, 257)).tolist()}
+        for weight in ({"form": "exponential", "params": [1.0]}, sampled):
+            cfg = {"estimator": "ap_both", "p": 1.5, "weight": weight, "search": search}
+            assert main(["weights", "estimate", "--config", write_cfg(tmp_path, "c.json", cfg),
+                         "--out", str(tmp_path / "r")]) == 0
+            with open(tmp_path / "r.csv", newline="") as fh:
+                (row,) = csv.DictReader(fh)
+            assert row["constant"] == "93.21460520515609", weight["form"]
+
+    @pytest.mark.parametrize("kind", ["m_plus", "m_minus"])
+    def test_maximal_of_a_real_member_is_real_and_at_least_its_modulus(self, tmp_path, kind):
+        cfg = {"operator": {"kind": kind}, "grid": SMALL_GRID,
+               "input": {"family": FAMILY, "index": 2}}
+        assert main(["operators", "apply", "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "r")]) == 0
+        f = experiments.family_member(TestFunctionFamily.from_json(FAMILY), 2,
+                                      *SMALL_GRID["window"], SMALL_GRID["n"])
+        with open(tmp_path / "r.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(f) and all(r["im"] == "0.0" for r in rows)
+        assert all(float(r["re"]) >= abs(v) for r, v in zip(rows, f))
+
+    @pytest.mark.parametrize("command", [("sweep", "coeffs"), ("decay", "fit")], ids="-".join)
+    def test_campaign_columns_and_digest_under_a_dotted_prefix(self, tmp_path, command):
+        path = write_cfg(tmp_path, "c.json", TINY[command])
+        prefix = tmp_path / "out" / "run.p1.5"
+        assert main([*command, "--config", path, "--out", str(prefix)]) == 0
+        with open(f"{prefix}.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == list(CSV_COLUMNS)
+        digest = json.loads((tmp_path / "out" / "run.p1.5.json").read_text())["digest"]
+        assert digest == config_digest(TINY[command])
+
+
+class TestNaNInAFloatList:
+    @pytest.mark.parametrize("values, where", [
+        ([1.0, math.nan], "g.values[1]"), ([math.nan] + [1.0] * 16383, "g.values[0]"),
+        ([1, 2.5, 3, math.nan], "g.values[3]")], ids=["second", "first-of-16384", "ints"])
+    def test_refused_at_its_index(self, values, where):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: expected float, got nan$"):
+            read({"values": values}, "values", [float], path="g")
+
+    def test_infinities_pass_the_reader(self):
+        # their sum is NaN too, so the list takes the element path, which keeps them
+        assert read({"v": [math.inf, -math.inf, 1]}, "v", [float]) == [math.inf, -math.inf, 1.0]
+
+    @pytest.mark.parametrize("command, change, where", [
+        (("weights", "estimate"), {"weight": dict(TINY["weights", "estimate"]["weight"], values=[
+            1.0, 0.1, 1e-8, math.nan, 1.0 / 3.0, 7.0, 1e300, 5e-324, 0.5])}, "weight.values[3]"),
+        (("sweep", "coeffs"), {"coeffs": [1.0, math.nan]}, "coeffs[1]"),
+        (("operators", "cancel-sup"), {"eps_grid": [1e-3, math.nan]}, "eps_grid[1]"),
+        (("decay", "fit"), {"phase": {"coeffs": [[1, 1, math.nan]]}}, "phase.coeffs[0][2]")],
+        ids=["sample", "coefficient", "radius", "phase"])
+    def test_cli_names_the_index(self, tmp_path, capsys, command, change, where):
+        cfg = write_cfg(tmp_path, "c.json", dict(TINY[command], **change))
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"config error: {where}: expected float, got nan\n"
+
+
+class TestInterpVerifyZeroMultiplier:
+    @pytest.mark.parametrize("hi", [1e300, 2.0 ** 40], ids=["1e300", "2^40"])
+    def test_member_without_a_nonzero_sample_names_the_window(self, tmp_path, capsys, hi):
+        # 129 nodes this far apart all miss the family's support [-2, 2]
+        cfg = copy.deepcopy(TINY["interp", "verify"])
+        cfg["g"]["grid"]["window"] = [-4.0, hi]
+        assert main(["interp", "verify", "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (f"config error: g.grid.window: every sample of the "
+                                           f"member on {[-4.0, hi]} at n = 129 is 0\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_zero_values_named(self, tmp_path, capsys):
+        cfg = {"endpoints": ENDPOINTS, "g": {"values": [0.0, 0, -0.0],
+                                             "grid": {"window": [-4.0, 4.0]}}}
+        assert main(["interp", "verify", "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == "config error: g.values: every sample is 0\n"
+
+
+KERNEL_PLUS = ('{"params": [1.0, 1.0], "side": "plus", "size_const": 1.0, "smooth_const": 2.0, '
+               '"tag": "oscillating-log"}')
+KERNEL_TRUNCATED = ('{"params": [1.0, 2.5, 1.0, 1.0], "side": "minus", "size_const": 1.0, '
+                    '"smooth_const": 26.666666666666668, "tag": "truncated-power"}')
+SEARCH_TEXT = ('{"ceiling": 1000000.0, "gamma": 0.25, "h_max": 8.0, "h_min": 0.5, "n_anchor": 9, '
+               '"n_grid": 257, "n_h": 4, "window": [-8.0, 8.0]}')
+PHASE = PolynomialPhase((((1, 1), 2.0), ((2, 1), -0.5)))
+PHASE_TEXT = '"phase": {"coeffs": [[1, 1, 2.0], [2, 1, -0.5]]}'
+OPERATORS = [
+    (OperatorSpec("identity"), '{"kind": "identity", "pv": {"eps_cells": 1}}'),
+    (OperatorSpec("m_plus"), '{"kind": "m_plus", "pv": {"eps_cells": 1}}'),
+    (OperatorSpec("m_minus"), '{"kind": "m_minus", "pv": {"eps_cells": 1}}'),
+    (OperatorSpec("singular", oscillating_log_kernel("plus")),
+     f'{{"kernel": {KERNEL_PLUS}, "kind": "singular", "pv": {{"eps_cells": 1}}}}'),
+    (OperatorSpec("singular", truncated_power_kernel("minus", 1.0, 2.5), pv=PVConfig(2)),
+     f'{{"kernel": {KERNEL_TRUNCATED}, "kind": "singular", "pv": {{"eps_cells": 2}}}}'),
+    (OperatorSpec("oscillatory", oscillating_log_kernel("plus")),
+     f'{{"kernel": {KERNEL_PLUS}, "kind": "oscillatory", "pv": {{"eps_cells": 1}}}}'),
+    (OperatorSpec("oscillatory", oscillating_log_kernel("plus"), PHASE),
+     f'{{"kernel": {KERNEL_PLUS}, "kind": "oscillatory", {PHASE_TEXT}, "pv": {{"eps_cells": 1}}}}'),
+    (OperatorSpec("dyadic_piece", oscillating_log_kernel("plus"), j=0),
+     f'{{"j": 0, "kernel": {KERNEL_PLUS}, "kind": "dyadic_piece", "pv": {{"eps_cells": 1}}}}'),
+    (OperatorSpec("dyadic_piece", truncated_power_kernel("minus", 1.0, 2.5), PHASE,
+                  PVConfig(3), 4),
+     f'{{"j": 4, "kernel": {KERNEL_TRUNCATED}, "kind": "dyadic_piece", {PHASE_TEXT}, '
+     f'"pv": {{"eps_cells": 3}}}}'),
+]
+
+
+def sorted_text(obj) -> str:
+    """The sorted-keys JSON text that sidecars write and digests hash."""
+    return json.dumps(obj, sort_keys=True)
+
+
+def through_text(obj):
+    """``obj`` as it reads back from its JSON text: tuples come back as lists."""
+    return json.loads(sorted_text(obj))
+
+
+class TestRecordedJson:
+    # the JSON text of each config object and report, as the sidecars and
+    # digests hold it; a change here changes every recorded digest
+
+    @pytest.mark.parametrize("kernel, text", [
+        (oscillating_log_kernel("plus"), KERNEL_PLUS),
+        (truncated_power_kernel("minus", 1.0, 2.5), KERNEL_TRUNCATED)],
+        ids=["oscillating-log", "truncated-power"])
+    def test_kernel(self, kernel, text):
+        assert sorted_text(asdict(kernel)) == text
+
+    def test_kernel_constants_default_to_the_oscillating_log_kernels(self):
+        kernel = KernelSpec.from_json({"tag": "oscillating-log", "side": "plus",
+                                       "params": [1.0, 1.0]})
+        assert kernel == KernelSpec("oscillating-log", "plus", (1.0, 1.0))
+        assert sorted_text(asdict(kernel)) == KERNEL_PLUS
+
+    def test_search_with_h_max_left_at_0(self):
+        search = TripleSearchConfig((-8, 8), n_anchor=9, n_h=4, h_min=0.5, n_grid=257)
+        assert sorted_text(asdict(search)) == SEARCH_TEXT
+        assert TripleSearchConfig.from_json(through_text(asdict(search))) == search
+
+    def test_family(self):
+        family = TestFunctionFamily("random-bump-sums", 6, 20240901, (-2, 2))
+        assert sorted_text(asdict(family)) == ('{"count": 6, "kind": "random-bump-sums", '
+                                               '"seed": 20240901, "support": [-2.0, 2.0]}')
+
+    @pytest.mark.parametrize("witness, constant, flag, text", [
+        ({"a": -0.5, "h": 0.25}, 1.5, True,
+         '{"constant": 1.5, "finite_flag": true, "resolution": %s, '
+         '"witness": {"a": -0.5, "h": 0.25}}'),
+        (None, math.inf, False,
+         '{"constant": Infinity, "finite_flag": false, "resolution": %s, "witness": null}')],
+        ids=["witness", "no-witness"])
+    def test_report(self, witness, constant, flag, text):
+        search = TripleSearchConfig((-8, 8), n_anchor=9, n_h=4, h_min=0.5, n_grid=257)
+        report = weights.ConstantReport(constant, witness, search, flag)
+        assert sorted_text(asdict(report)) == text % SEARCH_TEXT
+
+    @pytest.mark.parametrize("result, status, text", [
+        (weights.BumpSearchResult(0.125, True, 3.5), 0,
+         '"constant_at_epsilon": 3.5, "digest": "6d52049d41db55d9", "epsilon": 0.125, '
+         '"found": true}'),
+        (weights.BumpSearchResult(0.0, False, math.inf), 3,
+         '"constant_at_epsilon": Infinity, "digest": "6d52049d41db55d9", "epsilon": 0.0, '
+         '"found": false}')], ids=["found", "not-found"])
+    def test_bump_sidecar(self, tmp_path, result, status, text):
+        cfg = {"weight": {"form": "power", "params": [0.5]}, "p": 2.0, "ceiling": 100.0,
+               "search": {"window": [-8.0, 8.0], "n_anchor": 9, "n_h": 4, "h_min": 0.5,
+                          "n_grid": 257}}
+        with mock.patch.object(cli, "power_bump_search", return_value=result):
+            assert main(["weights", "bump", "--config", write_cfg(tmp_path, "c.json", cfg),
+                         "--out", str(tmp_path / "r")]) == status
+        assert (tmp_path / "r.json").read_text() == (
+            '{"config": {"ceiling": 100.0, "p": 2.0, "search": {"h_min": 0.5, "n_anchor": 9, '
+            '"n_grid": 257, "n_h": 4, "window": [-8.0, 8.0]}, "weight": {"form": "power", '
+            '"params": [0.5]}}, ' + text + "\n")
+
+    @pytest.mark.parametrize("op, text", OPERATORS, ids=[
+        "identity", "m_plus", "m_minus", "singular", "singular-pv", "oscillatory",
+        "oscillatory-phase", "dyadic-j", "dyadic-phase-pv-j"])
+    def test_operator(self, op, text):
+        assert sorted_text(op.to_json()) == text
+        assert cli._operator(through_text(op.to_json()), "operator") == op
+
+    def test_norm_ratio_digest(self):
+        family = TestFunctionFamily("random-bump-sums", 6, 20240901, (-2, 2))
+        rep = experiments.norm_ratio(OPERATORS[6][0], weights.WeightSpec.power(0.5), 2.0,
+                                     family, (-4.0, 4.0), 65)
+        assert rep.config_digest == "84bc64e70bde470a"
+        assert rep.config_digest == config_digest(
+            {"op": json.loads(OPERATORS[6][1]), "w": {"form": "power", "params": [0.5]},
+             "p": 2.0, "family": through_text(asdict(family)), "window": [-4.0, 4.0], "n": 65})

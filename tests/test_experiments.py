@@ -1,5 +1,7 @@
 import csv
+import json
 import math
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -79,7 +81,7 @@ class TestFamilies:
             TestFunctionFamily("bumps", 4, 1, (-1.0, 1.0))
 
     def test_serialization(self):
-        assert TestFunctionFamily.from_json(FAM.to_json()) == FAM
+        assert TestFunctionFamily.from_json(json.loads(json.dumps(asdict(FAM)))) == FAM
 
 
 class TestNormRatio:

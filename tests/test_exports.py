@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -45,3 +46,15 @@ def test_traced_signatures():
     assert params(operators.forward_extremal_averages)[0] == "values"
     assert params(experiments.generate_family)[0] == "family"
     assert params(weights.WeightSpec.realize) == ["self", "x_lo", "x_hi", "n"]
+
+
+def test_perfbench_call_shapes():
+    # the benchmark builds its norm_ratio calls outside the tracer, from one config
+    # object per argument and the operator's kind alone
+    w = weights.WeightSpec.from_json({"form": "exponential", "params": [1.0]})
+    family = experiments.TestFunctionFamily.from_json(
+        {"kind": "random-bump-sums", "count": 2, "seed": 1, "support": [-1.0, 1.0]})
+    assert (w.form, family.count) == ("exponential", 2)
+    assert [f.name for f in dataclasses.fields(experiments.OperatorSpec)][0] == "kind"
+    assert experiments.OperatorSpec("m_plus").kind == "m_plus"
+    assert params(experiments.norm_ratio) == ["op", "w", "p", "family", "window", "n"]
