@@ -50,9 +50,18 @@ def check_working_bytes(nbytes: int, what: str) -> None:
                           f"over the {WORKING_BYTES_LIMIT / 2 ** 30:g} GiB budget")
 
 
+def check_grid(x_lo: float, x_hi: float, n: int) -> None:
+    """DomainError unless x_lo < x_hi are finite and n >= 2."""
+    if not -math.inf < x_lo < x_hi < math.inf:
+        raise DomainError(f"need finite x_lo < x_hi, got [{x_lo}, {x_hi}]")
+    if n < 2:
+        raise DomainError(f"need n >= 2, got n={n}")
+
+
 def grid_node(x_lo: float, x_hi: float, n: int, i):
     """Node ``i`` of the n-node grid of [x_lo, x_hi]: a float for an int
     ``i``; a float64 index array is overwritten with its nodes."""
+    check_grid(x_lo, x_hi, n)
     m = float(n - 1)
     hi_part = i * x_hi
     x = np.subtract(m, i, out=i if isinstance(i, np.ndarray) else None)
@@ -102,10 +111,7 @@ class SampledFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not -math.inf < self.x_lo < self.x_hi < math.inf:
-            raise DomainError(f"need finite x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
-        if self.n < 2:
-            raise DomainError(f"need n >= 2, got n={self.n}")
+        check_grid(self.x_lo, self.x_hi, self.n)
         vals = np.asarray(self.values)
         if vals.dtype.kind == "c" and not np.any(vals.imag):
             vals = vals.real

@@ -78,19 +78,26 @@ concurrent evaluation of family members is safe.  On the fft-chirp path
 a row's output does not depend on the other rows of its batch, bit for
 bit; on the dense paths it does only through BLAS's summation order,
 which follows the product's shape (the batch's size and sample hull).
+That order would also follow BLAS's thread count, so the dense paths'
+product runs on one OpenBLAS thread (_one_blas_thread), and their bits
+do not depend on the host's or the caller's thread count.  The caller's
+count is restored after each product; without OpenBLAS's thread-count
+functions it is left as it is.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
+import threading
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, read_fields, read_object
-from .grid import SampledFunction, cumulative_trapezoid, grid_nodes
+from .grid import SampledFunction, check_grid, cumulative_trapezoid, grid_nodes
 
 __all__ = [
     "KernelSpec",
@@ -456,8 +463,8 @@ def forward_extremal_averages(values: np.ndarray, spacing: float,
     operations; the only (m, n) arrays are |values| and its running sums.
     """
     a = np.abs(np.asarray(values))
-    if a.ndim not in (1, 2):
-        raise DomainError(f"values must be 1-D or 2-D, got {a.ndim}-D")
+    if a.ndim not in (1, 2) or not a.shape[-1]:
+        raise DomainError(f"values must be 1-D or 2-D with at least one node, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("values must be finite")
     rows = np.atleast_2d(a)
@@ -655,6 +662,54 @@ def _toeplitz(a: np.ndarray, n: int, r0: int, r1: int, j0: int, j1: int) -> np.n
     return win[j0 - r1 + n:j0 - r0 + n][::-1]
 
 
+_blas_lock = threading.Lock()
+_blas_calls = None    # OpenBLAS's (get, set) thread count; () when none is loaded
+
+
+def _openblas_threads() -> tuple:
+    """The (get, set) thread-count functions of the OpenBLAS this process
+    loaded, looked up once: numpy's bundled scipy-openblas names, then
+    the plain ones; () when /proc/self/maps lists no library that has them."""
+    global _blas_calls
+    if _blas_calls is None:
+        import ctypes
+        try:
+            with open("/proc/self/maps") as fh:
+                paths = sorted({line.split()[-1] for line in fh
+                                if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+        except OSError:
+            paths = []
+        libs = [ctypes.CDLL(path) for path in paths]
+        pairs = [(getattr(lib, name.format("get"), None), getattr(lib, name.format("set"), None))
+                 for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                              "openblas_{}_num_threads") for lib in libs]
+        _blas_calls = next((pair for pair in pairs if None not in pair), ())
+        if _blas_calls:
+            get, put = _blas_calls
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+    return _blas_calls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the count it
+    found.  The lock keeps two Python threads from running the block at
+    once, so neither runs it at the other's count or restores the other's
+    saved count.  Without OpenBLAS's functions the count is left alone."""
+    calls = _openblas_threads()
+    if not calls:
+        yield
+        return
+    get, put = calls
+    with _blas_lock:
+        count = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(count)
+
+
 def _apply_dense(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
                  phase: PolynomialPhase, lo: int, hi: int) -> np.ndarray:
     """out[q, i] = sum_j W[i, j] F[q, j] with the quadrature matrix W
@@ -723,7 +778,8 @@ def _apply_dense(F: np.ndarray, x: np.ndarray, d: float, kernel: KernelSpec,
         ends.imag *= tr
         W[:, -1] = 0.0
         W[:, 1:] += ends
-        out[:, r0:r1] = (W @ F.T[j0:j1]).T
+        with _one_blas_thread():
+            out[:, r0:r1] = (W @ F.T[j0:j1]).T
         r0 = r1
     return out
 
@@ -799,8 +855,7 @@ def _checked_batch(F: np.ndarray, x_lo: float, x_hi: float) -> np.ndarray:
         raise DomainError(f"F must be 2-D with at least 2 nodes, got shape {F.shape}")
     if not np.all(np.isfinite(F)):
         raise DomainError("F must be finite")
-    if not -math.inf < x_lo < x_hi < math.inf:
-        raise DomainError(f"need finite x_lo < x_hi, got [{x_lo}, {x_hi}]")
+    check_grid(x_lo, x_hi, F.shape[1])
     return F
 
 

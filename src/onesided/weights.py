@@ -41,8 +41,8 @@ import numpy as np
 
 from . import operators as _ops
 from .errors import ConfigError, DomainError, GridMismatchError, read, read_fields, read_object
-from .grid import (SampledFunction, check_working_bytes, cumulative_trapezoid, dual_exponent,
-                   grid_node, trapezoid_cells)
+from .grid import (SampledFunction, check_grid, check_working_bytes, cumulative_trapezoid,
+                   dual_exponent, grid_node, trapezoid_cells)
 
 __all__ = [
     "WeightSpec",
@@ -163,6 +163,7 @@ class WeightSpec:
 
     def _node_blocks(self, x_lo: float, x_hi: float, n: int, size: int):
         """``realize``'s node values ``size`` at a time, by its operations (so its bits)."""
+        check_grid(x_lo, x_hi, n)       # before range(0, n, size) meets n = 0
         if self.form == "sampled":
             s = self.samples
             s.check_covers(x_lo, x_hi)
@@ -682,7 +683,12 @@ def a1_constant(w: WeightSpec, side: str, cfg: TripleSearchConfig) -> ConstantRe
         raise ConfigError(f"side must be plus or minus, got {side!r}")
     maximal = (_ops.backward_extremal_averages if side == "plus"
                else _ops.forward_extremal_averages)
-    return _pointwise_constant(w, cfg, lambda wv, d: maximal(wv, d) / wv)
+
+    def ratio(wv, d):
+        m = maximal(wv, d)
+        with np.errstate(over="ignore", divide="ignore"):   # inf clears finite_flag
+            return m / wv
+    return _pointwise_constant(w, cfg, ratio)
 
 
 def rh_infty_constant(w: WeightSpec, cfg: TripleSearchConfig) -> ConstantReport:

@@ -3,8 +3,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 from unittest import mock
@@ -229,6 +232,18 @@ class TestWeightsCommands:
             out = tmp_path / f"res{i}"
             assert main(["weights", "estimate", "--config", path, "--out", str(out)]) == 3
             assert (tmp_path / f"res{i}.csv").exists()   # results still written
+
+    def test_a1_overflowing_ratio_exit_3_without_a_warning(self, tmp_path):
+        # M^-w / w overflows at TINY's 5e-324 sample; the inf clears
+        # finite_flag.  A fresh process, so PYTHONWARNINGS is what it reads
+        cfg = {k: v for k, v in TINY["weights", "estimate"].items() if k not in ("p", "side")}
+        path = write_cfg(tmp_path, "c.json", dict(cfg, estimator="a1"))
+        run = subprocess.run(
+            [sys.executable, "-m", "onesided.cli", "weights", "estimate", "--config", path,
+             "--out", str(tmp_path / "res")],
+            env=dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning"),
+            capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (3, "")
 
     def test_bump(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {

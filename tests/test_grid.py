@@ -109,6 +109,20 @@ class TestSampledFunction:
         assert np.array_equal(g.values, f.values)
 
 
+class TestGridRefused:
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 1.0, 1), (0.0, 1.0, 0), (1.0, 0.0, 3),
+                                           (0.0, 0.0, 3), (np.nan, 1.0, 3), (0.0, np.inf, 3)])
+    def test_nodes(self, lo, hi, n):
+        with pytest.raises(DomainError):
+            grid_nodes(lo, hi, n)
+        with pytest.raises(DomainError):
+            grid_node(lo, hi, n, 0)
+
+    def test_resample_onto_one_node(self):
+        with pytest.raises(DomainError, match="n >= 2"):
+            resample(const(1.0), 0.0, 1.0, 1)
+
+
 class TestDualExponent:
     def test_conjugates(self):
         assert dual_exponent(2.0) == -1.0

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from unittest import mock
 
@@ -601,6 +602,11 @@ class TestHullAgainstScan:
         for vals in (np.float64(1.0), np.ones((2, 3, 4))):
             with pytest.raises(DomainError):
                 forward_extremal_averages(vals, 0.1)
+
+    @pytest.mark.parametrize("shape", [(1, 0), (0,)])
+    def test_rejects_rows_without_nodes(self, shape):
+        with pytest.raises(DomainError, match="at least one node"):
+            forward_extremal_averages(np.ones(shape), 0.1)
 
     @pytest.mark.parametrize("spacing", [-0.5, 0.0, math.nan, math.inf])
     def test_rejects_bad_spacing(self, spacing):
@@ -1278,6 +1284,84 @@ class TestWorkingSet:
         # 192 more rows add their output and no temporaries; one FFT of
         # all the rows of a hull added 49 MB at n = 4096, four times that
         assert apply_peak(P, n, 256) - apply_peak(P, n, 64) <= 1.02 * 192 * n * 16
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread for the dense product
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def blas():
+    """OpenBLAS's (get, set) thread-count calls, as the dense apply finds
+    them, with the process's count restored after the test."""
+    calls = operators._openblas_threads()
+    if not calls:
+        pytest.skip("no OpenBLAS thread-count functions found: the dense product runs "
+                    "at the process's thread count")
+    get, put = calls
+    count = get()
+    yield get, put
+    put(count)
+
+
+def gaussians_apply(P: PolynomialPhase, n: int, rows: int = 64) -> np.ndarray:
+    """One plus-side apply to ``rows`` modulated gaussians on [-2, 2],
+    sampled at n nodes of [-8, 8]."""
+    F = generate_family(TestFunctionFamily("modulated-gaussians", rows, 31, (-2.0, 2.0)),
+                        -8.0, 8.0, n)
+    return oscillatory_apply_batch(F, -8.0, 8.0, KP, P, PV1)
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("P, n", CAMPAIGN_PATHS[1:])
+    def test_bytes_independent_of_the_thread_count(self, blas, P, n):
+        # unpinned, 2 threads summed both dense paths' products in another order
+        get, put = blas
+        out = []
+        for count in (2, 1):
+            put(count)
+            out.append(gaussians_apply(P, n).tobytes())
+        assert out[0] == out[1]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_callers_count_survives(self, blas, count):
+        get, put = blas
+        put(count)
+        gaussians_apply(X2Y, 1025, 8)
+        assert get() == count
+        # the third tap gather is the second chunk's, after one pinned product
+        gathers = []
+
+        def toeplitz(*args):
+            gathers.append(args)
+            if len(gathers) == 3:
+                raise RuntimeError("chunk")
+            return _toeplitz(*args)
+
+        with mock.patch.object(operators, "_CHUNK_BYTES", 1 << 16), \
+                mock.patch.object(operators, "_toeplitz", side_effect=toeplitz):
+            with pytest.raises(RuntimeError, match="chunk"):
+                gaussians_apply(X2Y, 1025, 8)
+        assert len(gathers) == 3 and get() == count
+        inside = []
+        with pytest.raises(RuntimeError, match="block"):
+            with operators._one_blas_thread():
+                inside.append(get())
+                raise RuntimeError("block")
+        assert inside == [1] and get() == count
+
+    def test_concurrent_applies_equal_serial(self, blas):
+        get, put = blas
+        put(2)
+        jobs = [(X2Y, 1025), (XY2, 1025)]
+        # small chunks: many pinned products, so the two threads interleave
+        with mock.patch.object(operators, "_CHUNK_BYTES", 1 << 16):
+            serial = [gaussians_apply(P, n, 16).tobytes() for P, n in jobs]
+            with ThreadPoolExecutor(2) as pool:
+                runs = list(pool.map(lambda job: [gaussians_apply(*job, 16).tobytes()
+                                                  for _ in range(3)], jobs))
+        assert get() == 2
+        assert runs == [[want] * 3 for want in serial]
 
 
 # ---------------------------------------------------------------------------

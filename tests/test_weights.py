@@ -46,6 +46,13 @@ class TestCatalog:
             vals = w.realize(-4.0, 4.0, 513)
             assert np.all(vals > 0) and np.all(np.isfinite(vals))
 
+    @pytest.mark.parametrize("w", [
+        WeightSpec.power(0.5), WeightSpec.sampled(SampledFunction(0.0, 1.0, 3, [1.0, 2.0, 3.0]))])
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_realize_refuses_fewer_than_two_nodes(self, w, n):
+        with pytest.raises(DomainError, match="n >= 2"):
+            w.realize(0.0, 1.0, n)
+
     def test_power_zero_node_substitution(self):
         # odd node count puts a node exactly at 0; it evaluates half a
         # cell to the right instead of producing 0 or inf
